@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesic import (
-    GeodesicEstimate,
     PiecewiseConstantPath,
     estimate_cc_distance,
+    generator_norm,
     geometric_complexity_const,
 )
 from .operators import (
@@ -37,7 +37,7 @@ from .operators import (
     tensor,
     unitary,
 )
-from .pauli import MetricSpec, omega_norm_raw
+from .pauli import MetricSpec
 
 KRAUS_COMPLETENESS_TOL = 1e-9
 PROB_TOL = 1e-9
@@ -184,22 +184,14 @@ def noise_complexity(spec: ChannelSpec, t: float) -> float:
     return abs(channel_complexity_const(spec, t) - noiseless_complexity(spec, t))
 
 
-def noise_complexity_bounds(
-    spec: ChannelSpec,
-    t: float,
-    segments: int = 1,
-    restarts: int = 1,
-    seed: int = 0,
-) -> dict:
+def noise_complexity_bounds(spec: ChannelSpec, t: float) -> dict:
     """Lower and upper envelope for the noise complexity.
 
     lower: complexity of exp(-it(sqrt(|H_tot^2 - H_Se^2|) + |H_Se|))
     minus the joint complexity. upper: noiseless complexity minus the
-    estimated geodesic distance between the joint propagator and the
-    residual propagator. The distance estimate is itself an upper bound
-    on the true distance, which makes the reported upper value
-    conservative (smaller); that is flagged here and in reports. If the
-    estimate fails, upper is None and lower is still returned.
+    flat geodesic distance between the joint propagator and the
+    residual propagator. That distance is the principal-log closed
+    form, so it is exact and upper is always a number.
     """
     H_tot = spec.h_total()
     H_Se = spec.h_system_embedded()
@@ -207,26 +199,13 @@ def noise_complexity_bounds(
     lower = geometric_complexity_const(resid + matrix_abs(H_Se), t, None) - (
         geometric_complexity_const(H_tot, t, None)
     )
-    upper = None
-    estimate: GeodesicEstimate | None = None
-    try:
-        estimate = estimate_cc_distance(
-            matrix_exp_unitary(H_tot, t),
-            matrix_exp_unitary(resid, t),
-            None,
-            segments=segments,
-            restarts=restarts,
-            seed=seed,
-            search_sweeps=25,
-            search_step_tol=1e-6,
-        )
-        upper = noiseless_complexity(spec, t) - estimate.length
-    except ValueError:
-        estimate = None
+    distance = estimate_cc_distance(
+        matrix_exp_unitary(H_tot, t), matrix_exp_unitary(resid, t), None, segments=1
+    ).length
     return {
         "lower": lower,
-        "upper": upper,
-        "distance_estimate": None if estimate is None else estimate.length,
+        "upper": noiseless_complexity(spec, t) - distance,
+        "distance_estimate": distance,
         "distance_is_upper_bound": True,
     }
 
@@ -268,10 +247,6 @@ class TimeDependentSpec:
         )
 
 
-def _td_norm(H: np.ndarray, m: MetricSpec | None) -> float:
-    return hs_norm(H) if m is None else omega_norm_raw(H, m)
-
-
 def channel_complexity_td(spec: TimeDependentSpec) -> float:
     """Integrated |a - sqrt(|a^2 - b^2|)| where a is the metric norm of the
     joint generator and b the norm of the embedded system generator.
@@ -287,8 +262,8 @@ def channel_complexity_td(spec: TimeDependentSpec) -> float:
     for k in range(len(spec.segments)):
         H_S, _, _, ds = spec.segments[k]
         H_joint, _ = spec.joint_segment(k)
-        a = _td_norm(H_joint, m)
-        b = _td_norm(embed_system(H_S, spec.d_E), m)
+        a = generator_norm(H_joint, m)
+        b = generator_norm(embed_system(H_S, spec.d_E), m)
         total += ds * abs(a - np.sqrt(abs(a * a - b * b)))
     return total / np.sqrt(d**2 - 1)
 
@@ -299,7 +274,7 @@ def noise_complexity_td(spec: TimeDependentSpec) -> float:
     d = spec.d_S * spec.d_E
     m = spec.metric
     noiseless = sum(
-        ds * _td_norm(embed_system(H_S, spec.d_E), m)
+        ds * generator_norm(embed_system(H_S, spec.d_E), m)
         for H_S, _, _, ds in spec.segments
     ) / np.sqrt(d**2 - 1)
     return abs(channel_complexity_td(spec) - noiseless)

@@ -1,9 +1,10 @@
 """Geometric complexity on the unitary group.
 
 Closed form for constant generators, the length functional and endpoint
-map for piecewise-constant controls, a multi-start upper-bound estimator
-for the right-invariant control distance between two unitaries, and the
-l1-cost inequality chain.
+map for piecewise-constant controls, the right-invariant control distance
+between two unitaries (exact principal-log geodesic for the flat metric,
+multi-start upper-bound search for weighted metrics), and the l1-cost
+inequality chain.
 
 Normalization convention used throughout: integrands are raw weighted
 coefficient norms (no prefactor) and one global 1/sqrt(d^2-1) factor is
@@ -74,14 +75,14 @@ class GeodesicEstimate:
     restarts_used: int
 
 
-def _segment_norm(H: np.ndarray, m: MetricSpec | None) -> float:
-    """Metric norm of a path generator.
+def generator_norm(H: np.ndarray, m: MetricSpec | None) -> float:
+    """Metric norm of a generator.
 
     Flat (m=None) means the full ambient HS norm, keeping single-segment
     paths exactly consistent with geometric_complexity_const and keeping
-    estimated lengths comparable with the principal-log distance even
-    when the target carries a global phase. A MetricSpec weighs the
-    traceless coefficients only.
+    path lengths comparable with the principal-log distance even when
+    the target carries a global phase. A MetricSpec weighs the traceless
+    coefficients only.
     """
     if m is None:
         return hs_norm(H)
@@ -100,8 +101,7 @@ def geometric_complexity_const(H: np.ndarray, t: float, m: MetricSpec | None = N
     if t < 0:
         raise ValueError(f"Time must be nonnegative, got {t!r}.")
     d = H.shape[0]
-    norm = hs_norm(H) if m is None else omega_norm_raw(H, m)
-    return t * norm / np.sqrt(d**2 - 1)
+    return t * generator_norm(H, m) / np.sqrt(d**2 - 1)
 
 
 def path_length(p: PiecewiseConstantPath, m: MetricSpec | None = None) -> float:
@@ -109,7 +109,7 @@ def path_length(p: PiecewiseConstantPath, m: MetricSpec | None = None) -> float:
     if not p.segments:
         return 0.0
     d = p.dim
-    total = sum(ds * _segment_norm(H, m) for H, ds in p.segments)
+    total = sum(ds * generator_norm(H, m) for H, ds in p.segments)
     return total / np.sqrt(d**2 - 1)
 
 
@@ -161,66 +161,37 @@ def log_distance(U: np.ndarray, W: np.ndarray) -> float:
 
 
 class _Chart:
-    """Isometric real coordinates for segment generators.
+    """Isometric real coordinates for weighted-metric segment generators.
 
-    Flat charts span all Hermitian matrices through an orthonormal
-    Hermitian basis, so the coordinate 2-norm is the full HS norm.
-    Metric charts use Pauli coefficients plus one identity coordinate.
-    The weighted norm covers the traceless sector only, so the identity
-    coordinate costs nothing; it still moves the endpoint (a global
-    phase), which the endpoint penalty constrains. This keeps the
-    reported length equal to path_length of the returned path under
-    the same metric.
+    Pauli coefficients plus one identity coordinate. The weighted norm
+    covers the traceless sector only, so the identity coordinate costs
+    nothing; it still moves the endpoint (a global phase), which the
+    endpoint penalty constrains. This keeps the reported length equal
+    to path_length of the returned path under the same metric.
     """
 
-    def __init__(self, d: int, m: MetricSpec | None):
+    def __init__(self, d: int, m: MetricSpec):
+        if m.basis.dim != d:
+            raise ValueError(
+                f"Metric basis dim {m.basis.dim} does not match operator dim {d}."
+            )
         self.d = d
         self.m = m
-        if m is None:
-            self.size = d * d
-            iu = np.triu_indices(d, k=1)
-            self._iu = iu
-        else:
-            if m.basis.dim != d:
-                raise ValueError(
-                    f"Metric basis dim {m.basis.dim} does not match operator dim {d}."
-                )
-            self.size = d * d  # (d^2 - 1) traceless coefficients + identity
-            self._sq_weights = np.concatenate([m.weights, [0.0]])
+        self.size = d * d  # (d^2 - 1) traceless coefficients + identity
+        self._sq_weights = np.concatenate([m.weights, [0.0]])
 
     def to_matrix(self, x: np.ndarray) -> np.ndarray:
         d = self.d
-        if self.m is None:
-            H = np.zeros((d, d), dtype=np.complex128)
-            H[np.diag_indices(d)] = x[:d]
-            n_off = d * (d - 1) // 2
-            re = x[d : d + n_off] / np.sqrt(2)
-            im = x[d + n_off :] / np.sqrt(2)
-            H[self._iu] = re + 1j * im
-            H[(self._iu[1], self._iu[0])] = re - 1j * im
-            return H
-        basis = self.m.basis
-        H = np.einsum("k,kab->ab", x[:-1].astype(np.complex128), basis.elements)
+        H = np.einsum("k,kab->ab", x[:-1].astype(np.complex128), self.m.basis.elements)
         return H + x[-1] / np.sqrt(d) * np.eye(d)
 
     def norm(self, x: np.ndarray) -> float:
-        if self.m is None:
-            return float(np.linalg.norm(x))
         return float(np.sqrt(np.sum(self._sq_weights * x * x)))
 
     def from_matrix(self, G: np.ndarray) -> np.ndarray:
-        d = self.d
-        if self.m is None:
-            x = np.empty(self.size)
-            x[:d] = G[np.diag_indices(d)].real
-            off = G[self._iu]
-            n_off = d * (d - 1) // 2
-            x[d : d + n_off] = off.real * np.sqrt(2)
-            x[d + n_off :] = off.imag * np.sqrt(2)
-            return x
         vec = vectorize(G, self.m.basis)
         return np.concatenate(
-            [vec.coefficients, [vec.identity_component.real * np.sqrt(d)]]
+            [vec.coefficients, [vec.identity_component.real * np.sqrt(self.d)]]
         )
 
 
@@ -321,6 +292,16 @@ def _solve_restart(
     return best
 
 
+def _flat_log_length(G: np.ndarray) -> float:
+    """Flat length of the constant path exp(-i s G), s in [0, 1]."""
+    d = G.shape[0]
+    iu = np.triu_indices(d, k=1)
+    off = G[iu]
+    # Real flat coordinates, not hs_norm(G): its other rounding would change report bytes.
+    x = np.concatenate([G.diagonal().real, off.real * np.sqrt(2), off.imag * np.sqrt(2)])
+    return float(np.linalg.norm(x) / np.sqrt(d**2 - 1))
+
+
 def estimate_cc_distance(
     U: np.ndarray,
     V: np.ndarray,
@@ -332,14 +313,21 @@ def estimate_cc_distance(
     search_sweeps: int = 60,
     search_step_tol: float = 1e-8,
 ) -> GeodesicEstimate:
-    """Numerical upper bound on the control distance from U to V.
+    """Control distance from U to V, with a certificate path of `segments`
+    equal pieces.
 
-    Right-invariance is used exactly: the search connects the identity
-    to V U†. Restart 0 starts from the principal-log one-parameter
-    group, which already meets the endpoint; the remaining restarts are
-    random. The best feasible path (endpoint error within endpoint_tol)
-    of minimal length wins. Deterministic for a fixed seed.
-    search_sweeps and search_step_tol trade polish for speed.
+    Right-invariance is used exactly: the path connects the identity to
+    V U†. Under the flat metric (m=None) the principal-log one-parameter
+    group is the geodesic, so the length is exact, no search runs and
+    restarts_used is 0; restarts, seed, endpoint_tol and the search
+    knobs are ignored.
+
+    A MetricSpec runs a numerical search for an upper bound instead.
+    Restart 0 starts from the principal-log path, which already meets
+    the endpoint; the remaining restarts are random. The best feasible
+    path (endpoint error within endpoint_tol) of minimal length wins.
+    Deterministic for a fixed seed. search_sweeps and search_step_tol
+    trade polish for speed.
     """
     U = unitary(U)
     V = unitary(V)
@@ -349,9 +337,17 @@ def estimate_cc_distance(
         raise ValueError("segments and restarts must both be >= 1.")
     d = U.shape[0]
     target = V @ U.conj().T
+    G = principal_log_generator(target)
+    if m is None:
+        path = PiecewiseConstantPath(segments=((G, 1.0 / segments),) * segments)
+        return GeodesicEstimate(
+            length=_flat_log_length(G),
+            endpoint_error=hs_norm(path_endpoint(path) - target),
+            path=path,
+            restarts_used=0,
+        )
     chart = _Chart(d, m)
     K = segments
-    G = principal_log_generator(target)
     g_coords = chart.from_matrix(G)
     x_log = np.tile(g_coords, K)  # constant path: each segment runs G for 1/K
 

@@ -136,6 +136,32 @@ def test_noise_upper_bound_failure_exits_one(tmp_path):
     assert rep["all_ok"] is False
 
 
+def test_noise_upper_bound_needs_no_search_knobs(tmp_path):
+    rng = np.random.default_rng(11)
+    H_S = herm(rng, 2)
+    cfg = write_cfg(
+        tmp_path,
+        "nzero.json",
+        {
+            "schema_version": 1,
+            "kind": "noise",
+            "seed": 0,
+            "d_S": 2,
+            "d_E": 2,
+            "H_S": pairs(16.0 * H_S / np.linalg.norm(H_S)),
+            "H_I": pairs(0.25 * herm(rng, 4)),
+            "H_E": pairs(0.25 * herm(rng, 2)),
+            "t": 1.0,
+            "estimate_restarts": 0,
+        },
+    )
+    code, out, err = run_cli("noise", "--config", cfg)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert isinstance(rep["scalars"]["noise_upper"], float)
+    assert "noise_upper_bound" in {c["name"] for c in rep["checks"]}
+
+
 def test_verify_all_byte_stable(tmp_path):
     cfg = write_cfg(
         tmp_path, "v.json", {"schema_version": 1, "kind": "verify-all", "seed": 0}

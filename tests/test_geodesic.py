@@ -124,7 +124,18 @@ def test_estimate_recovers_sigma_z_geodesic():
     assert est.length <= np.sqrt(2.0 / 3.0) + 1e-6
     assert est.length >= log_distance(np.eye(2), U) - 1e-9
     assert len(est.path.segments) == 4
-    assert est.restarts_used == 2
+    assert est.restarts_used == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_flat_estimate_is_principal_log_path(d):
+    rng = np.random.default_rng(d)
+    U = rand_unitary(rng, d)
+    V = rand_unitary(rng, d)
+    est = estimate_cc_distance(U, V, segments=3)
+    assert abs(est.length - log_distance(U, V)) <= 1e-12
+    assert est.endpoint_error <= 1e-12
+    assert len(est.path.segments) == 3
 
 
 def test_estimate_dominates_log_distance(rng):
