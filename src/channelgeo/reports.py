@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -27,15 +28,18 @@ from .operators import (
 from .pauli import MetricSpec, build_pauli_basis, build_penalty_metric
 
 SCHEMA_VERSION = 1
-KINDS = (
-    "complexity",
-    "channel",
-    "noise",
-    "cohering-power",
-    "rode",
-    "decompose",
-    "verify-all",
-)
+_SPEC_FIELDS = ("d_S", "d_E", "H_S", "H_I", "H_E", "env_probs", "env_basis", "t")
+#: Top-level fields each kind reads, besides schema_version, kind and seed.
+_FIELDS = {
+    "complexity": ("H", "t", "metric"),
+    "channel": ("perturbative", *_SPEC_FIELDS),
+    "noise": _SPEC_FIELDS,
+    "cohering-power": ("U", "generator", "t", "dephasing", "restarts", "pure_only"),
+    "rode": ("path", "noise", "M"),
+    "decompose": ("U", "normalize_phase"),
+    "verify-all": (),
+}
+KINDS = tuple(_FIELDS)
 
 #: Emitted in every report so numbers are interpretable without the source.
 CONVENTIONS = {
@@ -70,10 +74,12 @@ def _fail(field: str, message: str) -> ConfigError:
 def matrix_from_pairs(obj, field: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _fail(field, f"not a numeric array: {exc}") from None
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise _fail(field, "expected a matrix of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise _fail(field, "entries must be finite")
     return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
 
 
@@ -84,26 +90,52 @@ def matrix_to_pairs(M: np.ndarray) -> list:
 def vector_from_json(obj, field: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _fail(field, f"not a numeric vector: {exc}") from None
     if arr.ndim != 1:
         raise _fail(field, "expected a flat list of reals")
+    if not np.isfinite(arr).all():
+        raise _fail(field, "entries must be finite")
     return arr
 
 
-def _require(cfg: dict, field: str):
+# Field readers. `at` is the dotted path of cfg itself, e.g. "path.", so
+# that errors name the full field path.
+
+
+def _require(cfg: dict, field: str, at: str = ""):
     if field not in cfg:
-        raise _fail(field, "missing")
+        raise _fail(at + field, "missing")
     return cfg[field]
 
 
-def _number(cfg: dict, field: str, default=None) -> float:
+def _number(cfg: dict, field: str, default=None, at: str = "") -> float:
+    val = cfg.get(field, default)
+    if val is None:
+        raise _fail(at + field, "missing")
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise _fail(at + field, f"expected a number, got {type(val).__name__}")
+    if not abs(val) <= sys.float_info.max:  # inf, nan, or an int too big for a float
+        raise _fail(at + field, f"expected a finite number, got {val!r}")
+    return float(val)
+
+
+def _integer(cfg: dict, field: str, default, minimum: int) -> int:
     val = cfg.get(field, default)
     if val is None:
         raise _fail(field, "missing")
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise _fail(field, f"expected a number, got {type(val).__name__}")
-    return float(val)
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise _fail(field, f"expected an integer, got {type(val).__name__}")
+    if val < minimum:
+        raise _fail(field, f"expected an integer >= {minimum}, got {val}")
+    return val
+
+
+def _flag(cfg: dict, field: str, default: bool) -> bool:
+    val = cfg.get(field, default)
+    if not isinstance(val, bool):
+        raise _fail(field, f"expected true or false, got {type(val).__name__}")
+    return val
 
 
 def parse_metric(obj) -> MetricSpec | None:
@@ -112,7 +144,7 @@ def parse_metric(obj) -> MetricSpec | None:
     if not isinstance(obj, dict) or "n" not in obj:
         raise _fail("metric", "expected null or an object with 'n'")
     n = obj["n"]
-    if not isinstance(n, int) or not 1 <= n <= 5:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 5:
         raise _fail("metric.n", "expected an integer qubit count in 1..5")
     if "weights" in obj:
         weights = vector_from_json(obj["weights"], "metric.weights")
@@ -122,8 +154,8 @@ def parse_metric(obj) -> MetricSpec | None:
             raise _fail("metric.weights", str(exc)) from None
     if "q" in obj:
         try:
-            return build_penalty_metric(n, float(obj["q"]))
-        except (TypeError, ValueError) as exc:
+            return build_penalty_metric(n, _number(obj, "q", at="metric."))
+        except ValueError as exc:
             raise _fail("metric.q", str(exc)) from None
     raise _fail("metric", "needs either 'q' or 'weights'")
 
@@ -133,13 +165,18 @@ def parse_path(obj, field: str = "path") -> geodesic.PiecewiseConstantPath:
         raise _fail(field, "expected an object")
     try:
         if "segments" in obj:
+            if not isinstance(obj["segments"], list) or not obj["segments"]:
+                raise _fail(f"{field}.segments", "expected a non-empty list of segments")
             segs = []
             for i, seg in enumerate(obj["segments"]):
-                H = matrix_from_pairs(seg["H"], f"{field}.segments[{i}].H")
-                segs.append((H, float(seg["ds"])))
+                if not isinstance(seg, dict):
+                    raise _fail(f"{field}.segments[{i}]", "expected an object")
+                at = f"{field}.segments[{i}]."
+                H = matrix_from_pairs(_require(seg, "H", at), at + "H")
+                segs.append((H, _number(seg, "ds", at=at)))
             return geodesic.PiecewiseConstantPath(segments=tuple(segs))
-        H = matrix_from_pairs(_require(obj, "H"), f"{field}.H")
-        return geodesic.constant_path(H, _number(obj, "t"))
+        H = matrix_from_pairs(_require(obj, "H", f"{field}."), f"{field}.H")
+        return geodesic.constant_path(H, _number(obj, "t", at=f"{field}."))
     except ValueError as exc:
         raise _fail(field, str(exc)) from None
 
@@ -147,18 +184,21 @@ def parse_path(obj, field: str = "path") -> geodesic.PiecewiseConstantPath:
 def parse_noise(obj, field: str = "noise") -> rode.NoiseModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise _fail(field, "expected an object with 'kind'")
+    at = f"{field}."
     try:
         sigma = obj.get("sigma")
         if isinstance(sigma, list):
-            sigma = vector_from_json(sigma, f"{field}.sigma")
+            sigma = vector_from_json(sigma, at + "sigma")
+        elif sigma is not None:
+            sigma = _number(obj, "sigma", at=at)
         weights = obj.get("weights")
         if weights is not None:
-            weights = vector_from_json(weights, f"{field}.weights")
+            weights = vector_from_json(weights, at + "weights")
+        dt_noise = obj.get("dt_noise")
+        if dt_noise is not None:
+            dt_noise = _number(obj, "dt_noise", at=at)
         return rode.NoiseModel(
-            kind=obj["kind"],
-            sigma=sigma,
-            weights=weights,
-            dt_noise=obj.get("dt_noise"),
+            kind=obj["kind"], sigma=sigma, weights=weights, dt_noise=dt_noise
         )
     except ValueError as exc:
         raise _fail(field, str(exc)) from None
@@ -166,8 +206,8 @@ def parse_noise(obj, field: str = "noise") -> rode.NoiseModel:
 
 def parse_channel_spec(cfg: dict) -> channel.ChannelSpec:
     try:
-        d_S = int(_require(cfg, "d_S"))
-        d_E = int(_require(cfg, "d_E"))
+        d_S = _integer(cfg, "d_S", None, 1)
+        d_E = _integer(cfg, "d_E", None, 1)
         probs = cfg.get("env_probs")
         basis = cfg.get("env_basis")
         return channel.ChannelSpec(
@@ -213,9 +253,15 @@ def validate_config(cfg: dict, kind: str | None = None) -> dict:
     effective["kind"] = cfg_kind or kind
     if effective["kind"] not in KINDS:
         raise _fail("kind", f"unknown kind {effective['kind']!r}")
-    seed = effective.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise _fail("seed", "a non-negative integer seed is mandatory")
+    _integer(effective, "seed", None, 0)
+    read = {"schema_version", "kind", "seed", *_FIELDS[effective["kind"]]}
+    for field in effective:
+        if field not in read:
+            print(
+                f"channelgeo: config field {field!r} is not read by kind "
+                f"{effective['kind']!r}; ignored",
+                file=sys.stderr,
+            )
     return effective
 
 
@@ -266,15 +312,18 @@ def _run_complexity(cfg: dict):
 def _run_channel(cfg: dict):
     if "perturbative" in cfg:
         p = cfg["perturbative"]
+        if not isinstance(p, dict):
+            raise _fail("perturbative", "expected an object")
+        at = "perturbative."
         out = channel.perturbative_example(
-            H_S=matrix_from_pairs(_require(p, "H_S"), "perturbative.H_S"),
-            A_S=matrix_from_pairs(_require(p, "A_S"), "perturbative.A_S"),
+            H_S=matrix_from_pairs(_require(p, "H_S", at), at + "H_S"),
+            A_S=matrix_from_pairs(_require(p, "A_S", at), at + "A_S"),
             env_energies=vector_from_json(
-                _require(p, "env_energies"), "perturbative.env_energies"
+                _require(p, "env_energies", at), at + "env_energies"
             ),
-            weights=vector_from_json(_require(p, "weights"), "perturbative.weights"),
-            eps=_number(p, "eps"),
-            t=_number(p, "t", 1.0),
+            weights=vector_from_json(_require(p, "weights", at), at + "weights"),
+            eps=_number(p, "eps", at=at),
+            t=_number(p, "t", 1.0, at=at),
         )
         scalars = {
             "exact": float(out["exact"]),
@@ -337,9 +386,9 @@ def _run_cohering_power(cfg: dict):
     result = coherence.cohering_power(
         U,
         E,
-        restarts=int(cfg.get("restarts", 32)),
+        restarts=_integer(cfg, "restarts", 32, 0),
         seed=cfg["seed"],
-        pure_only=bool(cfg.get("pure_only", False)),
+        pure_only=_flag(cfg, "pure_only", False),
     )
     scalars = {"C_power": result.value}
     checks = [make_check("coherence_cap", result.value, (1.0 - 1.0 / d) + 1e-12)]
@@ -357,7 +406,7 @@ def _run_cohering_power(cfg: dict):
 def _run_rode(cfg: dict):
     path = parse_path(_require(cfg, "path"))
     noise = parse_noise(_require(cfg, "noise"))
-    M = int(cfg.get("M", 100))
+    M = _integer(cfg, "M", 100, 1)
     result = rode.ensemble_mean(path, noise, M, cfg["seed"])
     U_free = geodesic.path_endpoint(path)
     scalars = {
@@ -370,8 +419,8 @@ def _run_rode(cfg: dict):
     checks = [
         make_check("mean_contraction", scalars["mean_operator_norm"], 1.0 + 1e-9)
     ]
-    if noise.kind == "bounded_matched":
-        fluct = rode.fluctuation_report(path, noise, M, cfg["seed"])
+    fluct = result.fluctuations
+    if fluct is not None:
         checks.extend(
             [
                 make_check(
@@ -401,7 +450,7 @@ def _run_rode(cfg: dict):
 def _run_decompose(cfg: dict):
     U = unitary(matrix_from_pairs(_require(cfg, "U"), "U"))
     N = U.shape[0]
-    if bool(cfg.get("normalize_phase", True)):
+    if _flag(cfg, "normalize_phase", True):
         det = np.linalg.det(U)
         U = U * det ** (-1.0 / N)
     circuit = algebra.decompose_two_level(U)
@@ -768,8 +817,6 @@ def write_report(report: dict, out: str | None) -> None:
     ensemble = report.pop("_ensemble", None)
     data = report_bytes(report)
     if out is None:
-        import sys
-
         sys.stdout.write(data.decode("utf-8"))
         return
     path = Path(out)

@@ -4,7 +4,9 @@ Noise is piecewise constant over a correlation step, each substep is an
 exact Hermitian exponential, so every trajectory stays unitary and there
 is no integrator drift. Trajectories own independent RNG streams spawned
 from one seed, which makes single runs and batched ensembles agree
-trajectory for trajectory.
+trajectory for trajectory. An ensemble is integrated once: the mean, the
+per-trajectory statistics and, for norm-matched noise, the fluctuation
+checks all come from the same pass.
 """
 from __future__ import annotations
 
@@ -70,6 +72,8 @@ class EnsembleResult:
 
     distances are ambient HS distances from each endpoint to the mean;
     endpoint_deviations are distances to the noiseless endpoint.
+    fluctuations holds the fluctuation_report checks of the same
+    trajectories for bounded_matched noise, and is None otherwise.
     """
 
     mean_operator: np.ndarray
@@ -78,6 +82,7 @@ class EnsembleResult:
     endpoint_deviations: np.ndarray
     hr_integrals: np.ndarray
     seed: int
+    fluctuations: dict | None = None
 
     def __post_init__(self) -> None:
         op = float(np.linalg.norm(self.mean_operator, 2))
@@ -159,10 +164,10 @@ def _sample_coeffs(
 
 
 def _run_trajectories(
-    path: PiecewiseConstantPath, noise: NoiseModel, rngs: list, collect_esssup: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
+    path: PiecewiseConstantPath, noise: NoiseModel, rngs: list
+) -> tuple[np.ndarray, np.ndarray, float, list]:
     """Evolve one trajectory per RNG; returns endpoints, noise-norm
-    integrals, and the worst matched-norm deviation seen."""
+    integrals, the worst matched-norm deviation seen, and the segment plan."""
     d = path.dim
     basis = _noise_basis(d)
     plan = _segment_plan(path, noise, basis)
@@ -183,7 +188,7 @@ def _run_trajectories(
             )
             norms = np.linalg.norm(C, axis=2)
             integrals[lo:hi] += tau * norms.sum(axis=1)
-            if collect_esssup and target is not None:
+            if target is not None:
                 worst_dev = max(worst_dev, float(np.max(np.abs(norms - target))))
             for s in range(n_sub):
                 A = H[None] + np.einsum("bk,kij->bij", C[:, s], basis.elements)
@@ -194,32 +199,59 @@ def _run_trajectories(
     ).max()
     if dev > TRAJECTORY_UNITARITY_TOL:
         raise ValueError(f"Trajectory lost unitarity: max |U†U - I| = {dev:.3e}.")
-    return endpoints, integrals, worst_dev
+    return endpoints, integrals, worst_dev, plan
 
 
 def integrate_rode(
     path: PiecewiseConstantPath, noise: NoiseModel, seed
 ) -> np.ndarray:
     """One sample path of the noisy propagator. Deterministic given seed."""
-    endpoints, _, _ = _run_trajectories(
-        path, noise, [np.random.default_rng(seed)], collect_esssup=False
-    )
+    endpoints, _, _, _ = _run_trajectories(path, noise, [np.random.default_rng(seed)])
     return endpoints[0]
 
 
-def ensemble_mean(
+def _ensemble(
     path: PiecewiseConstantPath, noise: NoiseModel, M: int, seed: int
 ) -> EnsembleResult:
-    """Mean of M independent trajectories with per-trajectory statistics."""
+    """Integrate M seeded trajectories once and derive every statistic,
+    including the matched-noise fluctuation checks, from that pass."""
     if M < 1:
         raise ValueError(f"Ensemble size must be >= 1, got {M}.")
     children = np.random.SeedSequence(seed).spawn(M)
     rngs = [np.random.default_rng(c) for c in children]
-    endpoints, integrals, _ = _run_trajectories(path, noise, rngs, collect_esssup=False)
+    endpoints, integrals, worst_dev, plan = _run_trajectories(path, noise, rngs)
     V = endpoints.mean(axis=0)
     U_free = path_endpoint(path)
     distances = np.linalg.norm(endpoints - V, axis=(1, 2))
     deviations = np.linalg.norm(endpoints - U_free, axis=(1, 2))
+    fluctuations = None
+    if noise.kind == "bounded_matched":
+        eye = np.eye(path.dim)
+        G_free = log_distance(eye, U_free)
+        mean_to_free = distance_operator(V, U_free)
+        viol_distance = [
+            i for i in range(M) if distances[i] > integrals[i] + DISTANCE_BOUND_SLACK
+        ]
+        viol_gap = [
+            i for i, U in enumerate(endpoints)
+            if abs(G_free - log_distance(eye, U)) > log_distance(U_free, U) + TRIANGLE_SLACK
+        ]
+        viol_triangle = [
+            i for i in range(M) if deviations[i] > distances[i] + mean_to_free + TRIANGLE_SLACK
+        ]
+        matched_ok = bool(worst_dev <= MATCHED_NORM_TOL)
+        fluctuations = {
+            "n_trajectories": M,
+            "matched_norm_max_deviation": worst_dev,
+            "matched_norm_ok": matched_ok,
+            "segment_targets": [target for _, _, _, target in plan],
+            "noise_integral": sum(tau * n_sub * tgt for _, n_sub, tau, tgt in plan),
+            "violations_distance_bound": viol_distance,
+            "violations_complexity_gap": viol_gap,
+            "violations_triangle": viol_triangle,
+            "max_distance_to_mean": float(distances.max()),
+            "all_ok": not (viol_distance or viol_gap or viol_triangle) and matched_ok,
+        }
     return EnsembleResult(
         mean_operator=V,
         trajectories_used=M,
@@ -227,7 +259,16 @@ def ensemble_mean(
         endpoint_deviations=deviations,
         hr_integrals=integrals,
         seed=seed,
+        fluctuations=fluctuations,
     )
+
+
+def ensemble_mean(
+    path: PiecewiseConstantPath, noise: NoiseModel, M: int, seed: int
+) -> EnsembleResult:
+    """Mean of M independent trajectories with per-trajectory statistics;
+    matched noise also fills in the fluctuation checks."""
+    return _ensemble(path, noise, M, seed)
 
 
 def distance_unitaries(U: np.ndarray, W: np.ndarray) -> float:
@@ -257,58 +298,12 @@ def fluctuation_report(
     stay within the integrated noise norm, the complexity gap to the
     noise-free propagator must stay within the geodesic distance, and
     the ambient triangle route through the mean must close. Violations
-    are listed by trajectory index.
+    are listed by trajectory index. The same dict is
+    ensemble_mean(...).fluctuations.
     """
     if noise.kind != "bounded_matched":
         raise ValueError("fluctuation_report requires bounded_matched noise.")
-    if M < 1:
-        raise ValueError(f"Ensemble size must be >= 1, got {M}.")
-    d = path.dim
-    basis = _noise_basis(d)
-    plan = _segment_plan(path, noise, basis)
-    children = np.random.SeedSequence(seed).spawn(M)
-    rngs = [np.random.default_rng(c) for c in children]
-    endpoints, integrals, worst_dev = _run_trajectories(
-        path, noise, rngs, collect_esssup=True
-    )
-    V = endpoints.mean(axis=0)
-    U_free = path_endpoint(path)
-    G_free = distance_unitaries(np.eye(d), U_free)
-
-    viol_distance = []
-    viol_rodenise = []
-    viol_triangle = []
-    dist_to_mean = np.linalg.norm(endpoints - V, axis=(1, 2))
-    dev_to_free = np.linalg.norm(endpoints - U_free, axis=(1, 2))
-    mean_to_free = distance_operator(V, U_free)
-    for i in range(M):
-        if dist_to_mean[i] > integrals[i] + DISTANCE_BOUND_SLACK:
-            viol_distance.append(i)
-        G_i = distance_unitaries(np.eye(d), endpoints[i])
-        if abs(G_free - G_i) > distance_unitaries(U_free, endpoints[i]) + TRIANGLE_SLACK:
-            viol_rodenise.append(i)
-        if dev_to_free[i] > dist_to_mean[i] + mean_to_free + TRIANGLE_SLACK:
-            viol_triangle.append(i)
-
-    targets = [target for _, _, _, target in plan]
-    bound_integral = sum(ds_sub * n_sub * tgt for (_, n_sub, ds_sub, tgt) in plan)
-    return {
-        "n_trajectories": M,
-        "matched_norm_max_deviation": worst_dev,
-        "matched_norm_ok": bool(worst_dev <= MATCHED_NORM_TOL),
-        "segment_targets": targets,
-        "noise_integral": bound_integral,
-        "violations_distance_bound": viol_distance,
-        "violations_complexity_gap": viol_rodenise,
-        "violations_triangle": viol_triangle,
-        "max_distance_to_mean": float(dist_to_mean.max()),
-        "all_ok": bool(
-            not viol_distance
-            and not viol_rodenise
-            and not viol_triangle
-            and worst_dev <= MATCHED_NORM_TOL
-        ),
-    }
+    return _ensemble(path, noise, M, seed).fluctuations
 
 
 def write_ensemble(result: EnsembleResult, stem: str) -> tuple[str, str]:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from channelgeo import cli
 from channelgeo.reports import (
     CONVENTIONS,
     ConfigError,
@@ -157,6 +158,7 @@ def test_noise_upper_bound_needs_no_search_knobs(tmp_path):
     )
     code, out, err = run_cli("noise", "--config", cfg)
     assert code == 0, err
+    assert "config field 'estimate_restarts' is not read by kind 'noise'; ignored" in err
     rep = json.loads(out)
     assert isinstance(rep["scalars"]["noise_upper"], float)
     assert "noise_upper_bound" in {c["name"] for c in rep["checks"]}
@@ -213,6 +215,63 @@ def test_exit_two_on_bad_configs(tmp_path):
     )
     assert code == 2
     assert "no.such.knob" in err
+
+
+_MATCHED = {"kind": "bounded_matched", "weights": [1.0, 1.0, 1.0], "dt_noise": 0.0625}
+_BASE = {
+    "complexity": {"H": SIGMA_Z, "t": 1.0},
+    "channel": {},
+    "noise": {
+        "d_S": 2,
+        "d_E": 2,
+        "H_S": SIGMA_Z,
+        "H_I": pairs(np.zeros((4, 4))),
+        "H_E": pairs(np.zeros((2, 2))),
+        "t": 1.0,
+    },
+    "cohering-power": {"generator": SIGMA_Z, "t": 0.7, "restarts": 2, "pure_only": True},
+    "rode": {"path": {"H": SIGMA_Z, "t": 1.0}, "noise": _MATCHED, "M": 4},
+    "decompose": {"U": pairs(np.eye(2))},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, fields, name",
+    [
+        ("rode", {"M": 2.7}, "'M'"),
+        ("rode", {"M": True}, "'M'"),
+        ("rode", {"M": "abc"}, "'M'"),
+        ("rode", {"M": 0}, "'M'"),
+        ("rode", {"path": {"H": SIGMA_Z, "t": "INF"}}, "'path.t'"),
+        ("rode", {"path": {"segments": [{"H": SIGMA_Z}]}}, "'path.segments[0].ds'"),
+        ("rode", {"path": {"segments": [{"ds": 1.0}]}}, "'path.segments[0].H'"),
+        ("rode", {"path": {"segments": 5}}, "'path.segments'"),
+        ("rode", {"path": {"segments": [3]}}, "'path.segments[0]'"),
+        ("rode", {"path": {"segments": []}}, "'path.segments'"),
+        ("rode", {"noise": {"kind": "gaussian_pauli", "sigma": "INF"}}, "'noise.sigma'"),
+        ("rode", {"noise": {**_MATCHED, "dt_noise": "x"}}, "'noise.dt_noise'"),
+        ("rode", {"noise": {**_MATCHED, "weights": [1.0, 1.0, "INF"]}}, "'noise.weights'"),
+        ("cohering-power", {"restarts": -3}, "'restarts'"),
+        ("cohering-power", {"pure_only": "false"}, "'pure_only'"),
+        ("complexity", {"t": "INF"}, "'t'"),
+        ("complexity", {"metric": {"n": 1, "q": "INF"}}, "'metric.q'"),
+        ("complexity", {"metric": {"n": True, "q": 2.0}}, "'metric.n'"),
+        ("channel", {"perturbative": 5}, "'perturbative'"),
+        ("complexity", {"H": [[["INF", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "'H'"),
+        ("noise", {"d_E": 2.0}, "'d_E'"),
+        ("noise", {"d_S": 0}, "'d_S'"),
+        ("decompose", {"normalize_phase": "no"}, "'normalize_phase'"),
+    ],
+)
+def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):
+    cfg = {"schema_version": 1, "kind": kind, "seed": 0, **_BASE[kind], **fields}
+    path = tmp_path / "probe.json"
+    # "INF" stands for a literal that JSON parses to an infinite float
+    path.write_text(json.dumps(cfg).replace('"INF"', "1e400"), encoding="utf-8")
+    assert cli.main([kind, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
 
 
 def test_missing_field_exits_two(tmp_path):

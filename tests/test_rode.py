@@ -5,7 +5,13 @@ import pytest
 
 from conftest import rand_hermitian
 
-from channelgeo.geodesic import constant_path, log_distance, path_endpoint
+from channelgeo import reports, rode
+from channelgeo.geodesic import (
+    PiecewiseConstantPath,
+    constant_path,
+    log_distance,
+    path_endpoint,
+)
 from channelgeo.operators import hs_norm
 from channelgeo.pauli import MetricSpec, build_pauli_basis, omega_norm_raw
 from channelgeo.rode import (
@@ -181,3 +187,38 @@ def test_ensemble_size_guard(rng):
     noise = NoiseModel(kind="gaussian_pauli", sigma=0.1)
     with pytest.raises(ValueError):
         ensemble_mean(path, noise, M=0, seed=0)
+
+
+def test_matched_ensemble_carries_fluctuation_report(rng):
+    segs = tuple((traceless(rand_hermitian(rng, 2)), 0.5) for _ in range(2))
+    path = PiecewiseConstantPath(segments=segs)
+    matched = NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=1.0 / 32)
+    res = ensemble_mean(path, matched, 12, 5)
+    assert res.fluctuations == fluctuation_report(path, matched, 12, 5)
+    assert res.fluctuations["n_trajectories"] == 12
+    gauss = NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=1.0 / 32)
+    assert ensemble_mean(path, gauss, 12, 5).fluctuations is None
+
+
+def test_matched_rode_report_integrates_once(monkeypatch, rng):
+    sizes = []
+    original = rode._run_trajectories
+
+    def counting(path, noise, rngs, *args, **kwargs):
+        sizes.append(len(rngs))
+        return original(path, noise, rngs, *args, **kwargs)
+
+    monkeypatch.setattr(rode, "_run_trajectories", counting)
+    cfg = reports.validate_config(
+        {
+            "schema_version": 1,
+            "kind": "rode",
+            "seed": 4,
+            "path": {"H": reports.matrix_to_pairs(rand_hermitian(rng, 2)), "t": 1.0},
+            "noise": {"kind": "bounded_matched", "weights": [1.0, 1.0, 1.0]},
+            "M": 6,
+        }
+    )
+    report = reports.run_experiment(cfg)
+    assert sizes == [6]
+    assert "rode_matched_norm" in {c["name"] for c in report["checks"]}
