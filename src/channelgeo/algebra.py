@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import as_square, density, hermitian, hermitian_eig, unitary
+from .operators import as_square, density, hermitian, hermitian_eig, projector_family, unitary
 
-PROJECTOR_ORTHO_TOL = 1e-10
-COMPLETENESS_TOL = 1e-9
 PROB_FLOOR = -1e-10
 PROB_SUM_TOL = 1e-9
 BLOCK_DET_TOL = 1e-10
@@ -47,8 +45,8 @@ class RandomVariable:
 class SpectralEvents:
     """Clustered eigenprojectors of an observable.
 
-    Outcomes are strictly increasing; projectors are mutually orthogonal
-    and sum to the identity. Eigenvalues closer than the clustering
+    Outcomes are strictly increasing; projectors pass
+    operators.projector_family. Eigenvalues closer than the clustering
     threshold share one projector.
     """
 
@@ -64,17 +62,7 @@ class SpectralEvents:
         vals = np.asarray(self.outcomes, dtype=float)
         if np.any(np.diff(vals) <= 0):
             raise ValueError("Outcomes must be strictly increasing.")
-        stack = np.stack([np.asarray(P, dtype=np.complex128) for P in self.projectors])
-        d = stack.shape[-1]
-        for i, P in enumerate(stack):
-            if np.abs(P @ P - P).max() > PROJECTOR_ORTHO_TOL:
-                raise ValueError(f"Projector {i} is not idempotent.")
-            for j in range(i + 1, len(stack)):
-                if np.abs(P @ stack[j]).max() > PROJECTOR_ORTHO_TOL:
-                    raise ValueError(f"Projectors {i} and {j} overlap.")
-        dev = np.abs(stack.sum(axis=0) - np.eye(d)).max()
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(f"Projectors sum to I only within {dev:.3e}.")
+        projector_family(self.projectors)
 
 
 def spectral_events(A: np.ndarray, tol: float = DEGENERACY_TOL_DEFAULT) -> SpectralEvents:
@@ -264,11 +252,29 @@ def circuit_from_records(records: list[dict]) -> TwoLevelCircuit:
     return TwoLevelCircuit(gates=tuple(gates))
 
 
-def random_special_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar sample via QR with phase fixing, normalized to det 1."""
-    Z = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+    """Scale times the Hermitian part of a complex Gaussian matrix."""
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return scale * (A + A.conj().T) / 2.0
+
+
+def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar sample via QR with phase fixing."""
+    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     Q, R = np.linalg.qr(Z)
     diag = np.diagonal(R)
-    Q = Q * (diag / np.abs(diag))
+    return Q * (diag / np.abs(diag))
+
+
+def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
+    """L L† / Tr(L L†) for a complex Gaussian matrix L."""
+    L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = L @ L.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_special_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar sample normalized to det 1."""
+    Q = random_unitary(rng, N)
     det = np.linalg.det(Q)
     return as_square(Q * det ** (-1.0 / N))

@@ -219,7 +219,6 @@ class TimeDependentSpec:
     segments: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], ...]
     #: (H_S on d_S, H_I on joint, H_E on d_E, duration) per segment
     metric: MetricSpec | None = None
-    split_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         checked = []

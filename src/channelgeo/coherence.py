@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesic import geometric_complexity_const
-from .operators import commutator, density, hermitian, hs_norm, matrix_exp_unitary, unitary
+from .operators import (
+    commutator, density, hermitian, hs_norm, matrix_exp_unitary, projector_family, unitary
+)
 from .optimize import coordinate_search
 
-PROJECTOR_TOL = 1e-10
 RATE_IMAG_TOL = 1e-10
 DECOHERING_SLACK = 1e-9
 
@@ -27,30 +28,9 @@ class DephasingChannel:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        projs = tuple(hermitian(P) for P in self.projectors)
-        if not projs:
-            raise ValueError("At least one projector is required.")
-        d = projs[0].shape[0]
-        total = np.zeros((d, d), dtype=np.complex128)
-        for i, P in enumerate(projs):
-            if P.shape[0] != d:
-                raise ValueError(f"Projector {i} dimension {P.shape[0]} differs from {d}.")
-            dev = float(np.max(np.abs(P @ P - P)))
-            if dev > PROJECTOR_TOL:
-                raise ValueError(f"Projector {i} is not idempotent (deviation {dev:.3e}).")
-            total += P
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                dev = float(np.max(np.abs(projs[i] @ projs[j])))
-                if dev > PROJECTOR_TOL:
-                    raise ValueError(
-                        f"Projectors {i} and {j} are not orthogonal (deviation {dev:.3e})."
-                    )
-        dev = float(np.max(np.abs(total - np.eye(d))))
-        if dev > PROJECTOR_TOL:
-            raise ValueError(f"Projectors do not sum to identity (deviation {dev:.3e}).")
-        object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "_stack", np.stack(projs))
+        stack = projector_family(self.projectors)
+        object.__setattr__(self, "projectors", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
@@ -121,7 +101,6 @@ def cohering_power(
     restarts: int = 32,
     seed: int = 0,
     pure_only: bool = False,
-    max_sweeps: int = 40,
 ) -> CoheringPowerResult:
     """Maximize |coherence(U rho U†) - coherence(rho)| over density matrices.
 
@@ -155,9 +134,7 @@ def cohering_power(
 
     best_x, best_f, any_converged = None, 0.0, False
     for x0, step in starts:
-        res = coordinate_search(
-            objective, x0, step=step, step_tol=1e-7, max_sweeps=max_sweeps
-        )
+        res = coordinate_search(objective, x0, step=step, step_tol=1e-7, max_sweeps=40)
         any_converged = any_converged or res.converged
         if best_x is None or res.fun < best_f:
             best_x, best_f = res.x, res.fun

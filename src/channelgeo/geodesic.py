@@ -26,6 +26,8 @@ from .pauli import MetricSpec, PauliBasis, omega_norm_raw, vectorize
 #: Off-diagonal mass allowed in the Schur form of a unitary before the
 #: principal-log routine refuses to trust it.
 _SCHUR_DIAG_TOL = 1e-8
+#: Endpoint error a searched path may leave: ||endpoint - target||_HS.
+ENDPOINT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,6 @@ class _PathObjective:
 def _solve_restart(
     obj: _PathObjective,
     x0: np.ndarray,
-    endpoint_tol: float,
     step0: float,
     max_rounds: int = 22,
     sweeps: int = 60,
@@ -277,15 +278,15 @@ def _solve_restart(
         x = res.x
         length, err = obj.components(x)
         improved = False
-        if err <= endpoint_tol and (
-            best[2] > endpoint_tol or length < best[1] - 1e-10
+        if err <= ENDPOINT_TOL and (
+            best[2] > ENDPOINT_TOL or length < best[1] - 1e-10
         ):
             best = (x.copy(), length, err)
             improved = True
-        elif best[2] > endpoint_tol and err < best[2]:
+        elif best[2] > ENDPOINT_TOL and err < best[2]:
             best = (x.copy(), length, err)
             improved = True
-        if best[2] <= endpoint_tol and not improved:
+        if best[2] <= ENDPOINT_TOL and not improved:
             break
         obj.lam *= 4.0
         step = max(step * 0.5, 1e-3)
@@ -309,7 +310,6 @@ def estimate_cc_distance(
     segments: int = 8,
     restarts: int = 16,
     seed: int = 0,
-    endpoint_tol: float = 1e-6,
     search_sweeps: int = 60,
     search_step_tol: float = 1e-8,
 ) -> GeodesicEstimate:
@@ -319,13 +319,12 @@ def estimate_cc_distance(
     Right-invariance is used exactly: the path connects the identity to
     V U†. Under the flat metric (m=None) the principal-log one-parameter
     group is the geodesic, so the length is exact, no search runs and
-    restarts_used is 0; restarts, seed, endpoint_tol and the search
-    knobs are ignored.
+    restarts_used is 0; restarts, seed and the search knobs are ignored.
 
     A MetricSpec runs a numerical search for an upper bound instead.
     Restart 0 starts from the principal-log path, which already meets
     the endpoint; the remaining restarts are random. The best feasible
-    path (endpoint error within endpoint_tol) of minimal length wins.
+    path (endpoint error within ENDPOINT_TOL) of minimal length wins.
     Deterministic for a fixed seed. search_sweeps and search_step_tol
     trade polish for speed.
     """
@@ -365,12 +364,12 @@ def estimate_cc_distance(
             x0 = rng.normal(scale=scale, size=K * chart.size)
             step0 = 0.25 * max(scale, 1.0)
         cand = _solve_restart(
-            obj, x0, endpoint_tol, step0, sweeps=search_sweeps, step_tol=search_step_tol
+            obj, x0, step0, sweeps=search_sweeps, step_tol=search_step_tol
         )
         if cand is None:
             continue
         x, length, err = cand
-        ok = err <= endpoint_tol
+        ok = err <= ENDPOINT_TOL
         if best is None:
             best, feasible = (x, length, err), ok
         elif ok and (not feasible or length < best[1]):
@@ -380,7 +379,7 @@ def estimate_cc_distance(
     x, length, err = best
     if not feasible:
         raise ValueError(
-            f"No restart reached endpoint tolerance {endpoint_tol:.1e}; "
+            f"No restart reached endpoint tolerance {ENDPOINT_TOL:.1e}; "
             f"best endpoint error was {err:.3e}."
         )
     obj = _PathObjective(target, chart, K, lam=0.0)

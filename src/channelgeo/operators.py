@@ -15,6 +15,8 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
+#: Idempotency, pairwise orthogonality and completeness of a projector family.
+PROJECTOR_TOL = 1e-10
 #: Eigenvalues this close to zero are clamped to zero before square roots.
 EIG_CLAMP = 1e-10
 
@@ -29,7 +31,7 @@ def as_square(M: np.ndarray) -> np.ndarray:
     return A
 
 
-def hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian(M: np.ndarray) -> np.ndarray:
     """Validate a Hermitian matrix.
 
     Inputs that miss the tolerance are rejected, never symmetrized;
@@ -37,20 +39,20 @@ def hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """
     A = as_square(M)
     dev = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise ValueError(
-            f"Matrix is not Hermitian: max deviation {dev:.3e} exceeds {tol:.1e}."
+            f"Matrix is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e}."
         )
     return A
 
 
-def unitary(M: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate a unitary matrix (``max |U†U - I|`` within tol)."""
+def unitary(M: np.ndarray) -> np.ndarray:
+    """Validate a unitary matrix (``max |U†U - I|`` within UNITARY_TOL)."""
     U = as_square(M)
     dev = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise ValueError(
-            f"Matrix is not unitary: max |U†U - I| = {dev:.3e} exceeds {tol:.1e}."
+            f"Matrix is not unitary: max |U†U - I| = {dev:.3e} exceeds {UNITARY_TOL:.1e}."
         )
     return U
 
@@ -67,6 +69,33 @@ def density(M: np.ndarray) -> np.ndarray:
             f"Density has negative eigenvalue {w_min:.3e} below floor {DENSITY_EIG_FLOOR:.1e}."
         )
     return rho
+
+
+def projector_family(projectors) -> np.ndarray:
+    """Validate Hermitian, idempotent, pairwise orthogonal projectors that
+    sum to the identity; returns them stacked as a (k, d, d) array."""
+    projs = [hermitian(P) for P in projectors]
+    if not projs:
+        raise ValueError("At least one projector is required.")
+    d = projs[0].shape[0]
+    for i, P in enumerate(projs):
+        if P.shape[0] != d:
+            raise ValueError(f"Projector {i} dimension {P.shape[0]} differs from {d}.")
+        dev = float(np.max(np.abs(P @ P - P)))
+        if dev > PROJECTOR_TOL:
+            raise ValueError(f"Projector {i} is not idempotent (deviation {dev:.3e}).")
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            dev = float(np.max(np.abs(projs[i] @ projs[j])))
+            if dev > PROJECTOR_TOL:
+                raise ValueError(
+                    f"Projectors {i} and {j} are not orthogonal (deviation {dev:.3e})."
+                )
+    stack = np.stack(projs)
+    dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
+    if dev > PROJECTOR_TOL:
+        raise ValueError(f"Projectors do not sum to identity (deviation {dev:.3e}).")
+    return stack
 
 
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

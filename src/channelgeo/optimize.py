@@ -12,6 +12,10 @@ from typing import Callable
 
 import numpy as np
 
+#: Probe-step factors after a full-length move and after a failed one.
+EXPAND = 1.6
+SHRINK = 0.45
+
 
 @dataclass
 class SearchResult:
@@ -28,8 +32,6 @@ def coordinate_search(
     step: float | np.ndarray = 0.25,
     step_tol: float = 1e-7,
     max_sweeps: int = 80,
-    expand: float = 1.6,
-    shrink: float = 0.45,
 ) -> SearchResult:
     """Minimize f by adaptive coordinate-wise quadratic-fit search.
 
@@ -73,9 +75,9 @@ def coordinate_search(
             if best_s != 0.0:
                 f0 = best_f
                 if abs(best_s) >= 0.9 * hi:
-                    h[i] = hi * expand
+                    h[i] = hi * EXPAND
             else:
-                h[i] = hi * shrink
+                h[i] = hi * SHRINK
         if float(np.max(h)) < step_tol:
             converged = True
             break

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import hermitian, hs_norm
+from .operators import hermitian
 
 _SIGMA = {
     "I": np.eye(2, dtype=np.complex128),
@@ -169,10 +169,3 @@ def omega_norm_raw(A: np.ndarray, m: MetricSpec) -> float:
     a = vectorize(A, m.basis).coefficients
     return float(np.sqrt(np.sum(m.weights * a * a)))
 
-
-def traceless_hs_norm(A: np.ndarray) -> float:
-    """HS norm of A - (Tr A / d) I, without needing a basis."""
-    A = np.asarray(A)
-    d = A.shape[0]
-    sq = hs_norm(A) ** 2 - (abs(np.trace(A)) ** 2) / d
-    return float(np.sqrt(max(sq, 0.0)))

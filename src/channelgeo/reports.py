@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, channel, coherence, geodesic, rode
+from .algebra import random_density, random_hermitian
 from .operators import (
     hs_norm,
     matrix_abs,
@@ -368,13 +369,11 @@ def _run_noise(cfg: dict):
 def _run_cohering_power(cfg: dict):
     if "U" in cfg:
         U = unitary(matrix_from_pairs(cfg["U"], "U"))
-        generator = None
-        t = None
+        d = U.shape[0]
     else:
         generator = matrix_from_pairs(_require(cfg, "generator"), "generator")
         t = _number(cfg, "t")
-        U = matrix_exp_unitary(generator, t)
-    d = U.shape[0]
+        d = generator.shape[0]
     dephasing = cfg.get("dephasing")
     if dephasing is None:
         E = coherence.computational_dephasing(d)
@@ -383,29 +382,31 @@ def _run_cohering_power(cfg: dict):
             matrix_from_pairs(P, f"dephasing[{i}]") for i, P in enumerate(dephasing)
         )
         E = coherence.DephasingChannel(projectors=projs)
-    result = coherence.cohering_power(
-        U,
-        E,
-        restarts=_integer(cfg, "restarts", 32, 0),
-        seed=cfg["seed"],
-        pure_only=_flag(cfg, "pure_only", False),
-    )
-    scalars = {"C_power": result.value}
-    checks = [make_check("coherence_cap", result.value, (1.0 - 1.0 / d) + 1e-12)]
-    if generator is not None:
-        g = geodesic.geometric_complexity_const(generator, t, None)
-        scalars["G_hs"] = g
-        checks.append(
-            make_check(
-                "decohering_bound", result.value / (np.sqrt(2.0) * d), g + 1e-9
-            )
-        )
-    return scalars, checks, None
+    options = {
+        "restarts": _integer(cfg, "restarts", 32, 0),
+        "seed": cfg["seed"],
+        "pure_only": _flag(cfg, "pure_only", False),
+    }
+    if "U" in cfg:
+        scalars = {"C_power": coherence.cohering_power(U, E, **options).value}
+        checks = []
+    else:
+        out = coherence.verify_decohering_bound(generator, t, E, **options)
+        scalars = {"C_power": out["cohering_power"], "G_hs": out["rhs"]}
+        slack = coherence.DECOHERING_SLACK
+        checks = [make_check("decohering_bound", out["lhs"], out["rhs"] + slack)]
+    cap = make_check("coherence_cap", scalars["C_power"], (1.0 - 1.0 / d) + 1e-12)
+    return scalars, [cap, *checks], None
 
 
 def _run_rode(cfg: dict):
     path = parse_path(_require(cfg, "path"))
     noise = parse_noise(_require(cfg, "noise"))
+    if noise.dt_noise is not None and path.total_time / noise.dt_noise > rode.MAX_SUBSTEPS:
+        raise _fail(
+            "noise.dt_noise",
+            f"more than {rode.MAX_SUBSTEPS} substeps over total time {path.total_time!r}",
+        )
     M = _integer(cfg, "M", 100, 1)
     result = rode.ensemble_mean(path, noise, M, cfg["seed"])
     U_free = geodesic.path_endpoint(path)
@@ -472,24 +473,6 @@ def _run_decompose(cfg: dict):
 # verify-all: a fast deterministic battery across every module.
 
 
-def _rand_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (A + A.conj().T) / 2.0
-
-
-def _rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(Z)
-    diag = np.diagonal(R)
-    return Q * (diag / np.abs(diag))
-
-
-def _rand_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = L @ L.conj().T
-    return rho / np.trace(rho).real
-
-
 def _rand_spec(
     rng: np.random.Generator, scale_S: float = 1.0, scale_IE: float = 1.0
 ) -> channel.ChannelSpec:
@@ -497,9 +480,9 @@ def _rand_spec(
     return channel.ChannelSpec(
         d_S=2,
         d_E=2,
-        H_S=_rand_hermitian(rng, 2, scale_S),
-        H_I=_rand_hermitian(rng, 4, scale_IE),
-        H_E=_rand_hermitian(rng, 2, scale_IE),
+        H_S=random_hermitian(rng, 2, scale_S),
+        H_I=random_hermitian(rng, 4, scale_IE),
+        H_E=random_hermitian(rng, 2, scale_IE),
         env_probs=p / p.sum(),
     )
 
@@ -523,7 +506,7 @@ def verify_all_battery(seed: int) -> list[dict]:
     worst_abs = 0.0
     for d in (2, 4):
         for _ in range(8):
-            H = _rand_hermitian(rng, d, rng.uniform(0.2, 3.0))
+            H = random_hermitian(rng, d, rng.uniform(0.2, 3.0))
             t = rng.uniform(0.1, 2.0)
             g = geodesic.geometric_complexity_const(H, t, None)
             worst_path = max(
@@ -541,8 +524,8 @@ def verify_all_battery(seed: int) -> list[dict]:
     worst = 0.0
     for _ in range(20):
         d = 4
-        A = _rand_hermitian(rng, d)
-        B = _rand_hermitian(rng, d)
+        A = random_hermitian(rng, d)
+        B = random_hermitian(rng, d)
         t = rng.uniform(0.1, 1.5)
         lhs = geodesic.log_distance(
             np.eye(d), matrix_exp_unitary(A, t) @ matrix_exp_unitary(B, t)
@@ -567,7 +550,7 @@ def verify_all_battery(seed: int) -> list[dict]:
     checks.append(make_check("channel_below_system", worst, 1e-9))
 
     rng = rngs[3]
-    H_S = _rand_hermitian(rng, 2)
+    H_S = random_hermitian(rng, 2)
     zero4 = np.zeros((4, 4), dtype=np.complex128)
     zero2 = np.zeros((2, 2), dtype=np.complex128)
     free = channel.ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=zero4, H_E=zero2)
@@ -577,7 +560,7 @@ def verify_all_battery(seed: int) -> list[dict]:
     )
     checks.append(make_check("limit_noise_free", dev_free, 1e-10))
     lonely = channel.ChannelSpec(
-        d_S=2, d_E=2, H_S=zero2, H_I=_rand_hermitian(rng, 4), H_E=zero2
+        d_S=2, d_E=2, H_S=zero2, H_I=random_hermitian(rng, 4), H_E=zero2
     )
     checks.append(
         make_check(
@@ -600,8 +583,8 @@ def verify_all_battery(seed: int) -> list[dict]:
     rng = rngs[5]
     worst = 0.0
     for _ in range(20):
-        A = _rand_hermitian(rng, 4)
-        B = _rand_hermitian(rng, 4)
+        A = random_hermitian(rng, 4)
+        B = random_hermitian(rng, 4)
         lhs = abs(hs_norm(A) - hs_norm(B))
         worst = max(worst, lhs - hs_norm(sqrt_abs_diff(A, B)))
     checks.append(make_check("norm_gap_bound", worst, 1e-12))
@@ -612,8 +595,8 @@ def verify_all_battery(seed: int) -> list[dict]:
     for _ in range(5):
         d = int(rng.choice([2, 3]))
         E = coherence.computational_dephasing(d)
-        H = _rand_hermitian(rng, d)
-        rho = _rand_density(rng, d)
+        H = random_hermitian(rng, d)
+        rho = random_density(rng, d)
         h = 1e-5
         c_plus = coherence.rel_entropy_coherence(
             matrix_exp_unitary(H, h) @ rho @ matrix_exp_unitary(H, h).conj().T, E
@@ -630,14 +613,14 @@ def verify_all_battery(seed: int) -> list[dict]:
     for _ in range(20):
         d = int(rng.choice([2, 4]))
         E = coherence.computational_dephasing(d)
-        worst = max(worst, coherence.coherence_rate_bound(_rand_density(rng, d), E))
+        worst = max(worst, coherence.coherence_rate_bound(random_density(rng, d), E))
     checks.append(make_check("coherence_rate_cap", worst, np.sqrt(2.0) + 1e-10))
 
     # Decohering power stays below the scaled complexity.
     rng = rngs[8]
     worst = -np.inf
     for _ in range(3):
-        H = _rand_hermitian(rng, 2, rng.uniform(0.5, 2.0))
+        H = random_hermitian(rng, 2, rng.uniform(0.5, 2.0))
         t = rng.uniform(0.2, 1.5)
         out = coherence.verify_decohering_bound(
             H,
@@ -656,7 +639,7 @@ def verify_all_battery(seed: int) -> list[dict]:
     violations = 0
     for _ in range(20):
         segs = tuple(
-            (_rand_hermitian(rng, 2), rng.uniform(0.1, 0.6))
+            (random_hermitian(rng, 2), rng.uniform(0.1, 0.6))
             for _ in range(int(rng.integers(1, 4)))
         )
         path = geodesic.PiecewiseConstantPath(segments=segs)
@@ -680,7 +663,7 @@ def verify_all_battery(seed: int) -> list[dict]:
 
     # Matched random noise obeys the trajectory bounds.
     rng = rngs[10]
-    H = _rand_hermitian(rng, 2)
+    H = random_hermitian(rng, 2)
     path = geodesic.constant_path(H, 1.0)
     noise = rode.NoiseModel(
         kind="bounded_matched", weights=np.ones(3), dt_noise=1.0 / 64.0
@@ -737,7 +720,7 @@ def verify_all_battery(seed: int) -> list[dict]:
     worst = 0.0
     for _ in range(10):
         rv = algebra.RandomVariable(
-            observable=_rand_hermitian(rng, 3), state=_rand_density(rng, 3)
+            observable=random_hermitian(rng, 3), state=random_density(rng, 3)
         )
         total = sum(p for _, p in algebra.law(rv))
         worst = max(worst, abs(total - 1.0))
@@ -755,7 +738,7 @@ def verify_all_battery(seed: int) -> list[dict]:
         worst_complete = max(
             worst_complete, float(np.abs(gram - np.eye(spec.d_S)).max())
         )
-        rho = _rand_density(rng, spec.d_S)
+        rho = random_density(rng, spec.d_S)
         worst_agree = max(
             worst_agree,
             float(
@@ -772,7 +755,7 @@ def verify_all_battery(seed: int) -> list[dict]:
     rng = rngs[15]
     worst = 0.0
     for _ in range(10):
-        A = _rand_hermitian(rng, 2)
+        A = random_hermitian(rng, 2)
         X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lhs = np.vdot(tensor(A, np.eye(2)), X)
         rhs = np.vdot(A, partial_trace_env(X, 2, 2))

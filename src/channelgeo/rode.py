@@ -23,6 +23,8 @@ MEAN_OP_NORM_TOL = 1e-9
 MATCHED_NORM_TOL = 1e-9
 DISTANCE_BOUND_SLACK = 1e-6
 TRIANGLE_SLACK = 1e-9
+#: Most noise substeps a config may ask for: 256 times the default count.
+MAX_SUBSTEPS = 65536
 _CHUNK = 512
 
 

@@ -1,23 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+# The shared draws, under the names the test modules use.
+from channelgeo.algebra import random_density as rand_density
+from channelgeo.algebra import random_hermitian as rand_hermitian
+from channelgeo.algebra import random_unitary as rand_unitary
 
-def rand_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (A + A.conj().T) / 2.0
-
-
-def rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(Z)
-    diag = np.diagonal(R)
-    return Q * (diag / np.abs(diag))
-
-
-def rand_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = L @ L.conj().T
-    return rho / np.trace(rho).real
+# CLI tests run `python -m channelgeo.cli` in a child process; let it find src/ too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def rand_pure(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -337,8 +337,7 @@ def test_criterion_14_cli_determinism_and_failure_exit(tmp_path):
     rng = np.random.default_rng(7)
 
     def herm(d):
-        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return (A + A.conj().T) / 2
+        return rand_hermitian(rng, d)
 
     def pairs(M):
         return [[[float(x.real), float(x.imag)] for x in row] for row in M]

@@ -5,6 +5,7 @@ from conftest import rand_density, rand_pure
 
 from channelgeo.algebra import (
     RandomVariable,
+    SpectralEvents,
     TwoLevelCircuit,
     TwoLevelGate,
     algebraic_complexity,
@@ -60,6 +61,22 @@ def test_spectral_events_reconstruct_observable(rng):
 def test_spectral_events_tol_guard():
     with pytest.raises(ValueError):
         spectral_events(SIGMA_Z, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "projectors",
+    [
+        (2 * np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),  # not idempotent
+        (np.diag([1.0, 1.0]), np.diag([0.0, 1.0])),  # overlapping
+        (np.diag([1.0, 0.0]), np.zeros((2, 2))),  # sums short of I
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])),  # oblique
+        (np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])),  # mixed dimensions
+    ],
+    ids=["idempotent", "overlap", "incomplete", "hermitian", "dimension"],
+)
+def test_spectral_events_rejects_bad_projectors(projectors):
+    with pytest.raises(ValueError):
+        SpectralEvents(outcomes=(-1.0, 1.0), projectors=projectors, degeneracy_tol=1e-8)
 
 
 def test_law_ground_state():

@@ -13,6 +13,7 @@ from channelgeo.channel import (
     kraus_operators,
     noise_complexity,
     noise_complexity_bounds,
+    noise_complexity_td,
     noiseless_complexity,
     perturbative_example,
 )
@@ -142,6 +143,7 @@ def test_td_single_segment_commuting_matches_const():
     t = 1.4
     td = TimeDependentSpec(d_S=2, d_E=2, segments=((H_S, H_I, H_E, t),))
     assert abs(channel_complexity_td(td) - channel_complexity_const(spec, t)) < 1e-12
+    assert abs(noise_complexity_td(td) - noise_complexity(spec, t)) < 1e-12
 
 
 def test_td_segment_additivity(rng):

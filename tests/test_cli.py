@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import rand_hermitian as herm
+
 from channelgeo import cli
 from channelgeo.reports import (
     CONVENTIONS,
@@ -25,11 +27,6 @@ SIGMA_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 def pairs(M):
     M = np.asarray(M, dtype=np.complex128)
     return [[[float(x.real), float(x.imag)] for x in row] for row in M]
-
-
-def herm(rng, d):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (A + A.conj().T) / 2
 
 
 def run_cli(*args):
@@ -261,6 +258,8 @@ _BASE = {
         ("noise", {"d_E": 2.0}, "'d_E'"),
         ("noise", {"d_S": 0}, "'d_S'"),
         ("decompose", {"normalize_phase": "no"}, "'normalize_phase'"),
+        ("rode", {"noise": {**_MATCHED, "dt_noise": 1e-300}}, "'noise.dt_noise'"),
+        ("rode", {"noise": {**_MATCHED, "dt_noise": 2**-17}}, "'noise.dt_noise'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):
