@@ -51,6 +51,7 @@ from .geodesic import (
     estimate_cc_distance,
     geometric_complexity_const,
     log_distance,
+    log_norms,
     path_endpoint,
     path_length,
     principal_log_generator,
@@ -77,6 +78,7 @@ from .pauli import (
     build_pauli_basis,
     build_penalty_metric,
     devectorize,
+    devectorize_rows,
     flat_metric,
     omega_inner,
     omega_norm_raw,

@@ -127,10 +127,14 @@ class TwoLevelGate:
         return TwoLevelGate(self.a, self.b, self.block.conj().T)
 
 
-def embed_gate(gate: TwoLevelGate, N: int) -> np.ndarray:
-    """Place the 2x2 block at rows/columns (a, b) of an N x N identity."""
+def _check_fits(gate: TwoLevelGate, N: int) -> None:
     if gate.b >= N:
         raise ValueError(f"Gate touches index {gate.b}, matrix has dimension {N}.")
+
+
+def embed_gate(gate: TwoLevelGate, N: int) -> np.ndarray:
+    """Place the 2x2 block at rows/columns (a, b) of an N x N identity."""
+    _check_fits(gate, N)
     out = np.eye(N, dtype=np.complex128)
     out[gate.a, gate.a] = gate.block[0, 0]
     out[gate.a, gate.b] = gate.block[0, 1]
@@ -169,10 +173,16 @@ class TwoLevelCircuit:
 
 
 def reconstruct(circuit: TwoLevelCircuit, N: int) -> np.ndarray:
-    """Multiply the embedded gates in application order."""
+    """Multiply the embedded gates in application order.
+
+    A two-level gate only mixes rows a and b, so each one is applied as
+    a 2 x N row update rather than a dense N x N product.
+    """
     out = np.eye(N, dtype=np.complex128)
     for g in circuit.gates:
-        out = embed_gate(g, N) @ out
+        _check_fits(g, N)
+        rows = [g.a, g.b]
+        out[rows] = g.block @ out[rows]
     return out
 
 

@@ -19,6 +19,8 @@ from .optimize import coordinate_search
 
 RATE_IMAG_TOL = 1e-10
 DECOHERING_SLACK = 1e-9
+#: Most seeded random restarts a config may ask for.
+MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)

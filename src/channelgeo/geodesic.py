@@ -28,6 +28,8 @@ from .pauli import MetricSpec, PauliBasis, omega_norm_raw, vectorize
 _SCHUR_DIAG_TOL = 1e-8
 #: Endpoint error a searched path may leave: ||endpoint - target||_HS.
 ENDPOINT_TOL = 1e-6
+#: Penalty rounds per restart; each multiplies the endpoint weight by 4.
+MAX_ROUNDS = 22
 
 
 @dataclass(frozen=True)
@@ -145,21 +147,27 @@ def principal_log_generator(U: np.ndarray) -> np.ndarray:
     return (Q * g) @ Q.conj().T
 
 
-def log_distance(U: np.ndarray, W: np.ndarray) -> float:
-    """Flat geodesic distance (1/sqrt(d^2-1)) * ||principal log(U†W)||_HS.
+def log_norms(X: np.ndarray) -> np.ndarray:
+    """Flat geodesic distance from the identity to each unitary of a
+    (..., d, d) stack: (1/sqrt(d^2-1)) * ||principal log(X)||_HS.
 
     Only the eigenvalue angles are needed: the log of a normal matrix
     has HS norm equal to the l2 norm of its branch angles.
     """
+    d = X.shape[-1]
+    lam = np.linalg.eigvals(X)
+    lam = lam / np.abs(lam)
+    theta = np.angle(lam)
+    return np.sqrt(np.sum(theta**2, axis=-1)) / np.sqrt(d**2 - 1)
+
+
+def log_distance(U: np.ndarray, W: np.ndarray) -> float:
+    """Flat geodesic distance (1/sqrt(d^2-1)) * ||principal log(U†W)||_HS."""
     U = np.asarray(U)
     W = np.asarray(W)
     if U.shape != W.shape:
         raise ValueError(f"Dimension mismatch: {U.shape} vs {W.shape}.")
-    d = U.shape[0]
-    lam = np.linalg.eigvals(U.conj().T @ W)
-    lam = lam / np.abs(lam)
-    theta = np.angle(lam)
-    return float(np.sqrt(np.sum(theta**2)) / np.sqrt(d**2 - 1))
+    return float(log_norms(U.conj().T @ W))
 
 
 class _Chart:
@@ -257,7 +265,6 @@ def _solve_restart(
     obj: _PathObjective,
     x0: np.ndarray,
     step0: float,
-    max_rounds: int = 22,
     sweeps: int = 60,
     step_tol: float = 1e-8,
 ) -> tuple[np.ndarray, float, float]:
@@ -273,7 +280,7 @@ def _solve_restart(
     step = step0
     length, err = obj.components(x0)
     best = (x0.copy(), length, err)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         res = coordinate_search(obj, x, step=step, step_tol=step_tol, max_sweeps=sweeps)
         x = res.x
         length, err = obj.components(x)

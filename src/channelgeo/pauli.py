@@ -6,6 +6,7 @@ product built on it, and the two-local penalty weighting.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -50,6 +51,24 @@ class PauliBasis:
                 f"got {len(self.labels)}."
             )
 
+    @functools.cached_property
+    def entry_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Sparse form of the elements, for the real and imaginary parts.
+
+        Each part is (idx, val), both (r, dim^2): column j of the flattened
+        elements is nonzero exactly at basis indices idx[:, j], in ascending
+        order, with values val[:, j]; columns with fewer than r nonzeros
+        are padded with zero-valued terms.
+        """
+        flat = self.elements.reshape(len(self.labels), self.dim**2)
+        terms = []
+        for part in (flat.real, flat.imag):
+            nonzero = part != 0
+            rows = int(nonzero.sum(axis=0).max())
+            idx = np.argsort(~nonzero, axis=0, kind="stable")[:rows]
+            terms.append((idx, np.take_along_axis(part, idx, axis=0)))
+        return tuple(terms)
+
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -82,8 +101,13 @@ class VectorizedOperator:
     identity_component: complex
 
 
+@functools.lru_cache(maxsize=None)
 def build_pauli_basis(n: int) -> PauliBasis:
-    """All n-qubit Pauli strings except the identity, orthonormalized."""
+    """All n-qubit Pauli strings except the identity, orthonormalized.
+
+    Built once per qubit count and shared by every caller, so the
+    elements are read-only.
+    """
     if not 1 <= n <= 5:
         raise ValueError(f"Supported qubit counts are 1..5, got {n}.")
     dim = 2**n
@@ -102,6 +126,7 @@ def build_pauli_basis(n: int) -> PauliBasis:
         for c in label:
             M = np.kron(M, _SIGMA[c])
         elements[k] = M / norm
+    elements.flags.writeable = False
     return PauliBasis(
         n_qubits=n,
         dim=dim,
@@ -148,7 +173,27 @@ def devectorize(v: VectorizedOperator | np.ndarray, basis: PauliBasis) -> np.nda
         raise ValueError(
             f"Expected {len(basis.labels)} coefficients, got shape {coeffs.shape}."
         )
-    return np.einsum("k,kab->ab", coeffs.astype(np.complex128), basis.elements)
+    return devectorize_rows(coeffs, basis)
+
+
+def devectorize_rows(C: np.ndarray, basis: PauliBasis) -> np.ndarray:
+    """sum_k C[..., k] E_k for every row of real coefficients, (..., d, d).
+
+    Every matrix entry is a sum over the few basis elements nonzero there,
+    taken one term at a time in basis order. That is the summation order
+    of the dense contraction over all elements, so the sum is bit-for-bit
+    the same, at a fraction of the work.
+    """
+    C = np.asarray(C)
+    if np.iscomplexobj(C):
+        raise ValueError("Pauli coefficients must be real.")
+    out = np.empty(C.shape[:-1] + (basis.dim**2,), dtype=np.complex128)
+    for part, (idx, val) in zip((out.real, out.imag), basis.entry_terms):
+        acc = np.zeros(out.shape)
+        for k, v in zip(idx, val):
+            acc += C[..., k] * v
+        part[...] = acc
+    return out.reshape(C.shape[:-1] + (basis.dim, basis.dim))
 
 
 def omega_inner(A: np.ndarray, B: np.ndarray, m: MetricSpec) -> float:

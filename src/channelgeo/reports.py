@@ -121,7 +121,7 @@ def _number(cfg: dict, field: str, default=None, at: str = "") -> float:
     return float(val)
 
 
-def _integer(cfg: dict, field: str, default, minimum: int) -> int:
+def _integer(cfg: dict, field: str, default, minimum: int, maximum: int | None = None) -> int:
     val = cfg.get(field, default)
     if val is None:
         raise _fail(field, "missing")
@@ -129,6 +129,8 @@ def _integer(cfg: dict, field: str, default, minimum: int) -> int:
         raise _fail(field, f"expected an integer, got {type(val).__name__}")
     if val < minimum:
         raise _fail(field, f"expected an integer >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise _fail(field, f"expected an integer <= {maximum}, got {val}")
     return val
 
 
@@ -383,7 +385,7 @@ def _run_cohering_power(cfg: dict):
         )
         E = coherence.DephasingChannel(projectors=projs)
     options = {
-        "restarts": _integer(cfg, "restarts", 32, 0),
+        "restarts": _integer(cfg, "restarts", 32, 0, coherence.MAX_RESTARTS),
         "seed": cfg["seed"],
         "pure_only": _flag(cfg, "pure_only", False),
     }
@@ -407,7 +409,7 @@ def _run_rode(cfg: dict):
             "noise.dt_noise",
             f"more than {rode.MAX_SUBSTEPS} substeps over total time {path.total_time!r}",
         )
-    M = _integer(cfg, "M", 100, 1)
+    M = _integer(cfg, "M", 100, 1, rode.max_trajectories(path.dim))
     result = rode.ensemble_mean(path, noise, M, cfg["seed"])
     U_free = geodesic.path_endpoint(path)
     scalars = {

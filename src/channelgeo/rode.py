@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesic import PiecewiseConstantPath, log_distance, path_endpoint
+from .geodesic import PiecewiseConstantPath, log_distance, log_norms, path_endpoint
 from .operators import hs_norm
-from .pauli import PauliBasis, build_pauli_basis, vectorize
+from .pauli import PauliBasis, build_pauli_basis, devectorize_rows, vectorize
 
 TRAJECTORY_UNITARITY_TOL = 1e-9
 MEAN_OP_NORM_TOL = 1e-9
@@ -25,6 +25,8 @@ DISTANCE_BOUND_SLACK = 1e-6
 TRIANGLE_SLACK = 1e-9
 #: Most noise substeps a config may ask for: 256 times the default count.
 MAX_SUBSTEPS = 65536
+#: Most trajectories a config may ask for up to d = 8; see max_trajectories.
+MAX_TRAJECTORIES = 200_000
 _CHUNK = 512
 
 
@@ -93,6 +95,15 @@ class EnsembleResult:
                 f"Mean of unitaries has operator norm {op!r} above 1; "
                 "trajectories were inconsistent."
             )
+
+
+def max_trajectories(d: int) -> int:
+    """Largest ensemble a config may ask for at dimension d.
+
+    MAX_TRAJECTORIES up to d = 8, then scaled by 64/d^2, so that the
+    stored endpoints never take more than about 205 MB at any d.
+    """
+    return MAX_TRAJECTORIES * 64 // max(64, d * d)
 
 
 def _noise_basis(d: int) -> PauliBasis:
@@ -193,7 +204,7 @@ def _run_trajectories(
             if target is not None:
                 worst_dev = max(worst_dev, float(np.max(np.abs(norms - target))))
             for s in range(n_sub):
-                A = H[None] + np.einsum("bk,kij->bij", C[:, s], basis.elements)
+                A = H + devectorize_rows(C[:, s], basis)
                 U = _expm_batch(A, tau) @ U
         endpoints[lo:hi] = U
     dev = np.abs(
@@ -228,16 +239,17 @@ def _ensemble(
     deviations = np.linalg.norm(endpoints - U_free, axis=(1, 2))
     fluctuations = None
     if noise.kind == "bounded_matched":
-        eye = np.eye(path.dim)
-        G_free = log_distance(eye, U_free)
+        G_free = float(log_norms(U_free))
         mean_to_free = distance_operator(V, U_free)
         viol_distance = [
             i for i in range(M) if distances[i] > integrals[i] + DISTANCE_BOUND_SLACK
         ]
-        viol_gap = [
-            i for i, U in enumerate(endpoints)
-            if abs(G_free - log_distance(eye, U)) > log_distance(U_free, U) + TRIANGLE_SLACK
-        ]
+        viol_gap = []
+        for lo in range(0, M, _CHUNK):
+            chunk = endpoints[lo : lo + _CHUNK]
+            gap = np.abs(G_free - log_norms(chunk))
+            to_free = log_norms(U_free.conj().T @ chunk)
+            viol_gap += [lo + int(i) for i in np.flatnonzero(gap > to_free + TRIANGLE_SLACK)]
         viol_triangle = [
             i for i in range(M) if deviations[i] > distances[i] + mean_to_free + TRIANGLE_SLACK
         ]

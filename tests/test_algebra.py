@@ -164,6 +164,21 @@ def test_reconstruct_order(rng):
     assert np.abs(reconstruct(circ, 3) - expect).max() < 1e-14
 
 
+def test_reconstruct_matches_embedded_product(rng):
+    N = 16
+    gates = []
+    for _ in range(40):
+        a, b = sorted(int(i) for i in rng.choice(N, size=2, replace=False))
+        gates.append(TwoLevelGate(a, b, random_special_unitary(2, rng)))
+    circ = TwoLevelCircuit(gates=tuple(gates))
+    expect = np.eye(N, dtype=np.complex128)
+    for g in circ.gates:
+        expect = embed_gate(g, N) @ expect
+    assert np.abs(reconstruct(circ, N) - expect).max() < 1e-14
+    with pytest.raises(ValueError):
+        reconstruct(circ, max(g.b for g in circ.gates))
+
+
 def test_decompose_identity_is_empty():
     circ = decompose_two_level(np.eye(4))
     assert algebraic_complexity(circ) == 0

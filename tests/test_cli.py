@@ -8,7 +8,7 @@ import pytest
 
 from conftest import rand_hermitian as herm
 
-from channelgeo import cli
+from channelgeo import cli, coherence, rode
 from channelgeo.reports import (
     CONVENTIONS,
     ConfigError,
@@ -260,6 +260,10 @@ _BASE = {
         ("decompose", {"normalize_phase": "no"}, "'normalize_phase'"),
         ("rode", {"noise": {**_MATCHED, "dt_noise": 1e-300}}, "'noise.dt_noise'"),
         ("rode", {"noise": {**_MATCHED, "dt_noise": 2**-17}}, "'noise.dt_noise'"),
+        ("rode", {"M": rode.MAX_TRAJECTORIES + 1}, "'M'"),
+        ("rode", {"path": {"H": pairs(np.zeros((32, 32))), "t": 1.0},
+                  "M": rode.max_trajectories(32) + 1}, "'M'"),
+        ("cohering-power", {"restarts": coherence.MAX_RESTARTS + 1}, "'restarts'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):

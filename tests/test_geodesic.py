@@ -12,6 +12,7 @@ from channelgeo.geodesic import (
     estimate_cc_distance,
     geometric_complexity_const,
     log_distance,
+    log_norms,
     path_endpoint,
     path_length,
     principal_log_generator,
@@ -108,6 +109,15 @@ def test_log_distance_properties(rng):
     assert abs(log_distance(A @ U, A @ W) - d0) < 1e-10
     assert abs(log_distance(U @ A, W @ A) - d0) < 1e-10
     assert d0 <= log_distance(U, V) + log_distance(V, W) + 1e-10
+
+
+def test_log_norms_stack_matches_log_distance(rng):
+    W = rand_unitary(rng, 4)
+    Us = np.stack([rand_unitary(rng, 4) for _ in range(5)])
+    got = log_norms(W.conj().T @ Us)
+    assert got.shape == (5,)
+    for U, g in zip(Us, got):
+        assert abs(g - log_distance(W, U)) < 1e-14
 
 
 def test_log_distance_shape_mismatch():

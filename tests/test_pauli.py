@@ -10,6 +10,7 @@ from channelgeo.pauli import (
     build_pauli_basis,
     build_penalty_metric,
     devectorize,
+    devectorize_rows,
     flat_metric,
     omega_inner,
     omega_norm_raw,
@@ -57,6 +58,27 @@ def test_basis_dimension_guard():
         build_pauli_basis(0)
     with pytest.raises(ValueError):
         build_pauli_basis(6)
+
+
+def test_basis_is_built_once_and_read_only():
+    basis = build_pauli_basis(2)
+    assert build_pauli_basis(2) is basis
+    with pytest.raises(ValueError):
+        basis.elements[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_devectorize_rows_matches_dense_sum(rng, n):
+    basis = build_pauli_basis(n)
+    C = rng.normal(size=(5, 2, len(basis.labels)))[:, 1]
+    got = devectorize_rows(C, basis)
+    dense = np.einsum("bk,kij->bij", C, basis.elements)
+    assert got.shape == (5, basis.dim, basis.dim)
+    assert np.array_equal(got, dense)
+    for row, g in zip(C, got):
+        assert np.abs(g - devectorize(row, basis)).max() < 1e-14
+    with pytest.raises(ValueError):
+        devectorize_rows(C + 0j, basis)
 
 
 def test_vectorize_round_trip(rng):

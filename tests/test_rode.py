@@ -12,7 +12,7 @@ from channelgeo.geodesic import (
     log_distance,
     path_endpoint,
 )
-from channelgeo.operators import hs_norm
+from channelgeo.operators import hs_norm, matrix_exp_unitary
 from channelgeo.pauli import MetricSpec, build_pauli_basis, omega_norm_raw
 from channelgeo.rode import (
     NoiseModel,
@@ -222,3 +222,18 @@ def test_matched_rode_report_integrates_once(monkeypatch, rng):
     report = reports.run_experiment(cfg)
     assert sizes == [6]
     assert "rode_matched_norm" in {c["name"] for c in report["checks"]}
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_expm_batch_matches_matrix_exp_unitary(rng, d):
+    A = np.stack([rand_hermitian(rng, d) for _ in range(6)])
+    got = rode._expm_batch(A, 0.37)
+    for a, g in zip(A, got):
+        assert np.abs(g - matrix_exp_unitary(a, 0.37)).max() < 1e-14
+
+
+def test_max_trajectories_bounds_stored_entries():
+    assert rode.max_trajectories(2) == rode.max_trajectories(8) == rode.MAX_TRAJECTORIES
+    assert rode.max_trajectories(32) == rode.MAX_TRAJECTORIES // 16
+    for d in (2, 4, 8, 16, 32):
+        assert rode.max_trajectories(d) * d * d <= rode.MAX_TRAJECTORIES * 64
