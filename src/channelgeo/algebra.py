@@ -127,6 +127,16 @@ class TwoLevelGate:
         return TwoLevelGate(self.a, self.b, self.block.conj().T)
 
 
+def _unchecked_adjoint(gate: TwoLevelGate) -> TwoLevelGate:
+    """gate.adjoint() without validating the block again; for gates whose
+    block already passed TwoLevelGate's checks."""
+    adj = object.__new__(TwoLevelGate)
+    object.__setattr__(adj, "a", gate.a)
+    object.__setattr__(adj, "b", gate.b)
+    object.__setattr__(adj, "block", gate.block.conj().T)
+    return adj
+
+
 def _check_fits(gate: TwoLevelGate, N: int) -> None:
     if gate.b >= N:
         raise ValueError(f"Gate touches index {gate.b}, matrix has dimension {N}.")
@@ -232,7 +242,7 @@ def decompose_two_level(U: np.ndarray) -> TwoLevelCircuit:
         applied.append(TwoLevelGate(k, k + 1, C))
         A[k + 1, k + 1] = A[k + 1, k + 1] * phase
         A[k, k] = 1.0
-    gates = [g.adjoint() for g in reversed(applied)]
+    gates = [_unchecked_adjoint(g) for g in reversed(applied)]
     return TwoLevelCircuit(gates=tuple(gates))
 
 

@@ -11,6 +11,7 @@ report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -37,7 +38,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="channelgeo",
         description="Complexity, coherence, and noise experiments on unitary channels.",

@@ -54,17 +54,29 @@ class CoheringPowerResult:
 
 
 def dephase(rho: np.ndarray, E: DephasingChannel) -> np.ndarray:
+    """Pinch a state, or each state of a (..., d, d) stack."""
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape[0] != E.dim:
-        raise ValueError(f"State dimension {rho.shape[0]} does not match channel {E.dim}.")
+    if rho.shape[-1] != E.dim:
+        raise ValueError(f"State dimension {rho.shape[-1]} does not match channel {E.dim}.")
     P = E._stack
-    return np.einsum("kab,bc,kdc->ad", P, rho, P.conj())
+    return np.einsum("kab,...bc,kdc->...ad", P, rho, P.conj())
 
 
-def purity(rho: np.ndarray) -> float:
-    """Tr{rho^2} for a density matrix."""
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of conj(a) * b over the last axis, row by row.
+
+    The (1, n) @ (n, 1) products go to the same BLAS dot as np.vdot and
+    np.linalg.norm on one row, so each row rounds as it would alone.
+    """
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def purity(rho: np.ndarray) -> float | np.ndarray:
+    """Tr{rho^2} for a density matrix, or for each matrix of a (..., d, d) stack."""
     rho = np.asarray(rho)
-    return float(np.vdot(rho, rho).real)
+    flat = rho.reshape(*rho.shape[:-2], -1)
+    p = _rowdot(flat, flat).real
+    return float(p) if rho.ndim == 2 else p
 
 
 def linear_entropy(rho: np.ndarray) -> float:
@@ -76,25 +88,42 @@ def rel_entropy_coherence(rho: np.ndarray, E: DephasingChannel) -> float:
     return purity(rho) - purity(dephase(rho, E))
 
 
-def _coherence_gap(U: np.ndarray, rho: np.ndarray, E: DephasingChannel) -> float:
+def _coherence_gap(U: np.ndarray, rho: np.ndarray, E: DephasingChannel) -> float | np.ndarray:
+    """|coherence change| under U of a state, or of each state of a stack."""
     after = U @ rho @ U.conj().T
     return abs(rel_entropy_coherence(after, E) - rel_entropy_coherence(rho, E))
 
 
-def _state_from_params(x: np.ndarray, d: int, pure_only: bool) -> np.ndarray | None:
+def _states_from_params(X: np.ndarray, d: int, pure_only: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Chart points (m, n) -> (states of the rows with mass, mask of those rows).
+
+    A row has no state when its vector norm (pure_only) or the trace of
+    L L† is below 1e-150.
+    """
     if pure_only:
-        v = x[:d] + 1j * x[d:]
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-150:
-            return None
-        v = v / nrm
-        return np.outer(v, v.conj())
-    L = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
-    G = L @ L.conj().T
-    tr = float(np.trace(G).real)
-    if tr < 1e-150:
-        return None
-    return G / tr
+        v = X[:, :d] + 1j * X[:, d:]
+        re, im = v.real, v.imag
+        nrm = np.sqrt(_rowdot(re, re) + _rowdot(im, im))
+        ok = ~(nrm < 1e-150)
+        v = v[ok] / nrm[ok, None]
+        return v[:, :, None] * v.conj()[:, None, :], ok
+    L = (X[:, : d * d] + 1j * X[:, d * d :]).reshape(-1, d, d)
+    G = L @ L.conj().transpose(0, 2, 1)
+    tr = np.trace(G, axis1=1, axis2=2).real
+    ok = ~(tr < 1e-150)
+    return G[ok] / tr[ok, None, None], ok
+
+
+def _negative_gaps(
+    X: np.ndarray, U: np.ndarray, E: DephasingChannel, pure_only: bool
+) -> np.ndarray:
+    """Search objective: -_coherence_gap at each chart point of X, 0.0 where
+    a row has no state."""
+    rho, ok = _states_from_params(X, U.shape[0], pure_only)
+    out = np.zeros(len(X))
+    if ok.any():
+        out[ok] = -_coherence_gap(U, rho, E)
+    return out
 
 
 def cohering_power(
@@ -107,8 +136,10 @@ def cohering_power(
     """Maximize |coherence(U rho U†) - coherence(rho)| over density matrices.
 
     Multi-start derivative-free ascent over the chart rho = L L† / Tr{L L†}
-    (or normalized vectors with pure_only). Deterministic basis-state
-    starts run before the seeded random restarts. The reported value is
+    (or normalized vectors with pure_only). The d basis-state starts come
+    first, then the seeded random restarts; all of them advance together
+    in one lockstep coordinate_search, each start exactly as it would run
+    alone, and the first best start wins. The reported value is
     re-evaluated exactly at the winning state, so it certifies a lower
     bound on the true maximum.
     """
@@ -118,35 +149,26 @@ def cohering_power(
         raise ValueError(f"Unitary dimension {d} does not match channel {E.dim}.")
     n_params = 2 * d if pure_only else 2 * d * d
 
-    def objective(x: np.ndarray) -> float:
-        rho = _state_from_params(x, d, pure_only)
-        if rho is None:
-            return 0.0
-        return -_coherence_gap(U, rho, E)
-
-    starts = []
+    x0 = np.zeros((d + restarts, n_params))
     for k in range(d):  # basis states |k><k|
-        x = np.zeros(n_params)
-        x[k if pure_only else k * d + k] = 1.0
-        starts.append((x, 0.3))
+        x0[k, k if pure_only else k * d + k] = 1.0
     children = np.random.SeedSequence(seed).spawn(restarts)
     for r in range(restarts):
-        rng = np.random.default_rng(children[r])
-        starts.append((rng.normal(scale=1.0, size=n_params), 0.3))
+        x0[d + r] = np.random.default_rng(children[r]).normal(scale=1.0, size=n_params)
 
-    best_x, best_f, any_converged = None, 0.0, False
-    for x0, step in starts:
-        res = coordinate_search(objective, x0, step=step, step_tol=1e-7, max_sweeps=40)
-        any_converged = any_converged or res.converged
-        if best_x is None or res.fun < best_f:
-            best_x, best_f = res.x, res.fun
-    rho_star = _state_from_params(best_x, d, pure_only)
-    if rho_star is None:  # pragma: no cover - every start has unit trace mass
+    res = coordinate_search(
+        lambda X: _negative_gaps(X, U, E, pure_only), x0, step=0.3, step_tol=1e-7, max_sweeps=40
+    )
+    best = int(np.argmin(res.fun))  # first of the best, in start order
+    states, ok = _states_from_params(res.x[best : best + 1], d, pure_only)
+    if ok[0]:
+        rho_star = states[0]
+    else:  # pragma: no cover - every start has unit trace mass
         rho_star = np.eye(d, dtype=np.complex128) / d
     rho_star = density(rho_star)
     value = _coherence_gap(U, rho_star, E)
     return CoheringPowerResult(
-        value=value, argmax_state=rho_star, restarts=len(starts), converged=any_converged
+        value=value, argmax_state=rho_star, restarts=len(x0), converged=res.converged
     )
 
 

@@ -4,6 +4,12 @@ Cyclic coordinate descent with a per-coordinate quadratic fit: each move
 tries the two probe points and, when the fitted parabola is convex, its
 vertex. Probe steps adapt per coordinate. No gradients, so objectives
 with absolute-value kinks are handled without special casing.
+
+Starts run in lockstep: a stack of starts advances over the same
+coordinate together, so each move costs one objective call on the
+stacked probes (plus one on the rows that try a vertex), while every
+start keeps its own steps, value and stopping rule. The weighted
+geodesic search passes a single start, which is a stack of one.
 """
 from __future__ import annotations
 
@@ -20,14 +26,14 @@ SHRINK = 0.45
 @dataclass
 class SearchResult:
     x: np.ndarray
-    fun: float
+    fun: float | np.ndarray
     sweeps: int
     evals: int
     converged: bool
 
 
 def coordinate_search(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], float | np.ndarray],
     x0: np.ndarray,
     step: float | np.ndarray = 0.25,
     step_tol: float = 1e-7,
@@ -35,50 +41,89 @@ def coordinate_search(
 ) -> SearchResult:
     """Minimize f by adaptive coordinate-wise quadratic-fit search.
 
-    Stops when every probe step has shrunk below step_tol (converged)
-    or after max_sweeps full passes (converged=False).
+    A start stops when every one of its probe steps has shrunk below
+    step_tol (converged) or after max_sweeps full passes; a stopped start
+    is frozen while the others go on.
+
+    x0 is one start of shape (n,), with f mapping a point to a scalar, or
+    a stack of starts of shape (R, n), with f mapping an (m, n) stack of
+    points to m values. A stack returns x as (R, n) and fun as (R,), with
+    sweeps and evals summed over the starts and converged true when any
+    start converged. The search does the same arithmetic for each start as
+    for that start alone, so when f gives every row the value it gives
+    that point alone, each start ends bit for bit where it would alone.
     """
-    x = np.array(x0, dtype=float)
-    n = x.size
+    single = np.ndim(x0) == 1
+    x = np.array(x0, dtype=float, ndmin=2)
+    R, n = x.shape
     h = np.full(n, float(step)) if np.isscalar(step) else np.array(step, dtype=float)
     if h.shape != (n,):
         raise ValueError(f"Expected {n} step sizes, got shape {h.shape}.")
-    f0 = float(f(x))
-    evals = 1
+    if single:
+        def stacked(P: np.ndarray) -> np.ndarray:
+            return np.array([float(f(p)) for p in P])
+    else:
+        def stacked(P: np.ndarray) -> np.ndarray:
+            return np.asarray(f(P), dtype=float)
+
+    X = x.copy()  # the result: active rows are written back after every sweep
+    fun = stacked(x)
+    f0 = fun.copy()
+    h = np.tile(h, (R, 1))
+    active = np.arange(R)
+    converged = np.zeros(R, dtype=bool)
+    evals = R
     sweeps = 0
-    converged = False
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
+    for _ in range(max_sweeps):
+        m = active.size
+        sweeps += m
         for i in range(n):
-            hi = h[i]
-            xi = x[i]
-            x[i] = xi + hi
-            f_plus = float(f(x))
-            x[i] = xi - hi
-            f_minus = float(f(x))
-            evals += 2
-            best_f, best_s = f0, 0.0
-            if f_plus < best_f:
-                best_f, best_s = f_plus, hi
-            if f_minus < best_f:
-                best_f, best_s = f_minus, -hi
+            hi = h[:, i]
+            xi = x[:, i]
+            probes = np.concatenate((x, x))
+            probes[:m, i] = xi + hi
+            probes[m:, i] = xi - hi
+            f_probe = stacked(probes)
+            f_plus, f_minus = f_probe[:m], f_probe[m:]
+            evals += 2 * m
+            up = f_plus < f0
+            best_f = np.where(up, f_plus, f0)
+            best_s = np.where(up, hi, 0.0)
+            down = f_minus < best_f
+            best_f = np.where(down, f_minus, best_f)
+            best_s = np.where(down, -hi, best_s)
             curv = f_plus + f_minus - 2.0 * f0
-            if curv > 1e-300:
-                s = float(np.clip(-(f_plus - f_minus) * hi / (2.0 * curv), -2 * hi, 2 * hi))
-                if s != 0.0 and abs(abs(s) - hi) > 1e-15 * hi:
-                    x[i] = xi + s
-                    f_s = float(f(x))
-                    evals += 1
-                    if f_s < best_f:
-                        best_f, best_s = f_s, s
-            x[i] = xi + best_s
-            if best_s != 0.0:
-                f0 = best_f
-                if abs(best_s) >= 0.9 * hi:
-                    h[i] = hi * EXPAND
-            else:
-                h[i] = hi * SHRINK
-        if float(np.max(h)) < step_tol:
-            converged = True
+            fit = np.flatnonzero(curv > 1e-300)
+            h_fit = hi[fit]
+            s = -(f_plus[fit] - f_minus[fit]) * h_fit / (2.0 * curv[fit])
+            s = np.minimum(np.maximum(s, -2 * h_fit), 2 * h_fit)  # np.clip, without its overhead
+            try_s = (s != 0.0) & (np.abs(np.abs(s) - h_fit) > 1e-15 * h_fit)
+            fit, s = fit[try_s], s[try_s]
+            if fit.size:
+                vertex = x[fit]
+                vertex[:, i] = xi[fit] + s
+                f_s = stacked(vertex)
+                evals += fit.size
+                win = f_s < best_f[fit]
+                best_f[fit[win]] = f_s[win]
+                best_s[fit[win]] = s[win]
+            x[:, i] = xi + best_s
+            moved = best_s != 0.0
+            f0 = np.where(moved, best_f, f0)
+            h[:, i] = np.where(
+                moved, np.where(np.abs(best_s) >= 0.9 * hi, hi * EXPAND, hi), hi * SHRINK
+            )
+        done = h.max(axis=1) < step_tol
+        converged[active[done]] = True
+        X[active], fun[active] = x, f0
+        keep = ~done
+        active, x, h, f0 = active[keep], x[keep], h[keep], f0[keep]
+        if not active.size:
             break
-    return SearchResult(x=x, fun=f0, sweeps=sweeps, evals=evals, converged=converged)
+    if single:
+        return SearchResult(
+            x=X[0], fun=float(fun[0]), sweeps=sweeps, evals=evals, converged=bool(converged[0])
+        )
+    return SearchResult(
+        x=X, fun=fun, sweeps=sweeps, evals=evals, converged=bool(converged.any())
+    )

@@ -193,13 +193,13 @@ def _run_trajectories(
         B = hi - lo
         U = np.broadcast_to(np.eye(d, dtype=np.complex128), (B, d, d)).copy()
         for H, n_sub, tau, target in plan:
-            C = np.stack(
-                [
-                    _sample_coeffs(noise, n_sub, len(basis.labels), target, rngs[i])
-                    for i in range(lo, hi)
-                ]
-            )
-            norms = np.linalg.norm(C, axis=2)
+            # Filled row by row: a list of samples plus np.stack, or one norm
+            # over the whole block, would hold a second copy of C at once.
+            C = np.empty((B, n_sub, len(basis.labels)))
+            norms = np.empty((B, n_sub))
+            for i in range(B):
+                C[i] = _sample_coeffs(noise, n_sub, len(basis.labels), target, rngs[lo + i])
+                norms[i] = np.linalg.norm(C[i], axis=1)
             integrals[lo:hi] += tau * norms.sum(axis=1)
             if target is not None:
                 worst_dev = max(worst_dev, float(np.max(np.abs(norms - target))))

@@ -245,3 +245,24 @@ def test_projector_weighting_matches_state(rng):
     probs = law(RandomVariable(observable=A, state=rho))
     for (x, p), P in zip(probs, ev.projectors):
         assert abs(p - float(np.trace(P @ rho).real)) < 1e-12
+
+
+def test_decompose_validates_each_block_once(rng, monkeypatch):
+    from channelgeo import algebra
+
+    calls = []
+    checked = algebra.unitary
+
+    def counting(M):
+        calls.append(1)
+        return checked(M)
+
+    monkeypatch.setattr(algebra, "unitary", counting)
+    U = random_special_unitary(6, rng)
+    circ = decompose_two_level(U)
+    # the input once, then each Givens or phase block once; adjoints are not re-checked
+    assert len(calls) == 1 + algebraic_complexity(circ)
+    for g in circ.gates:
+        same = TwoLevelGate(g.a, g.b, g.block)
+        assert np.array_equal(same.block, g.block)
+    assert np.abs(reconstruct(circ, 6) - U).max() < 1e-9

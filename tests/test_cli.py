@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -16,6 +17,7 @@ from channelgeo.reports import (
     make_check,
     parse_metric,
     report_bytes,
+    run_experiment,
     run_sweep,
     validate_config,
     write_sweep_csv,
@@ -499,3 +501,32 @@ def test_run_sweep_rows_and_csv():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "value,G_hs,all_ok"
     assert len(lines) == 3
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    hadamard = [[[2**-0.5, 0.0], [2**-0.5, 0.0]], [[2**-0.5, 0.0], [-(2**-0.5), 0.0]]]
+    runs = [
+        ("complexity", {"H": SIGMA_Z, "t": 1.0}, 3),
+        ("cohering-power", {"U": hadamard, "restarts": 1}, 5),
+    ]
+    for i, (kind, fields, seed) in enumerate(runs):
+        cfg = {"schema_version": 1, "kind": kind, "seed": 0, **fields}
+        out = tmp_path / f"{kind}.json"
+        argv = [kind, "--config", write_cfg(tmp_path, f"{kind}-in.json", cfg), "--out", str(out)]
+        assert cli.main(argv + ["--seed", str(seed)]) == 0
+        expected = run_experiment(validate_config({**cfg, "seed": seed}, kind))
+        assert json.loads(out.read_text())["inputs"]["seed"] == seed
+        assert out.read_bytes() == report_bytes(expected)
+        if i == 0:
+            first = len(built)
+    assert first > 0
+    assert len(built) == first  # the second call reused the parser

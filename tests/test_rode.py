@@ -237,3 +237,20 @@ def test_max_trajectories_bounds_stored_entries():
     assert rode.max_trajectories(32) == rode.MAX_TRAJECTORIES // 16
     for d in (2, 4, 8, 16, 32):
         assert rode.max_trajectories(d) * d * d <= rode.MAX_TRAJECTORIES * 64
+
+
+def test_noise_block_is_held_once(rng):
+    # 128 trajectories x 256 substeps x 15 coefficients is 3.9 MB; sampling
+    # into a list and stacking it, or one norm over the block, held two copies.
+    import tracemalloc
+
+    H = traceless(rand_hermitian(rng, 4))
+    noise = NoiseModel(kind="gaussian_pauli", sigma=np.array([0.1]))
+    block = 128 * 256 * 15 * 8
+    tracemalloc.start()
+    try:
+        ensemble_mean(constant_path(H, 1.0), noise, M=128, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block < peak < 1.5 * block
