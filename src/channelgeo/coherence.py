@@ -13,7 +13,8 @@ import numpy as np
 
 from .geodesic import geometric_complexity_const
 from .operators import (
-    commutator, density, hermitian, hs_norm, matrix_exp_unitary, projector_family, unitary
+    commutator, density, hermitian, hs_norm, matrix_exp_unitary, projector_family, rowdot,
+    unitary,
 )
 from .optimize import coordinate_search
 
@@ -62,20 +63,11 @@ def dephase(rho: np.ndarray, E: DephasingChannel) -> np.ndarray:
     return np.einsum("kab,...bc,kdc->...ad", P, rho, P.conj())
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of conj(a) * b over the last axis, row by row.
-
-    The (1, n) @ (n, 1) products go to the same BLAS dot as np.vdot and
-    np.linalg.norm on one row, so each row rounds as it would alone.
-    """
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def purity(rho: np.ndarray) -> float | np.ndarray:
     """Tr{rho^2} for a density matrix, or for each matrix of a (..., d, d) stack."""
     rho = np.asarray(rho)
     flat = rho.reshape(*rho.shape[:-2], -1)
-    p = _rowdot(flat, flat).real
+    p = rowdot(flat, flat).real
     return float(p) if rho.ndim == 2 else p
 
 
@@ -103,7 +95,7 @@ def _states_from_params(X: np.ndarray, d: int, pure_only: bool) -> tuple[np.ndar
     if pure_only:
         v = X[:, :d] + 1j * X[:, d:]
         re, im = v.real, v.imag
-        nrm = np.sqrt(_rowdot(re, re) + _rowdot(im, im))
+        nrm = np.sqrt(rowdot(re, re) + rowdot(im, im))
         ok = ~(nrm < 1e-150)
         v = v[ok] / nrm[ok, None]
         return v[:, :, None] * v.conj()[:, None, :], ok
@@ -210,12 +202,11 @@ def verify_decohering_bound(
     counterexample. Both normalizing constants in circulation are
     reported: sqrt(2)*N is the one checked, sqrt(2(N^2-1)) is logged.
     """
-    H = hermitian(H)
-    N = H.shape[0]
+    rhs = geometric_complexity_const(H, t, None)  # rejects a bad H or t before the search
     U = matrix_exp_unitary(H, t)
+    N = U.shape[0]
     cp = cohering_power(U, E, restarts=restarts, seed=seed, pure_only=pure_only)
     lhs = cp.value / (np.sqrt(2.0) * N)
-    rhs = geometric_complexity_const(H, t, None)
     return {
         "lhs": lhs,
         "rhs": rhs,

@@ -3,8 +3,8 @@
 Closed form for constant generators, the length functional and endpoint
 map for piecewise-constant controls, the right-invariant control distance
 between two unitaries (exact principal-log geodesic for the flat metric,
-multi-start upper-bound search for weighted metrics), and the l1-cost
-inequality chain.
+a lockstep multi-start upper-bound search for weighted metrics), and the
+l1-cost inequality chain.
 
 Normalization convention used throughout: integrands are raw weighted
 coefficient norms (no prefactor) and one global 1/sqrt(d^2-1) factor is
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import hermitian, hs_norm, matrix_exp_unitary, unitary
+from .operators import hermitian, hs_norm, matrix_exp_unitary, rowdot, unitary
 from .optimize import coordinate_search
 from .pauli import MetricSpec, PauliBasis, omega_norm_raw, vectorize
 
@@ -190,13 +190,17 @@ class _Chart:
         self.size = d * d  # (d^2 - 1) traceless coefficients + identity
         self._sq_weights = np.concatenate([m.weights, [0.0]])
 
-    def to_matrix(self, x: np.ndarray) -> np.ndarray:
+    def to_matrices(self, X: np.ndarray) -> np.ndarray:
+        """Generators of a (..., size) stack of coordinates, as (..., d, d)."""
         d = self.d
-        H = np.einsum("k,kab->ab", x[:-1].astype(np.complex128), self.m.basis.elements)
-        return H + x[-1] / np.sqrt(d) * np.eye(d)
+        flat = X.reshape(-1, self.size)
+        H = np.einsum("mk,kab->mab", flat[:, :-1].astype(np.complex128), self.m.basis.elements)
+        H = H + (flat[:, -1] / np.sqrt(d))[:, None, None] * np.eye(d)
+        return H.reshape(*X.shape[:-1], d, d)
 
-    def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(self._sq_weights * x * x)))
+    def norms(self, X: np.ndarray) -> np.ndarray:
+        """Weighted norms of a (..., size) stack of coordinates."""
+        return np.sqrt(np.sum(self._sq_weights * X * X, axis=-1))
 
     def from_matrix(self, G: np.ndarray) -> np.ndarray:
         vec = vectorize(G, self.m.basis)
@@ -205,99 +209,27 @@ class _Chart:
         )
 
 
-class _PathObjective:
-    """Penalized length of a K-segment path with an endpoint target.
+def _penalized(
+    X: np.ndarray, target: np.ndarray, chart: _Chart, K: int, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Penalized length of each K-segment path of an (m, K * chart.size) stack.
 
-    Caches per-segment exponentials; coordinate moves touch a single
-    segment, so only that exponential is refreshed.
+    Returns (value, length, err) per row: the weighted path length, the
+    endpoint error ||endpoint - target||_HS, and value = length + lam * err^2.
+    Each segment runs for 1/K. Every row is computed as it would be alone.
     """
-
-    def __init__(self, target: np.ndarray, chart: _Chart, K: int, lam: float):
-        self.target = target
-        self.chart = chart
-        self.K = K
-        self.lam = lam
-        self.ds = 1.0 / K
-        self.d = target.shape[0]
-        self._x = None
-        self._exps = [None] * K
-        self._norms = np.zeros(K)
-
-    def _refresh(self, x: np.ndarray) -> None:
-        p = self.chart.size
-        if self._x is None:
-            dirty = range(self.K)
-        else:
-            changed = np.nonzero(x != self._x)[0]
-            dirty = sorted({int(c) // p for c in changed})
-        for k in dirty:
-            seg = x[k * p : (k + 1) * p]
-            H = self.chart.to_matrix(seg)
-            self._exps[k] = matrix_exp_unitary(H, self.ds)
-            self._norms[k] = self.chart.norm(seg)
-        self._x = x.copy()
-
-    def endpoint(self) -> np.ndarray:
-        U = np.eye(self.d, dtype=np.complex128)
-        for E in self._exps:
-            U = E @ U
-        return U
-
-    def components(self, x: np.ndarray) -> tuple[float, float]:
-        self._refresh(x)
-        length = float(np.sum(self._norms) * self.ds / np.sqrt(self.d**2 - 1))
-        err = hs_norm(self.endpoint() - self.target)
-        return length, err
-
-    def __call__(self, x: np.ndarray) -> float:
-        length, err = self.components(x)
-        return length + self.lam * err * err
-
-    def path(self, x: np.ndarray) -> PiecewiseConstantPath:
-        p = self.chart.size
-        segs = tuple(
-            (self.chart.to_matrix(x[k * p : (k + 1) * p]), self.ds) for k in range(self.K)
-        )
-        return PiecewiseConstantPath(segments=segs)
-
-
-def _solve_restart(
-    obj: _PathObjective,
-    x0: np.ndarray,
-    step0: float,
-    sweeps: int = 60,
-    step_tol: float = 1e-8,
-) -> tuple[np.ndarray, float, float]:
-    """Penalty loop: minimize, raising the endpoint weight until feasible.
-
-    The starting point itself is a candidate, so a feasible x0 (the
-    principal-log path) can never be lost to a search that wanders off.
-    Once feasible, the loop stops as soon as a round brings no length
-    improvement.
-    """
-    x = x0
-    obj.lam = 32.0
-    step = step0
-    length, err = obj.components(x0)
-    best = (x0.copy(), length, err)
-    for _ in range(MAX_ROUNDS):
-        res = coordinate_search(obj, x, step=step, step_tol=step_tol, max_sweeps=sweeps)
-        x = res.x
-        length, err = obj.components(x)
-        improved = False
-        if err <= ENDPOINT_TOL and (
-            best[2] > ENDPOINT_TOL or length < best[1] - 1e-10
-        ):
-            best = (x.copy(), length, err)
-            improved = True
-        elif best[2] > ENDPOINT_TOL and err < best[2]:
-            best = (x.copy(), length, err)
-            improved = True
-        if best[2] <= ENDPOINT_TOL and not improved:
-            break
-        obj.lam *= 4.0
-        step = max(step * 0.5, 1e-3)
-    return best
+    d = chart.d
+    segs = X.reshape(len(X), K, chart.size)
+    w, V = np.linalg.eigh(chart.to_matrices(segs))
+    exps = (V * np.exp(-1j * (1.0 / K) * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    U = np.eye(d, dtype=np.complex128)
+    for k in range(K):
+        U = exps[:, k] @ U
+    diff = (U - target).reshape(len(X), d * d)
+    re, im = diff.real, diff.imag
+    err = np.sqrt(rowdot(re, re) + rowdot(im, im))
+    length = np.sum(chart.norms(segs), axis=-1) * (1.0 / K) / np.sqrt(d**2 - 1)
+    return length + lam * err * err, length, err
 
 
 def _flat_log_length(G: np.ndarray) -> float:
@@ -328,12 +260,16 @@ def estimate_cc_distance(
     group is the geodesic, so the length is exact, no search runs and
     restarts_used is 0; restarts, seed and the search knobs are ignored.
 
-    A MetricSpec runs a numerical search for an upper bound instead.
-    Restart 0 starts from the principal-log path, which already meets
-    the endpoint; the remaining restarts are random. The best feasible
-    path (endpoint error within ENDPOINT_TOL) of minimal length wins.
-    Deterministic for a fixed seed. search_sweeps and search_step_tol
-    trade polish for speed.
+    A MetricSpec runs a numerical search for an upper bound instead: a
+    penalty method over K-segment paths, with the endpoint error squared
+    as the penalty. Restart 0 starts from the principal-log path, which
+    already meets the endpoint; the remaining restarts are random. All
+    restarts advance in lockstep, so each penalty round is one
+    coordinate_search over the stack of restarts still in play (at most
+    MAX_ROUNDS calls), and each restart ends where it would alone. The
+    best feasible path (endpoint error within ENDPOINT_TOL) of minimal
+    length wins, the first in start order on a tie. Deterministic for a
+    fixed seed. search_sweeps and search_step_tol trade polish for speed.
     """
     U = unitary(U)
     V = unitary(V)
@@ -355,45 +291,63 @@ def estimate_cc_distance(
     chart = _Chart(d, m)
     K = segments
     g_coords = chart.from_matrix(G)
-    x_log = np.tile(g_coords, K)  # constant path: each segment runs G for 1/K
-
     scale = max(float(np.linalg.norm(g_coords)), 0.5)
-    children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 0))
+    x = np.empty((restarts, K * chart.size))
+    x[0] = np.tile(g_coords, K)  # constant path: each segment runs G for 1/K
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts - 1), start=1):
+        x[r] = np.random.default_rng(child).normal(scale=scale, size=K * chart.size)
+    step = np.full(restarts, 0.25 * max(scale, 1.0))
+    step[0] = 0.08 * max(scale, 1.0) / K
 
-    best: tuple[np.ndarray, float, float] | None = None
-    feasible = False
-    for r in range(restarts):
-        obj = _PathObjective(target, chart, K, lam=32.0)
-        if r == 0:
-            x0, step0 = x_log, 0.08 * max(scale, 1.0) / K
-        else:
-            rng = np.random.default_rng(children[r - 1])
-            x0 = rng.normal(scale=scale, size=K * chart.size)
-            step0 = 0.25 * max(scale, 1.0)
-        cand = _solve_restart(
-            obj, x0, step0, sweeps=search_sweeps, step_tol=search_step_tol
+    # Penalty loop: round r minimizes every restart still in play at endpoint
+    # weight 32 * 4^r, each from where its last round ended and with its own
+    # step. A restart's start is its first candidate, so the feasible
+    # principal-log path can never be lost to a search that wanders off. A
+    # restart leaves once its best is feasible and a round brought no gain.
+    _, best_len, best_err = _penalized(x, target, chart, K, 0.0)
+    best_x = x.copy()
+    active = np.arange(restarts)
+    lam = 32.0
+    for _ in range(MAX_ROUNDS):
+        res = coordinate_search(
+            lambda X, lam=lam: _penalized(X, target, chart, K, lam)[0],
+            x[active],
+            step=step[active, None],
+            step_tol=search_step_tol,
+            max_sweeps=search_sweeps,
         )
-        if cand is None:
-            continue
-        x, length, err = cand
-        ok = err <= ENDPOINT_TOL
-        if best is None:
-            best, feasible = (x, length, err), ok
-        elif ok and (not feasible or length < best[1]):
-            best, feasible = (x, length, err), True
-        elif not feasible and err < best[2]:
-            best = (x, length, err)
-    x, length, err = best
+        _, length, err = _penalized(res.x, target, chart, K, lam)
+        was_ok = best_err[active] <= ENDPOINT_TOL
+        improved = (
+            (err <= ENDPOINT_TOL) & (~was_ok | (length < best_len[active] - 1e-10))
+        ) | (~was_ok & (err < best_err[active]))
+        won = active[improved]
+        best_x[won] = res.x[improved]
+        best_len[won], best_err[won] = length[improved], err[improved]
+        x[active] = res.x
+        keep = (best_err[active] > ENDPOINT_TOL) | improved
+        active = active[keep]
+        if not active.size:
+            break
+        lam *= 4.0
+        step[active] = np.maximum(step[active] * 0.5, 1e-3)
+
+    best, feasible = 0, bool(best_err[0] <= ENDPOINT_TOL)
+    for r in range(1, restarts):  # in start order: the first of the shortest wins
+        if best_err[r] <= ENDPOINT_TOL and (not feasible or best_len[r] < best_len[best]):
+            best, feasible = r, True
+        elif not feasible and best_err[r] < best_err[best]:
+            best = r
     if not feasible:
         raise ValueError(
             f"No restart reached endpoint tolerance {ENDPOINT_TOL:.1e}; "
-            f"best endpoint error was {err:.3e}."
+            f"best endpoint error was {best_err[best]:.3e}."
         )
-    obj = _PathObjective(target, chart, K, lam=0.0)
+    Hs = chart.to_matrices(best_x[best].reshape(K, chart.size))
     return GeodesicEstimate(
-        length=length,
-        endpoint_error=err,
-        path=obj.path(x),
+        length=float(best_len[best]),
+        endpoint_error=float(best_err[best]),
+        path=PiecewiseConstantPath(segments=tuple((H, 1.0 / K) for H in Hs)),
         restarts_used=restarts,
     )
 

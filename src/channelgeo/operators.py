@@ -152,6 +152,15 @@ def hs_norm(A: np.ndarray) -> float:
     return float(npl.norm(np.asarray(A)))
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of conj(a) * b over the last axis, row by row.
+
+    The (1, n) @ (n, 1) products go to the same BLAS dot as np.vdot and
+    np.linalg.norm on one row, so each row rounds as it would alone.
+    """
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product."""
     return np.kron(np.asarray(A, dtype=np.complex128), np.asarray(B, dtype=np.complex128))

@@ -8,8 +8,8 @@ with absolute-value kinks are handled without special casing.
 Starts run in lockstep: a stack of starts advances over the same
 coordinate together, so each move costs one objective call on the
 stacked probes (plus one on the rows that try a vertex), while every
-start keeps its own steps, value and stopping rule. The weighted
-geodesic search passes a single start, which is a stack of one.
+start keeps its own steps, value and stopping rule. Both callers, the
+weighted geodesic search and cohering power, stack all their starts.
 """
 from __future__ import annotations
 
@@ -26,14 +26,14 @@ SHRINK = 0.45
 @dataclass
 class SearchResult:
     x: np.ndarray
-    fun: float | np.ndarray
+    fun: np.ndarray
     sweeps: int
     evals: int
     converged: bool
 
 
 def coordinate_search(
-    f: Callable[[np.ndarray], float | np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     step: float | np.ndarray = 0.25,
     step_tol: float = 1e-7,
@@ -45,31 +45,27 @@ def coordinate_search(
     step_tol (converged) or after max_sweeps full passes; a stopped start
     is frozen while the others go on.
 
-    x0 is one start of shape (n,), with f mapping a point to a scalar, or
-    a stack of starts of shape (R, n), with f mapping an (m, n) stack of
-    points to m values. A stack returns x as (R, n) and fun as (R,), with
-    sweeps and evals summed over the starts and converged true when any
-    start converged. The search does the same arithmetic for each start as
-    for that start alone, so when f gives every row the value it gives
-    that point alone, each start ends bit for bit where it would alone.
+    x0 is a stack of starts of shape (R, n), and f maps an (m, n) stack of
+    points to m values. step, the initial probe steps, is broadcast to
+    (R, n), so each start may have its own. x comes back as (R, n) and fun
+    as (R,), with sweeps and evals summed over the starts and converged
+    true when any start converged. The search does the same arithmetic for
+    each start as for that start alone, so when f gives every row the
+    value it gives that point alone, each start ends bit for bit where it
+    would alone.
     """
-    single = np.ndim(x0) == 1
-    x = np.array(x0, dtype=float, ndmin=2)
+    x = np.array(x0, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"Expected an (R, n) stack of starts, got shape {x.shape}.")
     R, n = x.shape
-    h = np.full(n, float(step)) if np.isscalar(step) else np.array(step, dtype=float)
-    if h.shape != (n,):
-        raise ValueError(f"Expected {n} step sizes, got shape {h.shape}.")
-    if single:
-        def stacked(P: np.ndarray) -> np.ndarray:
-            return np.array([float(f(p)) for p in P])
-    else:
-        def stacked(P: np.ndarray) -> np.ndarray:
-            return np.asarray(f(P), dtype=float)
+    h = np.array(np.broadcast_to(step, (R, n)), dtype=float)
+
+    def stacked(P: np.ndarray) -> np.ndarray:
+        return np.asarray(f(P), dtype=float)
 
     X = x.copy()  # the result: active rows are written back after every sweep
     fun = stacked(x)
     f0 = fun.copy()
-    h = np.tile(h, (R, 1))
     active = np.arange(R)
     converged = np.zeros(R, dtype=bool)
     evals = R
@@ -120,10 +116,6 @@ def coordinate_search(
         active, x, h, f0 = active[keep], x[keep], h[keep], f0[keep]
         if not active.size:
             break
-    if single:
-        return SearchResult(
-            x=X[0], fun=float(fun[0]), sweeps=sweeps, evals=evals, converged=bool(converged[0])
-        )
     return SearchResult(
         x=X, fun=fun, sweeps=sweeps, evals=evals, converged=bool(converged.any())
     )

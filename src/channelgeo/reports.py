@@ -110,7 +110,7 @@ def _require(cfg: dict, field: str, at: str = ""):
     return cfg[field]
 
 
-def _number(cfg: dict, field: str, default=None, at: str = "") -> float:
+def _number(cfg: dict, field: str, default=None, at: str = "", minimum=None) -> float:
     val = cfg.get(field, default)
     if val is None:
         raise _fail(at + field, "missing")
@@ -118,6 +118,8 @@ def _number(cfg: dict, field: str, default=None, at: str = "") -> float:
         raise _fail(at + field, f"expected a number, got {type(val).__name__}")
     if not abs(val) <= sys.float_info.max:  # inf, nan, or an int too big for a float
         raise _fail(at + field, f"expected a finite number, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise _fail(at + field, f"expected a number >= {minimum}, got {val!r}")
     return float(val)
 
 
@@ -287,7 +289,7 @@ def assemble_report(cfg: dict, scalars: dict, checks: list, extras: dict | None 
         "timings": None,
     }
     if extras:
-        report.update(extras)
+        report.update(extras)  # a rode "_ensemble" rides along; write_report strips it
     return report
 
 
@@ -301,7 +303,7 @@ def report_bytes(report: dict) -> bytes:
 
 def _run_complexity(cfg: dict):
     H = matrix_from_pairs(_require(cfg, "H"), "H")
-    t = _number(cfg, "t")
+    t = _number(cfg, "t", minimum=0)
     metric = parse_metric(cfg.get("metric"))
     g_flat = geodesic.geometric_complexity_const(H, t, None)
     scalars = {"G_hs": g_flat}
@@ -326,7 +328,7 @@ def _run_channel(cfg: dict):
             ),
             weights=vector_from_json(_require(p, "weights", at), at + "weights"),
             eps=_number(p, "eps", at=at),
-            t=_number(p, "t", 1.0, at=at),
+            t=_number(p, "t", 1.0, at=at, minimum=0),
         )
         scalars = {
             "exact": float(out["exact"]),
@@ -336,7 +338,7 @@ def _run_channel(cfg: dict):
         }
         return scalars, [], None
     spec = parse_channel_spec(cfg)
-    t = _number(cfg, "t")
+    t = _number(cfg, "t", minimum=0)
     g_channel = channel.channel_complexity_const(spec, t)
     g_free = channel.noiseless_complexity(spec, t)
     scalars = {
@@ -350,7 +352,7 @@ def _run_channel(cfg: dict):
 
 def _run_noise(cfg: dict):
     spec = parse_channel_spec(cfg)
-    t = _number(cfg, "t")
+    t = _number(cfg, "t", minimum=0)
     n_hs = channel.noise_complexity(spec, t)
     bounds = channel.noise_complexity_bounds(spec, t)
     scalars = {
@@ -374,7 +376,7 @@ def _run_cohering_power(cfg: dict):
         d = U.shape[0]
     else:
         generator = matrix_from_pairs(_require(cfg, "generator"), "generator")
-        t = _number(cfg, "t")
+        t = _number(cfg, "t", minimum=0)
         d = generator.shape[0]
     dephasing = cfg.get("dephasing")
     if dephasing is None:
@@ -787,14 +789,7 @@ _RUNNERS = {
 
 def run_experiment(cfg: dict) -> dict:
     """Dispatch a validated config to its runner and assemble the report."""
-    scalars, checks, extras = _RUNNERS[cfg["kind"]](cfg)
-    ensemble = None
-    if extras and "_ensemble" in extras:
-        ensemble = extras.pop("_ensemble")
-    report = assemble_report(cfg, scalars, checks, extras)
-    if ensemble is not None:
-        report["_ensemble"] = ensemble  # stripped before serialization
-    return report
+    return assemble_report(cfg, *_RUNNERS[cfg["kind"]](cfg))
 
 
 def write_report(report: dict, out: str | None) -> None:

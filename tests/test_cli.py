@@ -216,6 +216,13 @@ def test_exit_two_on_bad_configs(tmp_path):
     assert "no.such.knob" in err
 
 
+_PERTURBATIVE = {
+    "H_S": pairs(np.diag([1.0, 2.0])),
+    "A_S": pairs(np.eye(2)),
+    "env_energies": [0.0, 1.0],
+    "weights": [0.5, 0.5],
+    "eps": 0.01,
+}
 _MATCHED = {"kind": "bounded_matched", "weights": [1.0, 1.0, 1.0], "dt_noise": 0.0625}
 _BASE = {
     "complexity": {"H": SIGMA_Z, "t": 1.0},
@@ -266,6 +273,11 @@ _BASE = {
         ("rode", {"path": {"H": pairs(np.zeros((32, 32))), "t": 1.0},
                   "M": rode.max_trajectories(32) + 1}, "'M'"),
         ("cohering-power", {"restarts": coherence.MAX_RESTARTS + 1}, "'restarts'"),
+        ("complexity", {"t": -1.0}, "'t'"),
+        ("channel", {**_BASE["noise"], "t": -1}, "'t'"),
+        ("noise", {"t": -0.5}, "'t'"),
+        ("cohering-power", {"t": -1.0}, "'t'"),
+        ("channel", {"perturbative": {**_PERTURBATIVE, "t": -1.0}}, "'perturbative.t'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):

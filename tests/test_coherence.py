@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rand_density, rand_hermitian, rand_pure
 
+from channelgeo import coherence, geodesic, operators
 from channelgeo.coherence import (
     DephasingChannel,
     coherence_rate_bound,
@@ -197,3 +198,34 @@ def test_decohering_bound_holds(rng):
         assert rec["constant"] == "sqrt(2)*N"
         # sqrt(2(N^2-1)) < sqrt(2)N, so the logged variant sits above lhs
         assert rec["lhs_variant_sqrt_2_dim_sq_minus_1"] >= rec["lhs"] - 1e-12
+
+
+@pytest.mark.parametrize(
+    "H, t",
+    [
+        (np.diag([1.0, -1.0]), -0.1),  # negative time
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.8),  # not Hermitian
+    ],
+)
+def test_decohering_bound_rejects_bad_input_before_search(monkeypatch, H, t):
+    def no_search(*args, **kwargs):
+        raise AssertionError("cohering_power ran on an invalid input")
+
+    monkeypatch.setattr(coherence, "cohering_power", no_search)
+    with pytest.raises(ValueError):
+        verify_decohering_bound(H, t, computational_dephasing(2))
+
+
+def test_decohering_bound_validates_generator_twice(monkeypatch):
+    calls = []
+    check = operators.hermitian
+
+    def counted(M):
+        calls.append(M)
+        return check(M)
+
+    for module in (operators, geodesic, coherence):
+        monkeypatch.setattr(module, "hermitian", counted)
+    H = np.diag([0.5, -0.5]).astype(np.complex128)
+    verify_decohering_bound(H, 0.8, computational_dephasing(2), restarts=0, pure_only=True)
+    assert sum(M is H for M in calls) == 2

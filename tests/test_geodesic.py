@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import rand_hermitian, rand_unitary
 
+from channelgeo import geodesic
 from channelgeo.geodesic import (
+    MAX_ROUNDS,
     PiecewiseConstantPath,
     check_cost_chain,
     constant_path,
@@ -18,7 +22,7 @@ from channelgeo.geodesic import (
     principal_log_generator,
 )
 from channelgeo.operators import hs_norm, matrix_abs
-from channelgeo.pauli import MetricSpec, build_pauli_basis
+from channelgeo.pauli import MetricSpec, build_pauli_basis, build_penalty_metric
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
@@ -170,6 +174,71 @@ def test_estimate_weighted_not_above_log_init(rng):
     assert est.length <= path_length(constant_path(G, 1.0), m) + 1e-9
     # reported length agrees with the public path functional
     assert abs(est.length - path_length(est.path, m)) < 1e-9
+
+
+def _qubit_metric(weights):
+    return MetricSpec(basis=build_pauli_basis(1), weights=np.array(weights, dtype=float))
+
+
+def _path_sha1(path):
+    h = hashlib.sha1()
+    for H, ds in path.segments:
+        h.update(H.tobytes())
+        h.update(np.float64(ds).tobytes())
+    return h.hexdigest()
+
+
+# Weighted estimates pinned bit for bit: length.hex(), endpoint_error.hex()
+# and the SHA-1 of the path's segment bytes, recorded when every restart
+# still ran its own one-start search. The last case needs several penalty
+# rounds and the 1e-10 gain margin to land where it does.
+@pytest.mark.parametrize(
+    "metric, u_seed, segments, restarts, seed, length, error, path_sha1",
+    [
+        (lambda: _qubit_metric([1, 1, 4]), 3, 4, 2, 0, "0x1.eba8b4faa42d4p-1",
+         "0x1.264ad8ddfff95p-49", "7b3efc074ebfd6e39a71c9be68b759a6a1a5930a"),
+        (lambda: _qubit_metric([1, 2, 3]), 3, 3, 3, 5, "0x1.0c4dcc3d229eep+0",
+         "0x1.93e6a67de854dp-50", "f188b79998a2d2ccbf82b0048ab8b099ad729290"),
+        (lambda: build_penalty_metric(2, 4.0), 3, 2, 2, 1, "0x1.0316519d1ee9ap+0",
+         "0x1.3038ed3242a05p-49", "9f1462b8a780d8f639e2b9ab6c29092d1ae5ae69"),
+        (lambda: _qubit_metric([1, 1, 4]), 4, 2, 3, 0, "0x1.a00ddf7cdafc4p+0",
+         "0x1.7291f0941e7c5p-34", "a48ce21337b9a7a940452ec0b1aef00cd1c5b608"),
+    ],
+    ids=["d2-weights-1-1-4", "d2-weights-1-2-3", "d4-penalty-q4", "d2-penalty-rounds"],
+)
+def test_weighted_estimate_is_pinned(
+    metric, u_seed, segments, restarts, seed, length, error, path_sha1
+):
+    m = metric()
+    U = rand_unitary(np.random.default_rng(u_seed), m.basis.dim)
+    est = estimate_cc_distance(
+        np.eye(m.basis.dim), U, m=m, segments=segments, restarts=restarts, seed=seed,
+        search_sweeps=25, search_step_tol=1e-6,
+    )
+    assert est.length.hex() == length
+    assert est.endpoint_error.hex() == error
+    assert _path_sha1(est.path) == path_sha1
+    assert est.restarts_used == restarts
+
+
+def test_weighted_restarts_search_in_lockstep(monkeypatch):
+    search = geodesic.coordinate_search
+    stacks = []
+
+    def counted(f, x0, **kwargs):
+        stacks.append(np.shape(x0))
+        return search(f, x0, **kwargs)
+
+    monkeypatch.setattr(geodesic, "coordinate_search", counted)
+    est = estimate_cc_distance(
+        np.eye(2), rand_unitary(np.random.default_rng(3), 2), m=_qubit_metric([1, 1, 4]),
+        segments=1, restarts=4, search_sweeps=25, search_step_tol=1e-6,
+    )
+    assert est.endpoint_error <= 1e-6
+    # one call per penalty round, on the stack of restarts still in play
+    assert len(stacks) <= MAX_ROUNDS
+    assert stacks[0] == (4, 4)
+    assert all(a[0] >= b[0] for a, b in zip(stacks, stacks[1:]))
 
 
 def test_estimate_argument_guards():

@@ -1,5 +1,5 @@
-"""Lockstep (stacked) search and stack-aware coherence kernels against their
-one-state forms, bit for bit."""
+"""Lockstep (stacked) search and stack-aware coherence and geodesic kernels
+against their one-state forms, bit for bit."""
 import numpy as np
 import pytest
 
@@ -14,8 +14,10 @@ from channelgeo.coherence import (
     dephase,
     purity,
 )
-from channelgeo.operators import density
+from channelgeo.geodesic import _Chart, _penalized
+from channelgeo.operators import density, hs_norm, matrix_exp_unitary
 from channelgeo.optimize import coordinate_search
+from channelgeo.pauli import MetricSpec, build_pauli_basis
 
 
 def _scalar_state(x, d, pure_only):
@@ -33,6 +35,11 @@ def _scalar_state(x, d, pure_only):
     if tr < 1e-150:
         return None
     return G / tr
+
+
+def _rows(f):
+    """The stacked objective that applies a one-point f to every row."""
+    return lambda X: np.array([f(x) for x in X])
 
 
 def _scalar_objective(U, E, pure_only):
@@ -56,14 +63,14 @@ def _serial_cohering_power(U, E, restarts, seed, pure_only):
         starts.append(x)
     for child in np.random.SeedSequence(seed).spawn(restarts):
         starts.append(np.random.default_rng(child).normal(scale=1.0, size=n))
-    f = _scalar_objective(U, E, pure_only)
+    f = _rows(_scalar_objective(U, E, pure_only))
     best, converged = None, False
     for x0 in starts:
-        res = coordinate_search(f, x0, step=0.3, step_tol=1e-7, max_sweeps=40)
+        res = coordinate_search(f, x0[None], step=0.3, step_tol=1e-7, max_sweeps=40)
         converged = converged or res.converged
-        if best is None or res.fun < best.fun:
+        if best is None or res.fun[0] < best.fun[0]:
             best = res
-    rho = density(_scalar_state(best.x, d, pure_only))
+    rho = density(_scalar_state(best.x[0], d, pure_only))
     return _coherence_gap(U, rho, E), rho, converged
 
 
@@ -104,7 +111,10 @@ def test_stacked_search_matches_one_start_runs():
     rng = np.random.default_rng(11)
     x0 = rng.normal(size=(6, 4))
     x0[0] = [1.0, 1.0, 0.3, 0.3]  # starts at the minimum: stops early
-    singles = [coordinate_search(_kinked, x, step=0.3, step_tol=1e-7, max_sweeps=30) for x in x0]
+    singles = [
+        coordinate_search(_rows(_kinked), x[None], step=0.3, step_tol=1e-7, max_sweeps=30)
+        for x in x0
+    ]
     assert {r.converged for r in singles} == {True, False}  # some start is frozen early
     calls = []
 
@@ -115,16 +125,13 @@ def test_stacked_search_matches_one_start_runs():
     res = coordinate_search(stacked, x0, step=0.3, step_tol=1e-7, max_sweeps=30)
     assert res.x.shape == (6, 4) and res.fun.shape == (6,)
     for k, one in enumerate(singles):
-        assert np.array_equal(res.x[k], one.x)
-        assert res.fun[k] == one.fun
+        assert np.array_equal(res.x[k], one.x[0])
+        assert res.fun[k] == one.fun[0]
     assert res.evals == sum(r.evals for r in singles) == sum(calls)
     assert res.sweeps == sum(r.sweeps for r in singles)
     assert res.converged is True
     # one call for the start values, then at most two per coordinate move
     assert len(calls) <= 1 + 2 * 4 * 30
-    single = coordinate_search(_kinked, x0[1], step=0.3, step_tol=1e-7, max_sweeps=30)
-    assert isinstance(single.fun, float) and single.x.shape == (4,)
-    assert isinstance(single.converged, bool)
 
 
 def _cohering_cases():
@@ -170,3 +177,33 @@ def test_dephase_and_purity_accept_stacks(rng, d):
     one = purity(states[0])
     assert isinstance(one, float)
     assert one == float(np.vdot(states[0], states[0]).real)
+
+
+def _one_path(x, target, chart, K, lam):
+    """Penalized length of one K-segment path, one segment at a time."""
+    d, p, ds = chart.d, chart.size, 1.0 / K
+    weights = np.concatenate([chart.m.weights, [0.0]])
+    U = np.eye(d, dtype=np.complex128)
+    norms = np.zeros(K)
+    for k in range(K):
+        seg = x[k * p : (k + 1) * p]
+        H = np.einsum("k,kab->ab", seg[:-1].astype(np.complex128), chart.m.basis.elements)
+        H = H + seg[-1] / np.sqrt(d) * np.eye(d)
+        U = matrix_exp_unitary(H, ds) @ U
+        norms[k] = np.sqrt(np.sum(weights * seg * seg))
+    length = float(np.sum(norms) * ds / np.sqrt(d**2 - 1))
+    err = hs_norm(U - target)
+    return length + lam * err * err, length, err
+
+
+@pytest.mark.parametrize("n, K", [(1, 1), (1, 3), (1, 4), (2, 2), (2, 3)])
+def test_penalized_rows_match_one_path(rng, n, K):
+    basis = build_pauli_basis(n)
+    m = MetricSpec(basis=basis, weights=rng.uniform(1.0, 4.0, size=len(basis.labels)))
+    chart = _Chart(basis.dim, m)
+    target = rand_unitary(rng, basis.dim)
+    X = rng.normal(scale=0.8, size=(5, K * chart.size))
+    value, length, err = _penalized(X, target, chart, K, 128.0)
+    assert value.shape == length.shape == err.shape == (5,)
+    for row, got in zip(X, zip(value, length, err)):
+        assert got == _one_path(row, target, chart, K, 128.0)
