@@ -141,7 +141,11 @@ def flat_metric(basis: PauliBasis) -> MetricSpec:
 
 
 def build_penalty_metric(n: int, q: float) -> MetricSpec:
-    """Weight 1 on strings of weight <= 2, penalty q on strings of weight >= 3."""
+    """Weight 1 on strings of weight <= 2, penalty q on strings of weight >= 3.
+
+    At n <= 2 no string has weight 3 or more, so every weight is 1 and the
+    metric is the flat traceless one, whatever q.
+    """
     if q < 1.0:
         raise ValueError(f"Penalty must be >= 1, got {q!r}.")
     basis = build_pauli_basis(n)

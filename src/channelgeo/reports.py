@@ -165,6 +165,14 @@ def parse_metric(obj) -> MetricSpec | None:
     raise _fail("metric", "needs either 'q' or 'weights'")
 
 
+def _duration(cfg: dict, field: str, at: str) -> float:
+    """A path duration: a finite number > 0."""
+    val = _number(cfg, field, at=at)
+    if not val > 0.0:
+        raise _fail(at + field, f"expected a number > 0, got {val!r}")
+    return val
+
+
 def parse_path(obj, field: str = "path") -> geodesic.PiecewiseConstantPath:
     if not isinstance(obj, dict):
         raise _fail(field, "expected an object")
@@ -178,10 +186,10 @@ def parse_path(obj, field: str = "path") -> geodesic.PiecewiseConstantPath:
                     raise _fail(f"{field}.segments[{i}]", "expected an object")
                 at = f"{field}.segments[{i}]."
                 H = matrix_from_pairs(_require(seg, "H", at), at + "H")
-                segs.append((H, _number(seg, "ds", at=at)))
+                segs.append((H, _duration(seg, "ds", at)))
             return geodesic.PiecewiseConstantPath(segments=tuple(segs))
         H = matrix_from_pairs(_require(obj, "H", f"{field}."), f"{field}.H")
-        return geodesic.constant_path(H, _number(obj, "t", at=f"{field}."))
+        return geodesic.constant_path(H, _duration(obj, "t", f"{field}."))
     except ValueError as exc:
         raise _fail(field, str(exc)) from None
 

@@ -8,6 +8,7 @@ import pytest
 from channelgeo.algebra import random_density as rand_density
 from channelgeo.algebra import random_hermitian as rand_hermitian
 from channelgeo.algebra import random_unitary as rand_unitary
+from channelgeo.coherence import DephasingChannel, computational_dephasing
 
 # CLI tests run `python -m channelgeo.cli` in a child process; let it find src/ too.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -23,6 +24,18 @@ def rand_pure(rng: np.random.Generator, d: int) -> np.ndarray:
 def rand_probs(rng: np.random.Generator, d: int) -> np.ndarray:
     p = rng.uniform(0.1, 1.0, size=d)
     return p / p.sum()
+
+
+def dephasing_families(rng: np.random.Generator, d: int) -> list[DephasingChannel]:
+    """Computational, rotated rank-1 and rank-2 block projector families."""
+    Q = rand_unitary(rng, d)
+    rank1 = [np.outer(Q[:, k], Q[:, k].conj()) for k in range(d)]
+    blocks = [Q[:, k : k + 2] @ Q[:, k : k + 2].conj().T for k in range(0, d, 2)]
+    return [
+        computational_dephasing(d),
+        DephasingChannel(projectors=tuple(rank1)),
+        DephasingChannel(projectors=tuple(blocks)),
+    ]
 
 
 @pytest.fixture

@@ -278,6 +278,11 @@ _BASE = {
         ("noise", {"t": -0.5}, "'t'"),
         ("cohering-power", {"t": -1.0}, "'t'"),
         ("channel", {"perturbative": {**_PERTURBATIVE, "t": -1.0}}, "'perturbative.t'"),
+        ("rode", {"path": {"H": SIGMA_Z, "t": 0}}, "'path.t'"),
+        ("rode", {"path": {"H": SIGMA_Z, "t": -1.0}}, "'path.t'"),
+        ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.0}]}}, "'path.segments[0].ds'"),
+        ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 1.0}, {"H": SIGMA_Z, "ds": -0.5}]}},
+         "'path.segments[1].ds'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):

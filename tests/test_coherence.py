@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import rand_density, rand_hermitian, rand_pure
+from conftest import dephasing_families, rand_density, rand_hermitian, rand_pure, rand_unitary
 
 from channelgeo import coherence, geodesic, operators
 from channelgeo.coherence import (
@@ -60,6 +62,39 @@ def test_dephase_dim_mismatch(rng):
     E = computational_dephasing(2)
     with pytest.raises(ValueError):
         dephase(rand_density(rng, 3), E)
+
+
+def _pinch_oracle(rho, E):
+    """The pinch by its definition, sum_k P_k rho P_k†, in one three-operand einsum."""
+    P = np.stack(E.projectors)
+    return np.einsum("kab,...bc,kdc->...ad", P, rho, P.conj())
+
+
+def _block_dephasing(d):
+    """0/1 projectors onto the standard-basis blocks {0, 1}, {2, 3}, ..."""
+    return DephasingChannel(
+        projectors=tuple(
+            np.diag((np.arange(d) // 2 == b).astype(float)) for b in range((d + 1) // 2)
+        )
+    )
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_dephase_matches_projector_definition(rng, d):
+    states = np.stack(
+        [rand_density(rng, d) for _ in range(3)] + [rand_pure(rng, d) for _ in range(2)]
+    )
+    for E in (computational_dephasing(d), _block_dephasing(d)):
+        assert np.array_equal(dephase(states, E), _pinch_oracle(states, E))
+    for E in dephasing_families(rng, d)[1:]:  # rotated rank-1 and rank-2 families
+        assert np.abs(dephase(states, E) - _pinch_oracle(states, E)).max() <= 1e-15
+        S = E._super
+        assert S.shape == (d * d, d * d)
+        assert np.abs(S - S.conj().T).max() < 1e-14
+        assert np.abs(S @ S - S).max() < 1e-14
+    S = computational_dephasing(d)._super
+    assert set(np.unique(S)) <= {0.0, 1.0}
+    assert np.array_equal(np.diag(S), np.eye(d).ravel())
 
 
 def test_purity_and_linear_entropy(rng):
@@ -135,6 +170,47 @@ def test_identity_has_no_cohering_power():
     E = computational_dephasing(2)
     res = cohering_power(np.eye(2), E, restarts=2, seed=0)
     assert res.value < 1e-12
+
+
+# Cohering power pinned bit for bit: value.hex() and the SHA-1 of the
+# argmax state's bytes, recorded while the pinch was still the
+# three-operand projector einsum.
+@pytest.mark.parametrize(
+    "d, family, pure_only, restarts, seed, value, state_sha1",
+    [
+        (2, "computational", False, 2, 1, "0x1.d415cb7c9e476p-2",
+         "fab2873c821c745127b74ab3b890ff9e502e0138"),
+        (2, "computational", True, 3, 2, "0x1.12649e7f4ed68p-2",
+         "4d17eea8c6e443bc9e005e45a4ed2c7557427250"),
+        (3, "computational", False, 4, 3, "0x1.331868004837cp-1",
+         "43d94c510a6de157af3ccbe8d07bba113ef4cc8f"),
+        (3, "computational", True, 2, 4, "0x1.338f786696937p-1",
+         "3abccc6eff46d10f4aedf951e76e067c7ea95f07"),
+        (4, "computational", False, 3, 5, "0x1.6d55fb0f89133p-1",
+         "8100373a54a4d6cd316b66f90eb8bd5cd956ea28"),
+        (4, "computational", True, 4, 6, "0x1.7ddbfaa3fa86bp-1",
+         "49236083f574330f2a9809a3dbc290344416908b"),
+        (4, "blocks", False, 2, 7, "0x1.fffffffffffe8p-2",
+         "b345dd81b00913e568f58a7122de7c2385ab767b"),
+        (4, "blocks", True, 3, 8, "0x1.0000000000003p-1",
+         "7feb37635bfe65f0dbbe310fb23b52a93d512f9a"),
+    ],
+)
+def test_cohering_power_is_pinned(d, family, pure_only, restarts, seed, value, state_sha1):
+    E = computational_dephasing(d) if family == "computational" else _block_dephasing(d)
+    U = rand_unitary(np.random.default_rng(seed), d)
+    res = cohering_power(U, E, restarts=restarts, seed=seed, pure_only=pure_only)
+    assert res.value.hex() == value
+    assert hashlib.sha1(res.argmax_state.tobytes()).hexdigest() == state_sha1
+
+
+def test_decohering_bound_is_pinned():
+    H = rand_hermitian(np.random.default_rng(9), 2)
+    out = verify_decohering_bound(H, 0.7, computational_dephasing(2), restarts=3, seed=9)
+    assert out["cohering_power"].hex() == "0x1.ca6eddc1474c0p-2"
+    assert float(out["lhs"]).hex() == "0x1.442940096e769p-3"
+    assert float(out["rhs"]).hex() == "0x1.44cdf3ceba5cfp-1"
+    assert out["holds"] is True
 
 
 def test_rate_matches_finite_difference(rng):

@@ -3,14 +3,12 @@ against their one-state forms, bit for bit."""
 import numpy as np
 import pytest
 
-from conftest import rand_density, rand_pure, rand_unitary
+from conftest import dephasing_families, rand_density, rand_pure, rand_unitary
 
 from channelgeo.coherence import (
-    DephasingChannel,
     _coherence_gap,
     _negative_gaps,
     cohering_power,
-    computational_dephasing,
     dephase,
     purity,
 )
@@ -74,23 +72,11 @@ def _serial_cohering_power(U, E, restarts, seed, pure_only):
     return _coherence_gap(U, rho, E), rho, converged
 
 
-def _families(rng, d):
-    """Computational, rotated rank-1 and rank-2 block projector families."""
-    Q = rand_unitary(rng, d)
-    rank1 = [np.outer(Q[:, k], Q[:, k].conj()) for k in range(d)]
-    blocks = [Q[:, k : k + 2] @ Q[:, k : k + 2].conj().T for k in range(0, d, 2)]
-    return [
-        computational_dephasing(d),
-        DephasingChannel(projectors=tuple(rank1)),
-        DephasingChannel(projectors=tuple(blocks)),
-    ]
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("pure_only", [False, True])
 def test_stacked_objective_rows_match_single_state(rng, d, pure_only):
     n = 2 * d if pure_only else 2 * d * d
-    for E in _families(rng, d)[:2]:
+    for E in dephasing_families(rng, d)[:2]:
         U = rand_unitary(rng, d)
         X = rng.normal(size=(6, n))
         X[2] = 0.0  # no mass: the objective is 0.0 there
@@ -148,7 +134,7 @@ def _cohering_cases():
 def test_cohering_power_matches_serial_oracle(k, d, pure_only, restarts, seed):
     rng = np.random.default_rng([7, k])
     U = rand_unitary(rng, d)
-    E = _families(rng, d)[k % 3]
+    E = dephasing_families(rng, d)[k % 3]
     got = cohering_power(U, E, restarts=restarts, seed=seed, pure_only=pure_only)
     value, rho, converged = _serial_cohering_power(U, E, restarts, seed, pure_only)
     assert got.value == value
@@ -162,7 +148,7 @@ def test_dephase_and_purity_accept_stacks(rng, d):
     states = np.stack(
         [rand_density(rng, d) for _ in range(3)] + [rand_pure(rng, d) for _ in range(2)]
     )
-    for E in _families(rng, d):
+    for E in dephasing_families(rng, d):
         out = dephase(states, E)
         assert out.shape == states.shape
         for rho, pinched in zip(states, out):
