@@ -127,14 +127,14 @@ class TwoLevelGate:
         return TwoLevelGate(self.a, self.b, self.block.conj().T)
 
 
-def _unchecked_adjoint(gate: TwoLevelGate) -> TwoLevelGate:
-    """gate.adjoint() without validating the block again; for gates whose
-    block already passed TwoLevelGate's checks."""
-    adj = object.__new__(TwoLevelGate)
-    object.__setattr__(adj, "a", gate.a)
-    object.__setattr__(adj, "b", gate.b)
-    object.__setattr__(adj, "block", gate.block.conj().T)
-    return adj
+def _unchecked_gate(a: int, b: int, block: np.ndarray) -> TwoLevelGate:
+    """TwoLevelGate(a, b, block) without its checks; for complex128 blocks
+    that are special unitary by construction."""
+    gate = object.__new__(TwoLevelGate)
+    object.__setattr__(gate, "a", a)
+    object.__setattr__(gate, "b", b)
+    object.__setattr__(gate, "block", block)
+    return gate
 
 
 def _check_fits(gate: TwoLevelGate, N: int) -> None:
@@ -217,7 +217,7 @@ def decompose_two_level(U: np.ndarray) -> TwoLevelCircuit:
             f"Determinant is {det!r}; normalize the global phase to det 1 first."
         )
     A = U.copy()
-    applied: list[TwoLevelGate] = []
+    applied: list[tuple[int, int, np.ndarray]] = []
     for c in range(N - 1):
         for b in range(N - 1, c, -1):
             if abs(A[b, c]) <= ELIMINATION_SKIP_TOL:
@@ -230,7 +230,7 @@ def decompose_two_level(U: np.ndarray) -> TwoLevelCircuit:
             rows = A[[c, b], :]
             A[[c, b], :] = G @ rows
             A[b, c] = 0.0
-            applied.append(TwoLevelGate(c, b, G))
+            applied.append((c, b, G))
     # A is now diagonal with unit-modulus entries multiplying to det(U).
     for k in range(N - 1):
         d_k = A[k, k]
@@ -239,10 +239,12 @@ def decompose_two_level(U: np.ndarray) -> TwoLevelCircuit:
         if abs(phase - 1.0) <= GATE_IDENTITY_TOL:
             continue
         C = np.diag([phase.conj(), phase]).astype(np.complex128)
-        applied.append(TwoLevelGate(k, k + 1, C))
+        applied.append((k, k + 1, C))
         A[k + 1, k + 1] = A[k + 1, k + 1] * phase
         A[k, k] = 1.0
-    gates = [_unchecked_adjoint(g) for g in reversed(applied)]
+    # U was validated above, so every Givens and phase block is special
+    # unitary by construction: build the adjoint gates unchecked.
+    gates = [_unchecked_gate(a, b, B.conj().T) for a, b, B in reversed(applied)]
     return TwoLevelCircuit(gates=tuple(gates))
 
 

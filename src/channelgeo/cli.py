@@ -81,8 +81,8 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
-        kind = None if args.command == "sweep" else args.command
-        cfg = validate_config(cfg, kind)
+        if args.command != "sweep":  # run_sweep validates the config and each swept one
+            cfg = validate_config(cfg, args.command)
     except ConfigError as exc:
         print(f"channelgeo: {exc}", file=sys.stderr)
         return 2

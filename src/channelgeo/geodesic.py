@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .operators import hermitian, hs_norm, matrix_exp_unitary, rowdot, unitary
 from .optimize import coordinate_search
@@ -130,10 +129,13 @@ def path_endpoint(p: PiecewiseConstantPath) -> np.ndarray:
 def principal_log_generator(U: np.ndarray) -> np.ndarray:
     """Hermitian G with exp(-i G) = U and eigenvalues of G in [-pi, pi).
 
-    Computed from the complex Schur form, which is diagonal for a
-    unitary (normal) input. An eigenvalue at exactly -1 takes the
-    branch angle +pi, i.e. generator eigenvalue -pi.
+    Computed from the complex Schur form (scipy.linalg.schur), which is
+    diagonal for a unitary (normal) input. An eigenvalue at exactly -1
+    takes the branch angle +pi, i.e. generator eigenvalue -pi. scipy is
+    imported here, on the first call, not with the module.
     """
+    import scipy.linalg  # deferred: importing it about doubles the CLI's start-up time
+
     U = unitary(U)
     S, Q = scipy.linalg.schur(U, output="complex")
     off = float(np.max(np.abs(S - np.diag(np.diag(S))))) if U.shape[0] > 1 else 0.0

@@ -253,7 +253,11 @@ def load_config(path: str) -> dict:
     return obj
 
 
-def validate_config(cfg: dict, kind: str | None = None) -> dict:
+def validate_config(cfg: dict, kind: str | None = None, noted: set | None = None) -> dict:
+    """The config with its kind filled in, after the schema, kind and seed
+    checks. Each field the kind does not read gets a note on stderr, unless
+    the note is already in `noted`; printed notes are added to it."""
+    noted = set() if noted is None else noted
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
@@ -269,12 +273,13 @@ def validate_config(cfg: dict, kind: str | None = None) -> dict:
     _integer(effective, "seed", None, 0)
     read = {"schema_version", "kind", "seed", *_FIELDS[effective["kind"]]}
     for field in effective:
-        if field not in read:
-            print(
-                f"channelgeo: config field {field!r} is not read by kind "
-                f"{effective['kind']!r}; ignored",
-                file=sys.stderr,
-            )
+        note = (
+            f"channelgeo: config field {field!r} is not read by kind "
+            f"{effective['kind']!r}; ignored"
+        )
+        if field not in read and note not in noted:
+            print(note, file=sys.stderr)
+            noted.add(note)
     return effective
 
 
@@ -839,9 +844,15 @@ def _config_path_set(cfg: dict, dotted: str, value) -> dict:
 
 
 def run_sweep(cfg: dict, param: str, values: list, threads: int = 1) -> tuple[list, list]:
-    """One report per value plus aggregate rows for the CSV."""
+    """One report per value plus aggregate rows for the CSV.
+
+    The config and every swept config are validated before any of them
+    runs; each unread-field note is printed once per sweep.
+    """
+    noted: set = set()
+    cfg = validate_config(cfg, noted=noted)
     _config_path_get(cfg, param)  # existence check
-    configs = [_config_path_set(cfg, param, v) for v in values]
+    configs = [validate_config(_config_path_set(cfg, param, v), noted=noted) for v in values]
     if threads > 1 and len(configs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(run_experiment, configs))

@@ -260,8 +260,8 @@ def test_decompose_validates_each_block_once(rng, monkeypatch):
     monkeypatch.setattr(algebra, "unitary", counting)
     U = random_special_unitary(6, rng)
     circ = decompose_two_level(U)
-    # the input once, then each Givens or phase block once; adjoints are not re-checked
-    assert len(calls) == 1 + algebraic_complexity(circ)
+    # the input once; the Givens and phase blocks and their adjoints are not re-checked
+    assert len(calls) == 1
     for g in circ.gates:
         same = TwoLevelGate(g.a, g.b, g.block)
         assert np.array_equal(same.block, g.block)

@@ -367,6 +367,35 @@ def test_sweep_to_stdout(tmp_path):
     assert out.strip() == "value,all_ok"
 
 
+@pytest.mark.parametrize(
+    "kind, param, values, name",
+    [
+        ("complexity", "kind", ["bogus"], "'kind'"),
+        ("cohering-power", "seed", ["x"], "'seed'"),
+        ("cohering-power", "seed", ["1.5"], "'seed'"),
+        ("cohering-power", "seed", ["-1"], "'seed'"),
+        ("cohering-power", "seed", ["1", "x"], "'seed'"),
+    ],
+)
+def test_sweep_validates_every_config_first(tmp_path, capsys, kind, param, values, name):
+    cfg = write_cfg(tmp_path, "s.json", {"schema_version": 1, "kind": kind, "seed": 0, **_BASE[kind]})
+    out_dir = tmp_path / "out"
+    argv = ["sweep", "--config", cfg, "--param", param, "--values", *values, "--out", str(out_dir)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()  # nothing ran before the bad value was found
+
+
+def test_sweep_prints_each_unread_field_note_once(tmp_path, capsys):
+    fields = {"schema_version": 1, "kind": "complexity", "seed": 0, **_BASE["complexity"]}
+    cfg = write_cfg(tmp_path, "s.json", {**fields, "extra": 1})
+    assert cli.main(["sweep", "--config", cfg, "--param", "t", "--values", "0.5", "1.0"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("config field 'extra' is not read by kind 'complexity'") == 1
+
+
 def test_rode_trajectory_sidecars(tmp_path):
     rng = np.random.default_rng(5)
     cfg = write_cfg(
@@ -547,3 +576,39 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
             first = len(built)
     assert first > 0
     assert len(built) == first  # the second call reused the parser
+
+
+_STARTUP = """
+import json, sys
+from channelgeo import cli
+seen = [["import", 0, "scipy" in sys.modules, "scipy.linalg" in sys.modules]]
+for kind, path, out in json.loads(sys.argv[1]):
+    code = cli.main([kind, "--config", path, "--out", out])
+    seen.append([kind, code, "scipy" in sys.modules, "scipy.linalg" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_schur_form_loads_scipy(tmp_path):
+    """The closed-form kinds run without importing scipy; `noise` needs the
+    principal log, whose Schur form loads scipy.linalg on first use."""
+    runs = [
+        ("complexity", _BASE["complexity"]),
+        ("channel", _BASE["noise"]),
+        ("channel", {"perturbative": _PERTURBATIVE}),
+        ("cohering-power", _BASE["cohering-power"]),
+        ("rode", _BASE["rode"]),
+        ("decompose", _BASE["decompose"]),
+        ("noise", _BASE["noise"]),
+    ]
+    argv = []
+    for i, (kind, fields) in enumerate(runs):
+        cfg = {"schema_version": 1, "kind": kind, "seed": 0, **fields}
+        argv.append([kind, write_cfg(tmp_path, f"{i}.json", cfg), str(tmp_path / f"{i}-out.json")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP, json.dumps(argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen[:-1] == [[step, 0, False, False] for step in ["import", *(k for k, _ in runs[:-1])]]
+    assert seen[-1] == ["noise", 0, True, True]
