@@ -1,7 +1,7 @@
 """Command-line front end.
 
-    channelgeo <kind> --config cfg.json [--out report.json] [--seed N] [--threads K]
-    channelgeo sweep --config cfg.json --param name --values v1 v2 ...
+    channelgeo <kind> --config cfg.json [--out report.json] [--seed N]
+    channelgeo sweep --config cfg.json --param name --values v1 v2 ... [--threads K]
 
 Exit codes: 0 when every bound check holds, 1 on a failed check or a
 numerical error, 2 on configuration problems. Reports are byte-stable
@@ -33,9 +33,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to a JSON config")
     p.add_argument("--out", default=None, help="report destination (default stdout)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument(
-        "--threads", type=int, default=1, help="worker threads for sweeps (default 1)"
-    )
 
 
 @functools.cache
@@ -51,6 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
     sweep = sub.add_parser("sweep", help="run one experiment per parameter value")
     _add_common(sweep)
+    sweep.add_argument(
+        "--threads", type=int, default=1, help="worker threads for the runs (default 1)"
+    )
     sweep.add_argument(
         "--param", required=True, help="dotted config path to vary, e.g. perturbative.eps"
     )
@@ -79,9 +79,10 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be non-negative")
             cfg["seed"] = args.seed
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        if args.command != "sweep":  # run_sweep validates the config and each swept one
+        if args.command == "sweep":  # run_sweep validates the config and each swept one
+            if args.threads < 1:
+                raise ConfigError("--threads must be at least 1")
+        else:
             cfg = validate_config(cfg, args.command)
     except ConfigError as exc:
         print(f"channelgeo: {exc}", file=sys.stderr)

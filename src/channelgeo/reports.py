@@ -18,6 +18,7 @@ import numpy as np
 from . import algebra, channel, coherence, geodesic, rode
 from .algebra import random_density, random_hermitian
 from .operators import (
+    hermitian,
     hs_norm,
     matrix_abs,
     matrix_exp_unitary,
@@ -29,18 +30,6 @@ from .operators import (
 from .pauli import MetricSpec, build_pauli_basis, build_penalty_metric
 
 SCHEMA_VERSION = 1
-_SPEC_FIELDS = ("d_S", "d_E", "H_S", "H_I", "H_E", "env_probs", "env_basis", "t")
-#: Top-level fields each kind reads, besides schema_version, kind and seed.
-_FIELDS = {
-    "complexity": ("H", "t", "metric"),
-    "channel": ("perturbative", *_SPEC_FIELDS),
-    "noise": _SPEC_FIELDS,
-    "cohering-power": ("U", "generator", "t", "dephasing", "restarts", "pure_only"),
-    "rode": ("path", "noise", "M"),
-    "decompose": ("U", "normalize_phase"),
-    "verify-all": (),
-}
-KINDS = tuple(_FIELDS)
 
 #: Emitted in every report so numbers are interpretable without the source.
 CONVENTIONS = {
@@ -72,168 +61,288 @@ def _fail(field: str, message: str) -> ConfigError:
     return ConfigError(f"config field {field!r}: {message}")
 
 
-def matrix_from_pairs(obj, field: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _fail(field, f"not a numeric array: {exc}") from None
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise _fail(field, "expected a matrix of [re, im] pairs")
-    if not np.isfinite(arr).all():
-        raise _fail(field, "entries must be finite")
-    return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
-
-
 def matrix_to_pairs(M: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(M)]
 
 
-def vector_from_json(obj, field: str) -> np.ndarray:
+# Field readers. Each takes a JSON value and the dotted path it was found at,
+# and returns the checked value or raises a ConfigError naming that path.
+
+
+def _number(minimum: float | None = None, strict: bool = False):
+    """A finite number >= minimum (> minimum when strict), as a float."""
+    def read(val, at: str) -> float:
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            raise _fail(at, f"expected a number, got {type(val).__name__}")
+        if not abs(val) <= sys.float_info.max:  # inf, nan, or an int too big for a float
+            raise _fail(at, f"expected a finite number, got {val!r}")
+        if minimum is not None and (val <= minimum if strict else val < minimum):
+            raise _fail(at, f"expected a number {'>' if strict else '>='} {minimum}, got {val!r}")
+        return float(val)
+    return read
+
+
+def _integer(minimum: int, maximum: int | None = None):
+    """A JSON integer in minimum..maximum."""
+    def read(val, at: str) -> int:
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise _fail(at, f"expected an integer, got {type(val).__name__}")
+        if val < minimum:
+            raise _fail(at, f"expected an integer >= {minimum}, got {val}")
+        if maximum is not None and val > maximum:
+            raise _fail(at, f"expected an integer <= {maximum}, got {val}")
+        return val
+    return read
+
+
+def _flag(val, at: str) -> bool:
+    if not isinstance(val, bool):
+        raise _fail(at, f"expected true or false, got {type(val).__name__}")
+    return val
+
+
+def _choice(*options: str):
+    def read(val, at: str) -> str:
+        if val not in options:
+            raise _fail(at, f"expected one of {', '.join(map(repr, options))}, got {val!r}")
+        return val
+    return read
+
+
+def _array(val, at: str) -> np.ndarray:
     try:
-        arr = np.asarray(obj, dtype=float)
+        arr = np.asarray(val, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise _fail(field, f"not a numeric vector: {exc}") from None
-    if arr.ndim != 1:
-        raise _fail(field, "expected a flat list of reals")
+        raise _fail(at, f"not a numeric array: {exc}") from None
     if not np.isfinite(arr).all():
-        raise _fail(field, "entries must be finite")
+        raise _fail(at, "entries must be finite")
     return arr
 
 
-# Field readers. `at` is the dotted path of cfg itself, e.g. "path.", so
-# that errors name the full field path.
+def _vector(minimum: float | None = None):
+    """A non-empty list of reals, each >= minimum."""
+    def read(val, at: str) -> np.ndarray:
+        arr = _array(val, at)
+        if arr.ndim != 1 or not arr.size:
+            raise _fail(at, "expected a non-empty list of reals")
+        if minimum is not None and arr.min() < minimum:
+            raise _fail(at, f"entries must be >= {minimum}, min is {float(arr.min())!r}")
+        return arr
+    return read
 
 
-def _require(cfg: dict, field: str, at: str = ""):
-    if field not in cfg:
-        raise _fail(at + field, "missing")
-    return cfg[field]
+def _matrix(check=None, min_dim: int = 2):
+    """A square matrix of [re, im] pairs, at least min_dim × min_dim, that
+    passes check (operators.hermitian or operators.unitary)."""
+    def read(val, at: str) -> np.ndarray:
+        arr = _array(val, at)
+        if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+            raise _fail(at, "expected a square matrix of [re, im] pairs")
+        if len(arr) < min_dim:
+            raise _fail(at, f"expected at least {min_dim}×{min_dim}, got {len(arr)}×{len(arr)}")
+        M = (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
+        try:
+            return M if check is None else check(M)
+        except ValueError as exc:
+            raise _fail(at, str(exc)) from None
+    return read
 
 
-def _number(cfg: dict, field: str, default=None, at: str = "", minimum=None) -> float:
-    val = cfg.get(field, default)
-    if val is None:
-        raise _fail(at + field, "missing")
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise _fail(at + field, f"expected a number, got {type(val).__name__}")
-    if not abs(val) <= sys.float_info.max:  # inf, nan, or an int too big for a float
-        raise _fail(at + field, f"expected a finite number, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise _fail(at + field, f"expected a number >= {minimum}, got {val!r}")
-    return float(val)
+def _probabilities(val, at: str) -> np.ndarray:
+    p = _vector(0)(val, at)
+    if abs(float(p.sum()) - 1.0) > channel.PROB_TOL:
+        raise _fail(at, f"entries sum to {float(p.sum())!r}, not 1")
+    return p
 
 
-def _integer(cfg: dict, field: str, default, minimum: int, maximum: int | None = None) -> int:
-    val = cfg.get(field, default)
-    if val is None:
-        raise _fail(field, "missing")
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise _fail(field, f"expected an integer, got {type(val).__name__}")
-    if val < minimum:
-        raise _fail(field, f"expected an integer >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise _fail(field, f"expected an integer <= {maximum}, got {val}")
-    return val
+def _sigma(val, at: str):
+    """One standard deviation >= 0, or a list of them."""
+    return (_vector(0) if isinstance(val, list) else _number(0))(val, at)
 
 
-def _flag(cfg: dict, field: str, default: bool) -> bool:
-    val = cfg.get(field, default)
-    if not isinstance(val, bool):
-        raise _fail(field, f"expected true or false, got {type(val).__name__}")
-    return val
+_HERMITIAN = _matrix(hermitian)
+_UNITARY = _matrix(unitary)
+_TIME = _number(0)
+_DURATION = _number(0, strict=True)
+
+
+class _Form:
+    """One shape of a config object: its fields (name -> schema, in reading
+    order), the defaults of the optional ones, and a build that checks the
+    read values against each other and returns the object's value."""
+
+    def __init__(self, fields: dict, defaults: dict | None = None, build=None):
+        self.fields, self.defaults = fields, defaults or {}
+        self.build = build or (lambda values, at: values)
+
+
+def _read(val, at: str, schema, note):
+    """val, found at the dotted path `at`, read through schema: a reader; a
+    _Form; two _Forms, of which the first is read when its first field is
+    given; or a one-item list, for a non-empty list of that item. `note` is
+    called with the path of each field that the chosen form does not read."""
+    if callable(schema):
+        return schema(val, at)
+    if isinstance(schema, list):
+        if not isinstance(val, list) or not val:
+            raise _fail(at, "expected a non-empty list")
+        return [_read(v, f"{at}[{i}]", schema[0], note) for i, v in enumerate(val)]
+    if not isinstance(val, dict):
+        raise _fail(at, "expected an object")
+    if isinstance(schema, tuple):
+        schema = schema[0] if next(iter(schema[0].fields)) in val else schema[1]
+    prefix = f"{at}." if at else ""
+    for name in val:
+        if name not in schema.fields:
+            note(prefix + name)
+    values = {}
+    for name, sub in schema.fields.items():
+        if name in val and not (val[name] is None and schema.defaults.get(name, ...) is None):
+            values[name] = _read(val[name], prefix + name, sub, note)
+        elif name in schema.defaults:  # absent, or null where null is the default
+            values[name] = schema.defaults[name]
+        else:
+            raise _fail(prefix + name, "missing")
+    try:
+        return schema.build(values, at)
+    except ValueError as exc:  # a domain constructor refused this object's values
+        raise _fail(at, str(exc)) from None
+
+
+# Builds: checks across fields, and the domain objects the runners take.
+
+
+def _check_dims(v: dict, at: str, dims: dict) -> dict:
+    """v, after checking that each field named in dims, unless null, has
+    dims[name] rows (or entries)."""
+    for name, d in dims.items():
+        if v[name] is not None and len(v[name]) != d:
+            field = f"{at}.{name}" if at else name
+            raise _fail(field, f"expected dimension {d}, got {len(v[name])}")
+    return v
+
+
+def _complexity(v: dict, at: str) -> dict:
+    metric, d = v["metric"], len(v["H"])
+    if metric is not None and metric.basis.dim != d:
+        n, dim = metric.basis.n_qubits, metric.basis.dim
+        raise _fail("metric.n", f"a metric on {n} qubits needs a {dim}×{dim} H, got {d}×{d}")
+    return v
+
+
+def _channel_spec(v: dict, at: str) -> dict:
+    d_S, d_E, t = v["d_S"], v["d_E"], v.pop("t")
+    dims = {"H_S": d_S, "H_I": d_S * d_E, "H_E": d_E, "env_probs": d_E, "env_basis": d_E}
+    _check_dims(v, at, dims)
+    return {"spec": channel.ChannelSpec(**v), "t": t}
+
+
+def _dephasing(v: dict, at: str) -> dict:
+    d, projs = len(v["U"] if "U" in v else v["generator"]), v["dephasing"]
+    if projs is None:
+        v["dephasing"] = coherence.computational_dephasing(d)
+        return v
+    if any(len(P) != d for P in projs):
+        raise _fail("dephasing", f"expected {d}×{d} projectors")
+    try:
+        v["dephasing"] = coherence.DephasingChannel(projectors=tuple(projs))
+    except ValueError as exc:
+        raise _fail("dephasing", str(exc)) from None
+    return v
+
+
+def _path(v: dict, at: str) -> geodesic.PiecewiseConstantPath:
+    segs = [(s["H"], s["ds"]) for s in v["segments"]] if "segments" in v else [(v["H"], v["t"])]
+    return geodesic.PiecewiseConstantPath(segments=tuple(segs))
+
+
+def _noise(v: dict, at: str) -> rode.NoiseModel:
+    need = "sigma" if v["kind"] == "gaussian_pauli" else "weights"
+    if v[need] is None:
+        raise _fail(f"{at}.{need}", f"missing; noise kind {v['kind']!r} needs it")
+    return rode.NoiseModel(**v)
+
+
+def _rode(v: dict, at: str) -> dict:
+    path, noise, d = v["path"], v["noise"], v["path"].dim
+    if d & (d - 1) or d > 2**5:  # the noise is drawn in a Pauli basis of 1..5 qubits
+        raise _fail("path", f"noise sampling needs a dimension 2, 4, 8, 16 or 32, got {d}")
+    if v["M"] > rode.max_trajectories(d):
+        raise _fail("M", f"expected an integer <= {rode.max_trajectories(d)}, got {v['M']}")
+    n = d * d - 1
+    if noise.kind == "gaussian_pauli" and noise.sigma.size not in (1, n):
+        raise _fail("noise.sigma", f"expected 1 or {n} entries, got {noise.sigma.size}")
+    if noise.kind == "bounded_matched" and noise.weights.size != n:
+        raise _fail("noise.weights", f"expected {n} entries, got {noise.weights.size}")
+    dt = rode.noise_step(path, noise)
+    if not dt > 0 or path.total_time / dt > rode.MAX_SUBSTEPS:  # dt is 0 if it underflows
+        raise _fail(
+            "path" if noise.dt_noise is None else "noise.dt_noise",
+            f"a noise step of {dt!r} gives more than {rode.MAX_SUBSTEPS} substeps "
+            f"over total time {path.total_time!r}",
+        )
+    return v
+
+
+_METRIC = (
+    _Form(
+        {"weights": _vector(), "n": _integer(1, 5)},
+        build=lambda v, at: MetricSpec(basis=build_pauli_basis(v["n"]), weights=v["weights"]),
+    ),
+    _Form({"n": _integer(1, 5), "q": _number(1)}, build=lambda v, at: build_penalty_metric(**v)),
+)
+_JOINT_SPEC = _Form(
+    {"d_S": _integer(2), "d_E": _integer(1), "H_S": _HERMITIAN, "H_I": _HERMITIAN,
+     "H_E": _matrix(hermitian, min_dim=1), "env_probs": _probabilities,
+     "env_basis": _matrix(unitary, min_dim=1), "t": _TIME},
+    {"env_probs": None, "env_basis": None},
+    _channel_spec,
+)
+_PERTURBATIVE = _Form(
+    {"H_S": _HERMITIAN, "A_S": _HERMITIAN, "env_energies": _vector(0),
+     "weights": _probabilities, "eps": _number(0), "t": _TIME},
+    {"t": 1.0},
+    lambda v, at: _check_dims(v, at, {"A_S": len(v["H_S"]), "weights": len(v["env_energies"])}),
+)
+_POWER = {
+    "dephasing": [_matrix()], "restarts": _integer(0, coherence.MAX_RESTARTS), "pure_only": _flag
+}
+_POWER_DEFAULTS = {"dephasing": None, "restarts": 32, "pure_only": False}
+_PATH = (
+    _Form({"segments": [_Form({"H": _HERMITIAN, "ds": _DURATION})]}, build=_path),
+    _Form({"H": _HERMITIAN, "t": _DURATION}, build=_path),
+)
+_NOISE = _Form(
+    {"kind": _choice("gaussian_pauli", "bounded_matched"), "sigma": _sigma,
+     "weights": _vector(1), "dt_noise": _DURATION},
+    {"sigma": None, "weights": None, "dt_noise": None},
+    _noise,
+)
+
+#: The one table of the fields each kind reads besides schema_version, kind
+#: and seed: a form, or two of which the first is read when its first field
+#: is given. KINDS, the unread-field notes and README's field list follow it.
+KIND_FIELDS = {
+    "complexity": _Form(
+        {"H": _HERMITIAN, "t": _TIME, "metric": _METRIC}, {"metric": None}, _complexity
+    ),
+    "channel": (_Form({"perturbative": _PERTURBATIVE}), _JOINT_SPEC),
+    "noise": _JOINT_SPEC,
+    "cohering-power": (
+        _Form({"U": _UNITARY, **_POWER}, _POWER_DEFAULTS, _dephasing),
+        _Form({"generator": _HERMITIAN, "t": _TIME, **_POWER}, _POWER_DEFAULTS, _dephasing),
+    ),
+    "rode": _Form({"path": _PATH, "noise": _NOISE, "M": _integer(1)}, {"M": 100}, _rode),
+    "decompose": _Form({"U": _UNITARY, "normalize_phase": _flag}, {"normalize_phase": True}),
+    "verify-all": _Form({}),
+}
+KINDS = tuple(KIND_FIELDS)
+_HEADER = ("schema_version", "kind", "seed")
 
 
 def parse_metric(obj) -> MetricSpec | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict) or "n" not in obj:
-        raise _fail("metric", "expected null or an object with 'n'")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 5:
-        raise _fail("metric.n", "expected an integer qubit count in 1..5")
-    if "weights" in obj:
-        weights = vector_from_json(obj["weights"], "metric.weights")
-        try:
-            return MetricSpec(basis=build_pauli_basis(n), weights=weights)
-        except ValueError as exc:
-            raise _fail("metric.weights", str(exc)) from None
-    if "q" in obj:
-        try:
-            return build_penalty_metric(n, _number(obj, "q", at="metric."))
-        except ValueError as exc:
-            raise _fail("metric.q", str(exc)) from None
-    raise _fail("metric", "needs either 'q' or 'weights'")
-
-
-def _duration(cfg: dict, field: str, at: str) -> float:
-    """A path duration: a finite number > 0."""
-    val = _number(cfg, field, at=at)
-    if not val > 0.0:
-        raise _fail(at + field, f"expected a number > 0, got {val!r}")
-    return val
-
-
-def parse_path(obj, field: str = "path") -> geodesic.PiecewiseConstantPath:
-    if not isinstance(obj, dict):
-        raise _fail(field, "expected an object")
-    try:
-        if "segments" in obj:
-            if not isinstance(obj["segments"], list) or not obj["segments"]:
-                raise _fail(f"{field}.segments", "expected a non-empty list of segments")
-            segs = []
-            for i, seg in enumerate(obj["segments"]):
-                if not isinstance(seg, dict):
-                    raise _fail(f"{field}.segments[{i}]", "expected an object")
-                at = f"{field}.segments[{i}]."
-                H = matrix_from_pairs(_require(seg, "H", at), at + "H")
-                segs.append((H, _duration(seg, "ds", at)))
-            return geodesic.PiecewiseConstantPath(segments=tuple(segs))
-        H = matrix_from_pairs(_require(obj, "H", f"{field}."), f"{field}.H")
-        return geodesic.constant_path(H, _duration(obj, "t", f"{field}."))
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from None
-
-
-def parse_noise(obj, field: str = "noise") -> rode.NoiseModel:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise _fail(field, "expected an object with 'kind'")
-    at = f"{field}."
-    try:
-        sigma = obj.get("sigma")
-        if isinstance(sigma, list):
-            sigma = vector_from_json(sigma, at + "sigma")
-        elif sigma is not None:
-            sigma = _number(obj, "sigma", at=at)
-        weights = obj.get("weights")
-        if weights is not None:
-            weights = vector_from_json(weights, at + "weights")
-        dt_noise = obj.get("dt_noise")
-        if dt_noise is not None:
-            dt_noise = _number(obj, "dt_noise", at=at)
-        return rode.NoiseModel(
-            kind=obj["kind"], sigma=sigma, weights=weights, dt_noise=dt_noise
-        )
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from None
-
-
-def parse_channel_spec(cfg: dict) -> channel.ChannelSpec:
-    try:
-        d_S = _integer(cfg, "d_S", None, 1)
-        d_E = _integer(cfg, "d_E", None, 1)
-        probs = cfg.get("env_probs")
-        basis = cfg.get("env_basis")
-        return channel.ChannelSpec(
-            d_S=d_S,
-            d_E=d_E,
-            H_S=matrix_from_pairs(_require(cfg, "H_S"), "H_S"),
-            H_I=matrix_from_pairs(_require(cfg, "H_I"), "H_I"),
-            H_E=matrix_from_pairs(_require(cfg, "H_E"), "H_E"),
-            env_probs=None if probs is None else vector_from_json(probs, "env_probs"),
-            env_basis=None if basis is None else matrix_from_pairs(basis, "env_basis"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"channel spec: {exc}") from None
+    """A `metric` config object read on its own; None for null."""
+    return None if obj is None else _read(obj, "metric", _METRIC, lambda field: None)
 
 
 def load_config(path: str) -> dict:
@@ -253,11 +362,9 @@ def load_config(path: str) -> dict:
     return obj
 
 
-def validate_config(cfg: dict, kind: str | None = None, noted: set | None = None) -> dict:
+def validate_config(cfg: dict, kind: str | None = None) -> dict:
     """The config with its kind filled in, after the schema, kind and seed
-    checks. Each field the kind does not read gets a note on stderr, unless
-    the note is already in `noted`; printed notes are added to it."""
-    noted = set() if noted is None else noted
+    checks; read_config reads the kind's own fields."""
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
@@ -270,17 +377,25 @@ def validate_config(cfg: dict, kind: str | None = None, noted: set | None = None
     effective["kind"] = cfg_kind or kind
     if effective["kind"] not in KINDS:
         raise _fail("kind", f"unknown kind {effective['kind']!r}")
-    _integer(effective, "seed", None, 0)
-    read = {"schema_version", "kind", "seed", *_FIELDS[effective["kind"]]}
-    for field in effective:
-        note = (
-            f"channelgeo: config field {field!r} is not read by kind "
-            f"{effective['kind']!r}; ignored"
-        )
-        if field not in read and note not in noted:
-            print(note, file=sys.stderr)
-            noted.add(note)
+    if effective.get("seed") is None:
+        raise _fail("seed", "missing")
+    _integer(0)(effective["seed"], "seed")
     return effective
+
+
+def read_config(cfg: dict, noted: set | None = None) -> dict:
+    """The checked values of a validated config's fields, read through
+    KIND_FIELDS. Each field the kind does not read gets a note on stderr,
+    unless the note is already in `noted`; printed notes are added to it."""
+    noted = set() if noted is None else noted
+
+    def note(field: str) -> None:
+        msg = f"channelgeo: config field {field!r} is not read by kind {cfg['kind']!r}; ignored"
+        if field not in _HEADER and msg not in noted:
+            print(msg, file=sys.stderr)
+            noted.add(msg)
+
+    return _read(cfg, "", KIND_FIELDS[cfg["kind"]], note)
 
 
 def make_check(name: str, lhs: float, rhs: float) -> dict:
@@ -307,17 +422,17 @@ def assemble_report(cfg: dict, scalars: dict, checks: list, extras: dict | None 
 
 
 def report_bytes(report: dict) -> bytes:
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """Canonical JSON; a NaN or infinite number raises ValueError, so no
+    written report holds one."""
+    return (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners. Each returns (scalars, checks, extras).
+# Experiment runners. Each takes the seed and the values read_config gave
+# for its kind, and returns (scalars, checks, extras).
 
 
-def _run_complexity(cfg: dict):
-    H = matrix_from_pairs(_require(cfg, "H"), "H")
-    t = _number(cfg, "t", minimum=0)
-    metric = parse_metric(cfg.get("metric"))
+def _run_complexity(seed: int, H: np.ndarray, t: float, metric: MetricSpec | None):
     g_flat = geodesic.geometric_complexity_const(H, t, None)
     scalars = {"G_hs": g_flat}
     if metric is not None:
@@ -327,22 +442,9 @@ def _run_complexity(cfg: dict):
     return scalars, checks, None
 
 
-def _run_channel(cfg: dict):
-    if "perturbative" in cfg:
-        p = cfg["perturbative"]
-        if not isinstance(p, dict):
-            raise _fail("perturbative", "expected an object")
-        at = "perturbative."
-        out = channel.perturbative_example(
-            H_S=matrix_from_pairs(_require(p, "H_S", at), at + "H_S"),
-            A_S=matrix_from_pairs(_require(p, "A_S", at), at + "A_S"),
-            env_energies=vector_from_json(
-                _require(p, "env_energies", at), at + "env_energies"
-            ),
-            weights=vector_from_json(_require(p, "weights", at), at + "weights"),
-            eps=_number(p, "eps", at=at),
-            t=_number(p, "t", 1.0, at=at, minimum=0),
-        )
+def _run_channel(seed: int, perturbative: dict | None = None, spec=None, t=None):
+    if perturbative is not None:
+        out = channel.perturbative_example(**perturbative)
         scalars = {
             "exact": float(out["exact"]),
             "perturbative": float(out["perturbative"]),
@@ -350,8 +452,6 @@ def _run_channel(cfg: dict):
             "omega_coupling": float(out["omega_coupling"]),
         }
         return scalars, [], None
-    spec = parse_channel_spec(cfg)
-    t = _number(cfg, "t", minimum=0)
     g_channel = channel.channel_complexity_const(spec, t)
     g_free = channel.noiseless_complexity(spec, t)
     scalars = {
@@ -363,9 +463,7 @@ def _run_channel(cfg: dict):
     return scalars, checks, None
 
 
-def _run_noise(cfg: dict):
-    spec = parse_channel_spec(cfg)
-    t = _number(cfg, "t", minimum=0)
+def _run_noise(seed: int, spec: channel.ChannelSpec, t: float):
     n_hs = channel.noise_complexity(spec, t)
     bounds = channel.noise_complexity_bounds(spec, t)
     scalars = {
@@ -383,32 +481,16 @@ def _run_noise(cfg: dict):
     return scalars, checks, None
 
 
-def _run_cohering_power(cfg: dict):
-    if "U" in cfg:
-        U = unitary(matrix_from_pairs(cfg["U"], "U"))
-        d = U.shape[0]
-    else:
-        generator = matrix_from_pairs(_require(cfg, "generator"), "generator")
-        t = _number(cfg, "t", minimum=0)
-        d = generator.shape[0]
-    dephasing = cfg.get("dephasing")
-    if dephasing is None:
-        E = coherence.computational_dephasing(d)
-    else:
-        projs = tuple(
-            matrix_from_pairs(P, f"dephasing[{i}]") for i, P in enumerate(dephasing)
-        )
-        E = coherence.DephasingChannel(projectors=projs)
-    options = {
-        "restarts": _integer(cfg, "restarts", 32, 0, coherence.MAX_RESTARTS),
-        "seed": cfg["seed"],
-        "pure_only": _flag(cfg, "pure_only", False),
-    }
-    if "U" in cfg:
-        scalars = {"C_power": coherence.cohering_power(U, E, **options).value}
+def _run_cohering_power(
+    seed: int, dephasing, restarts: int, pure_only: bool, U=None, generator=None, t=None
+):
+    options = {"restarts": restarts, "seed": seed, "pure_only": pure_only}
+    d = len(U if U is not None else generator)
+    if U is not None:
+        scalars = {"C_power": coherence.cohering_power(U, dephasing, **options).value}
         checks = []
     else:
-        out = coherence.verify_decohering_bound(generator, t, E, **options)
+        out = coherence.verify_decohering_bound(generator, t, dephasing, **options)
         scalars = {"C_power": out["cohering_power"], "G_hs": out["rhs"]}
         slack = coherence.DECOHERING_SLACK
         checks = [make_check("decohering_bound", out["lhs"], out["rhs"] + slack)]
@@ -416,16 +498,8 @@ def _run_cohering_power(cfg: dict):
     return scalars, [cap, *checks], None
 
 
-def _run_rode(cfg: dict):
-    path = parse_path(_require(cfg, "path"))
-    noise = parse_noise(_require(cfg, "noise"))
-    if noise.dt_noise is not None and path.total_time / noise.dt_noise > rode.MAX_SUBSTEPS:
-        raise _fail(
-            "noise.dt_noise",
-            f"more than {rode.MAX_SUBSTEPS} substeps over total time {path.total_time!r}",
-        )
-    M = _integer(cfg, "M", 100, 1, rode.max_trajectories(path.dim))
-    result = rode.ensemble_mean(path, noise, M, cfg["seed"])
+def _run_rode(seed: int, path: geodesic.PiecewiseConstantPath, noise: rode.NoiseModel, M: int):
+    result = rode.ensemble_mean(path, noise, M, seed)
     U_free = geodesic.path_endpoint(path)
     scalars = {
         "distance": rode.distance_operator(result.mean_operator, U_free),
@@ -439,36 +513,22 @@ def _run_rode(cfg: dict):
     ]
     fluct = result.fluctuations
     if fluct is not None:
-        checks.extend(
-            [
-                make_check(
-                    "rode_distance_bound_violations",
-                    len(fluct["violations_distance_bound"]),
-                    0,
-                ),
-                make_check(
-                    "rode_complexity_gap_violations",
-                    len(fluct["violations_complexity_gap"]),
-                    0,
-                ),
-                make_check(
-                    "rode_triangle_violations", len(fluct["violations_triangle"]), 0
-                ),
-                make_check(
-                    "rode_matched_norm",
-                    fluct["matched_norm_max_deviation"],
-                    rode.MATCHED_NORM_TOL,
-                ),
-            ]
-        )
+        checks += _fluctuation_checks(fluct, ("distance_bound", "complexity_gap", "triangle"))
         scalars["noise_integral"] = float(fluct["noise_integral"])
     return scalars, checks, {"_ensemble": result}
 
 
-def _run_decompose(cfg: dict):
-    U = unitary(matrix_from_pairs(_require(cfg, "U"), "U"))
+def _fluctuation_checks(fluct: dict, counts: tuple) -> list:
+    """A zero-violation check per named count, then the matched-norm check."""
+    return [
+        *(make_check(f"rode_{c}_violations", len(fluct[f"violations_{c}"]), 0) for c in counts),
+        make_check("rode_matched_norm", fluct["matched_norm_max_deviation"], rode.MATCHED_NORM_TOL),
+    ]
+
+
+def _run_decompose(seed: int, U: np.ndarray, normalize_phase: bool):
     N = U.shape[0]
-    if _flag(cfg, "normalize_phase", True):
+    if normalize_phase:
         det = np.linalg.det(U)
         U = U * det ** (-1.0 / N)
     circuit = algebra.decompose_two_level(U)
@@ -686,27 +746,7 @@ def verify_all_battery(seed: int) -> list[dict]:
         kind="bounded_matched", weights=np.ones(3), dt_noise=1.0 / 64.0
     )
     fluct = rode.fluctuation_report(path, noise, 10, int(rng.integers(2**31)))
-    checks.append(
-        make_check(
-            "rode_distance_bound_violations",
-            len(fluct["violations_distance_bound"]),
-            0,
-        )
-    )
-    checks.append(
-        make_check(
-            "rode_complexity_gap_violations",
-            len(fluct["violations_complexity_gap"]),
-            0,
-        )
-    )
-    checks.append(
-        make_check(
-            "rode_matched_norm",
-            fluct["matched_norm_max_deviation"],
-            rode.MATCHED_NORM_TOL,
-        )
-    )
+    checks += _fluctuation_checks(fluct, ("distance_bound", "complexity_gap"))
 
     rng = rngs[11]
     gauss = rode.NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=1.0 / 64.0)
@@ -782,8 +822,8 @@ def verify_all_battery(seed: int) -> list[dict]:
     return checks
 
 
-def _run_verify_all(cfg: dict):
-    checks = verify_all_battery(cfg["seed"])
+def _run_verify_all(seed: int):
+    checks = verify_all_battery(seed)
     n_failed = sum(1 for c in checks if not c["holds"])
     scalars = {"n_checks": float(len(checks)), "n_failed": float(n_failed)}
     return scalars, checks, None
@@ -800,9 +840,13 @@ _RUNNERS = {
 }
 
 
+def _report(cfg: dict, values: dict) -> dict:
+    return assemble_report(cfg, *_RUNNERS[cfg["kind"]](cfg["seed"], **values))
+
+
 def run_experiment(cfg: dict) -> dict:
-    """Dispatch a validated config to its runner and assemble the report."""
-    return assemble_report(cfg, *_RUNNERS[cfg["kind"]](cfg))
+    """Read a validated config's fields, run its kind and assemble the report."""
+    return _report(cfg, read_config(cfg))
 
 
 def write_report(report: dict, out: str | None) -> None:
@@ -846,18 +890,19 @@ def _config_path_set(cfg: dict, dotted: str, value) -> dict:
 def run_sweep(cfg: dict, param: str, values: list, threads: int = 1) -> tuple[list, list]:
     """One report per value plus aggregate rows for the CSV.
 
-    The config and every swept config are validated before any of them
-    runs; each unread-field note is printed once per sweep.
+    Every swept config is validated and read before any of them runs; each
+    unread-field note is printed once per sweep.
     """
-    noted: set = set()
-    cfg = validate_config(cfg, noted=noted)
+    cfg = validate_config(cfg)
     _config_path_get(cfg, param)  # existence check
-    configs = [validate_config(_config_path_set(cfg, param, v), noted=noted) for v in values]
+    configs = [validate_config(_config_path_set(cfg, param, v)) for v in values]
+    noted: set = set()
+    read = [read_config(c, noted) for c in configs]
     if threads > 1 and len(configs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_experiment, configs))
+            reports = list(pool.map(_report, configs, read))
     else:
-        reports = [run_experiment(c) for c in configs]
+        reports = list(map(_report, configs, read))
     rows = []
     for v, rep in zip(values, reports):
         row = {"value": v}

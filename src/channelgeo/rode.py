@@ -138,11 +138,16 @@ def _expm_batch(A: np.ndarray, tau: float) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", V, ph, V.conj())
 
 
+def noise_step(path: PiecewiseConstantPath, noise: NoiseModel) -> float:
+    """The noise substep: dt_noise, or else the total time / 256."""
+    return noise.dt_noise if noise.dt_noise is not None else path.total_time / 256.0
+
+
 def _segment_plan(
     path: PiecewiseConstantPath, noise: NoiseModel, basis: PauliBasis
 ) -> list[tuple[np.ndarray, int, float, float | None]]:
     """Per segment: generator, substep count, substep length, matched target."""
-    dt = noise.dt_noise if noise.dt_noise is not None else path.total_time / 256.0
+    dt = noise_step(path, noise)
     plan = []
     for k, (H, ds) in enumerate(path.segments):
         n_sub = int(round(ds / dt))

@@ -1,17 +1,23 @@
 import argparse
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_hermitian as herm
 
-from channelgeo import cli, coherence, rode
+from channelgeo import cli, coherence, reports, rode
 from channelgeo.reports import (
     CONVENTIONS,
+    KIND_FIELDS,
+    KINDS,
     ConfigError,
     assemble_report,
     make_check,
@@ -239,6 +245,8 @@ _BASE = {
     "rode": {"path": {"H": SIGMA_Z, "t": 1.0}, "noise": _MATCHED, "M": 4},
     "decompose": {"U": pairs(np.eye(2))},
 }
+_ONE = [[[1.0, 0.0]]]  # a 1x1 matrix
+_ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1.0}
 
 
 @pytest.mark.parametrize(
@@ -283,6 +291,22 @@ _BASE = {
         ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.0}]}}, "'path.segments[0].ds'"),
         ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 1.0}, {"H": SIGMA_Z, "ds": -0.5}]}},
          "'path.segments[1].ds'"),
+        # every complexity divides by sqrt(d^2 - 1), so a 1x1 operator is refused
+        ("cohering-power", {"generator": _ONE}, "'generator'"),
+        ("channel", {"perturbative": {**_PERTURBATIVE, "H_S": _ONE, "A_S": _ONE,
+                                      "env_energies": [1.0], "weights": [1.0]}},
+         "'perturbative.H_S'"),
+        ("complexity", {"H": _ONE}, "'H'"),
+        ("channel", _ONE_BY_ONE, "'d_S'"),
+        ("noise", _ONE_BY_ONE, "'d_S'"),
+        ("rode", {"path": {"H": _ONE, "t": 1.0}}, "'path.H'"),
+        ("cohering-power", {"dephasing": 5}, "'dephasing'"),
+        ("cohering-power", {"dephasing": [pairs(np.diag(e)) for e in np.eye(3)]}, "'dephasing'"),
+        ("complexity", {"metric": {"n": 2, "q": 2}}, "'metric.n'"),
+        ("rode", {"noise": {"kind": "gaussian_pauli", "sigma": [0.1, 0.1]}}, "'noise.sigma'"),
+        ("rode", {"path": {"H": pairs(np.diag([1.0, 2.0, 3.0])), "t": 1.0}}, "'path'"),
+        ("rode", {"path": {"H": SIGMA_Z, "t": 5e-324}, "noise": {"kind": "gaussian_pauli", "sigma": 0.1}},
+         "'path'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):
@@ -375,9 +399,14 @@ def test_sweep_to_stdout(tmp_path):
         ("cohering-power", "seed", ["1.5"], "'seed'"),
         ("cohering-power", "seed", ["-1"], "'seed'"),
         ("cohering-power", "seed", ["1", "x"], "'seed'"),
+        ("cohering-power", "restarts", ["1", "1", "-1"], "'restarts'"),
     ],
 )
-def test_sweep_validates_every_config_first(tmp_path, capsys, kind, param, values, name):
+def test_sweep_validates_every_config_first(
+    tmp_path, capsys, monkeypatch, kind, param, values, name
+):
+    ran = []
+    monkeypatch.setitem(reports._RUNNERS, kind, lambda *args, **kwargs: ran.append(args))
     cfg = write_cfg(tmp_path, "s.json", {"schema_version": 1, "kind": kind, "seed": 0, **_BASE[kind]})
     out_dir = tmp_path / "out"
     argv = ["sweep", "--config", cfg, "--param", param, "--values", *values, "--out", str(out_dir)]
@@ -385,7 +414,8 @@ def test_sweep_validates_every_config_first(tmp_path, capsys, kind, param, value
     err = capsys.readouterr().err
     assert name in err
     assert "Traceback" not in err
-    assert not out_dir.exists()  # nothing ran before the bad value was found
+    assert not out_dir.exists()
+    assert ran == []  # nothing ran before the bad value was found
 
 
 def test_sweep_prints_each_unread_field_note_once(tmp_path, capsys):
@@ -612,3 +642,100 @@ def test_only_the_schur_form_loads_scipy(tmp_path):
     seen = json.loads(proc.stdout)
     assert seen[:-1] == [[step, 0, False, False] for step in ["import", *(k for k, _ in runs[:-1])]]
     assert seen[-1] == ["noise", 0, True, True]
+
+
+def _field_names(schema) -> set:
+    """Every field name in a KIND_FIELDS entry, nested ones included."""
+    if isinstance(schema, tuple):
+        return set().union(*map(_field_names, schema))
+    if isinstance(schema, list):
+        return _field_names(schema[0])
+    if not hasattr(schema, "fields"):
+        return set()
+    return set(schema.fields).union(*map(_field_names, schema.fields.values()))
+
+
+def test_readme_lists_the_fields_of_each_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config fields per kind")[1].split("\n### ")[0]
+    bullets = re.findall(r"^- \*\*([\w-]+)\*\*:(.*?)(?=^- \*\*|\Z)", section, re.M | re.S)
+    assert [kind for kind, _ in bullets] == list(KINDS)
+    every_field = set().union(*map(_field_names, KIND_FIELDS.values()))
+    for kind, text in bullets:
+        named = set()
+        for span in re.findall(r"`([^`]*)`", text):
+            keys = re.findall(r'"(\w+)"\s*:', span)
+            named |= set(keys) if keys else set(re.split(r"[.\[\]]", span))
+        fields = _field_names(KIND_FIELDS[kind])
+        assert fields <= named, f"{kind}: README omits {sorted(fields - named)}"
+        assert named & every_field <= fields, f"{kind}: README names {sorted(named & every_field - fields)}"
+
+
+# One valid config per kind (two for a kind with two forms), small enough that
+# any one run is quick.
+_HADAMARD = pairs(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+_VALID = [
+    ("complexity", {"H": SIGMA_Z, "t": 1.0, "metric": {"n": 1, "q": 2.0}}),
+    ("channel", {"perturbative": {**_PERTURBATIVE, "t": 0.5}}),
+    ("channel", {**_BASE["noise"], "env_probs": [0.5, 0.5]}),
+    ("noise", _BASE["noise"]),
+    ("cohering-power", {"U": _HADAMARD, "restarts": 1,
+                        "dephasing": [pairs(np.diag([1.0, 0.0])), pairs(np.diag([0.0, 1.0]))]}),
+    ("cohering-power", {"generator": SIGMA_Z, "t": 0.7, "restarts": 1, "pure_only": True}),
+    ("rode", {"path": {"H": SIGMA_Z, "t": 1.0}, "noise": _MATCHED, "M": 3}),
+    ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.5}, {"H": SIGMA_Z, "ds": 0.5}]},
+              "noise": {"kind": "gaussian_pauli", "sigma": 0.1, "dt_noise": 0.125}, "M": 3}),
+    ("decompose", {"U": _HADAMARD, "normalize_phase": True}),
+    ("verify-all", {}),
+]
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+_FLOAT = st.floats(-3.0, 3.0)
+# Square matrices of [re, im] pairs, at most 3x3.
+_MATRICES = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(st.lists(_FLOAT, min_size=2, max_size=2), min_size=d, max_size=d),
+                       min_size=d, max_size=d)
+)
+_JSON = st.recursive(
+    _SCALARS | _MATRICES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# Run sizes stay small: M and restarts get small integers or non-integers.
+_SMALL = st.integers(-2, 6) | st.floats(allow_nan=False) | st.text(max_size=2) | st.none()
+
+
+@st.composite
+def _mutated_configs(draw):
+    kind, fields = draw(st.sampled_from(_VALID))
+    cfg = json.loads(json.dumps({"schema_version": 1, "kind": kind, "seed": 0, **fields}))
+    # the config itself or one of its objects, e.g. `path` or `perturbative`
+    holders = [cfg, *(v for v in cfg.values() if isinstance(v, dict))]
+    holder = draw(st.sampled_from(holders))
+    action = draw(st.sampled_from(["drop", "replace", "add"]))
+    if action == "add":
+        holder[draw(st.text(min_size=1, max_size=6))] = draw(_JSON)
+    elif action == "drop":
+        del holder[draw(st.sampled_from(sorted(holder)))]
+    else:  # the header fields are mostly left to "drop" and "add"
+        key = draw(st.sampled_from(sorted(set(holder) - {"kind", "schema_version"})))
+        holder[key] = draw(_SMALL if key in ("M", "restarts") else _MATRICES | _JSON)
+    return kind, cfg
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=_mutated_configs())
+def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, case):
+    kind, cfg = case
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "fuzz_report.json"
+    out.unlink(missing_ok=True)
+    code = cli.main([kind, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "config field '" in err, err
+    if out.exists():  # json writes a NaN or an infinite number as a bare NaN or Infinity
+        json.loads(out.read_text(), parse_constant=lambda word: pytest.fail(f"report holds {word}"))
