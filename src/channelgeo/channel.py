@@ -21,9 +21,9 @@ import numpy as np
 
 from .geodesic import (
     PiecewiseConstantPath,
-    estimate_cc_distance,
     generator_norm,
     geometric_complexity_const,
+    log_distance,
 )
 from .operators import (
     density,
@@ -190,8 +190,8 @@ def noise_complexity_bounds(spec: ChannelSpec, t: float) -> dict:
     lower: complexity of exp(-it(sqrt(|H_tot^2 - H_Se^2|) + |H_Se|))
     minus the joint complexity. upper: noiseless complexity minus the
     flat geodesic distance between the joint propagator and the
-    residual propagator. That distance is the principal-log closed
-    form, so it is exact and upper is always a number.
+    residual propagator. That distance is log_distance, the principal-log
+    closed form, so it is exact and upper is always a number.
     """
     H_tot = spec.h_total()
     H_Se = spec.h_system_embedded()
@@ -199,14 +199,11 @@ def noise_complexity_bounds(spec: ChannelSpec, t: float) -> dict:
     lower = geometric_complexity_const(resid + matrix_abs(H_Se), t, None) - (
         geometric_complexity_const(H_tot, t, None)
     )
-    distance = estimate_cc_distance(
-        matrix_exp_unitary(H_tot, t), matrix_exp_unitary(resid, t), None, segments=1
-    ).length
+    distance = log_distance(matrix_exp_unitary(H_tot, t), matrix_exp_unitary(resid, t))
     return {
         "lower": lower,
         "upper": noiseless_complexity(spec, t) - distance,
         "distance_estimate": distance,
-        "distance_is_upper_bound": True,
     }
 
 
@@ -279,6 +276,19 @@ def noise_complexity_td(spec: TimeDependentSpec) -> float:
     return abs(channel_complexity_td(spec) - noiseless)
 
 
+def perturbative_defect(H_S: np.ndarray, A_S: np.ndarray) -> tuple[str, str] | None:
+    """(argument to blame, message) for the first perturbative-model rule that Hermitian
+    H_S and A_S break: they commute (blamed on A_S), and each is PSD. None if both hold."""
+    comm_dev = float(np.max(np.abs(H_S @ A_S - A_S @ H_S)))
+    if comm_dev > COMMUTE_TOL:
+        return "A_S", f"H_S and A_S do not commute (deviation {comm_dev:.3e})."
+    for name, M in (("H_S", H_S), ("A_S", A_S)):
+        w_min = float(np.linalg.eigvalsh(M)[0])
+        if w_min < PSD_TOL:
+            return name, f"{name} is not PSD (min eigenvalue {w_min:.3e})."
+    return None
+
+
 def perturbative_example(
     H_S: np.ndarray,
     A_S: np.ndarray,
@@ -309,13 +319,8 @@ def perturbative_example(
     alpha = np.asarray(weights, dtype=float)
     if eps < 0:
         raise ValueError(f"Perturbation strength must be >= 0, got {eps!r}.")
-    comm_dev = float(np.max(np.abs(H_S @ A_S - A_S @ H_S)))
-    if comm_dev > COMMUTE_TOL:
-        raise ValueError(f"H_S and A_S do not commute (deviation {comm_dev:.3e}).")
-    for name, M in (("H_S", H_S), ("A_S", A_S)):
-        w_min = float(np.linalg.eigvalsh(M)[0])
-        if w_min < PSD_TOL:
-            raise ValueError(f"{name} is not PSD (min eigenvalue {w_min:.3e}).")
+    if defect := perturbative_defect(H_S, A_S):
+        raise ValueError(defect[1])
     if np.any(E < 0):
         raise ValueError(f"Environment energies must be >= 0, min {E.min()!r}.")
     if np.any(alpha < 0) or abs(float(alpha.sum()) - 1.0) > PROB_TOL:

@@ -22,9 +22,6 @@ from .operators import hermitian, hs_norm, matrix_exp_unitary, rowdot, unitary
 from .optimize import coordinate_search
 from .pauli import MetricSpec, PauliBasis, omega_norm_raw, vectorize
 
-#: Off-diagonal mass allowed in the Schur form of a unitary before the
-#: principal-log routine refuses to trust it.
-_SCHUR_DIAG_TOL = 1e-8
 #: Endpoint error a searched path may leave: ||endpoint - target||_HS.
 ENDPOINT_TOL = 1e-6
 #: Penalty rounds per restart; each multiplies the endpoint weight by 4.
@@ -129,23 +126,19 @@ def path_endpoint(p: PiecewiseConstantPath) -> np.ndarray:
 def principal_log_generator(U: np.ndarray) -> np.ndarray:
     """Hermitian G with exp(-i G) = U and eigenvalues of G in [-pi, pi).
 
-    Computed from the complex Schur form (scipy.linalg.schur), which is
-    diagonal for a unitary (normal) input. An eigenvalue at exactly -1
-    takes the branch angle +pi, i.e. generator eigenvalue -pi. scipy is
-    imported here, on the first call, not with the module.
+    A global phase puts -1 in the middle of U's widest eigen-angle gap, so the
+    Cayley transform i (I + V)^-1 (I - V) of the rotated V is Hermitian and well
+    conditioned; its eigh basis Q gives the angles as diag(Q† U Q), and -1 gives -pi.
     """
-    import scipy.linalg  # deferred: importing it about doubles the CLI's start-up time
-
     U = unitary(U)
-    S, Q = scipy.linalg.schur(U, output="complex")
-    off = float(np.max(np.abs(S - np.diag(np.diag(S))))) if U.shape[0] > 1 else 0.0
-    if off > _SCHUR_DIAG_TOL:
-        raise ValueError(
-            f"Schur form off-diagonal mass {off:.3e} too large; input is not normal."
-        )
-    lam = np.diag(S)
-    lam = lam / np.abs(lam)
-    g = -np.angle(lam)
+    theta = np.sort(np.angle(np.linalg.eigvals(U)))
+    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
+    k = np.argmax(gaps)
+    V = U * np.exp(1j * (np.pi - theta[k] - gaps[k] / 2))
+    eye = np.eye(len(U))
+    _, Q = np.linalg.eigh(1j * np.linalg.solve(eye + V, eye - V))
+    g = -np.angle(np.einsum("ji,jk,ki->i", Q.conj(), U, Q))
+    g[g == np.pi] = -np.pi
     return (Q * g) @ Q.conj().T
 
 
@@ -234,16 +227,6 @@ def _penalized(
     return length + lam * err * err, length, err
 
 
-def _flat_log_length(G: np.ndarray) -> float:
-    """Flat length of the constant path exp(-i s G), s in [0, 1]."""
-    d = G.shape[0]
-    iu = np.triu_indices(d, k=1)
-    off = G[iu]
-    # Real flat coordinates, not hs_norm(G): its other rounding would change report bytes.
-    x = np.concatenate([G.diagonal().real, off.real * np.sqrt(2), off.imag * np.sqrt(2)])
-    return float(np.linalg.norm(x) / np.sqrt(d**2 - 1))
-
-
 def estimate_cc_distance(
     U: np.ndarray,
     V: np.ndarray,
@@ -259,8 +242,8 @@ def estimate_cc_distance(
 
     Right-invariance is used exactly: the path connects the identity to
     V U†. Under the flat metric (m=None) the principal-log one-parameter
-    group is the geodesic, so the length is exact, no search runs and
-    restarts_used is 0; restarts, seed and the search knobs are ignored.
+    group is the geodesic, so the length is exact, log_norms(V U†); no search
+    runs, restarts_used is 0, and restarts, seed and the search knobs are ignored.
 
     A MetricSpec runs a numerical search for an upper bound instead: a
     penalty method over K-segment paths, with the endpoint error squared
@@ -285,7 +268,7 @@ def estimate_cc_distance(
     if m is None:
         path = PiecewiseConstantPath(segments=((G, 1.0 / segments),) * segments)
         return GeodesicEstimate(
-            length=_flat_log_length(G),
+            length=float(log_norms(target)),
             endpoint_error=hs_norm(path_endpoint(path) - target),
             path=path,
             restarts_used=0,

@@ -251,6 +251,13 @@ def _dephasing(v: dict, at: str) -> dict:
     return v
 
 
+def _perturbative(v: dict, at: str) -> dict:
+    _check_dims(v, at, {"A_S": len(v["H_S"]), "weights": len(v["env_energies"])})
+    if defect := channel.perturbative_defect(v["H_S"], v["A_S"]):
+        raise _fail(f"{at}.{defect[0]}", defect[1])
+    return v
+
+
 def _path(v: dict, at: str) -> geodesic.PiecewiseConstantPath:
     segs = [(s["H"], s["ds"]) for s in v["segments"]] if "segments" in v else [(v["H"], v["t"])]
     return geodesic.PiecewiseConstantPath(segments=tuple(segs))
@@ -275,12 +282,15 @@ def _rode(v: dict, at: str) -> dict:
     if noise.kind == "bounded_matched" and noise.weights.size != n:
         raise _fail("noise.weights", f"expected {n} entries, got {noise.weights.size}")
     dt = rode.noise_step(path, noise)
+    step = "path" if noise.dt_noise is None else "noise.dt_noise"  # the field that set dt
     if not dt > 0 or path.total_time / dt > rode.MAX_SUBSTEPS:  # dt is 0 if it underflows
-        raise _fail(
-            "path" if noise.dt_noise is None else "noise.dt_noise",
-            f"a noise step of {dt!r} gives more than {rode.MAX_SUBSTEPS} substeps "
-            f"over total time {path.total_time!r}",
-        )
+        raise _fail(step, f"a noise step of {dt!r} gives more than {rode.MAX_SUBSTEPS} substeps "
+                          f"over total time {path.total_time!r}")
+    for k, (_, ds) in enumerate(path.segments):
+        try:
+            rode.substeps(ds, dt)
+        except ValueError as exc:
+            raise _fail(f"path.segments[{k}].ds" if step == "path" else step, str(exc)) from None
     return v
 
 
@@ -302,7 +312,7 @@ _PERTURBATIVE = _Form(
     {"H_S": _HERMITIAN, "A_S": _HERMITIAN, "env_energies": _vector(0),
      "weights": _probabilities, "eps": _number(0), "t": _TIME},
     {"t": 1.0},
-    lambda v, at: _check_dims(v, at, {"A_S": len(v["H_S"]), "weights": len(v["env_energies"])}),
+    _perturbative,
 )
 _POWER = {
     "dephasing": [_matrix()], "restarts": _integer(0, coherence.MAX_RESTARTS), "pure_only": _flag

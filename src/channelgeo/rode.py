@@ -90,7 +90,7 @@ class EnsembleResult:
 
     def __post_init__(self) -> None:
         op = float(np.linalg.norm(self.mean_operator, 2))
-        if op > 1.0 + MEAN_OP_NORM_TOL:
+        if not op <= 1.0 + MEAN_OP_NORM_TOL:  # NaN fails too
             raise ValueError(
                 f"Mean of unitaries has operator norm {op!r} above 1; "
                 "trajectories were inconsistent."
@@ -143,18 +143,22 @@ def noise_step(path: PiecewiseConstantPath, noise: NoiseModel) -> float:
     return noise.dt_noise if noise.dt_noise is not None else path.total_time / 256.0
 
 
+def substeps(ds: float, dt: float) -> int:
+    """Noise substeps in a segment of duration ds: ds / dt, a whole number >= 1."""
+    n_sub = int(round(ds / dt))
+    if n_sub < 1 or abs(n_sub * dt - ds) > 1e-9 * max(1.0, ds):
+        raise ValueError(f"Noise step {dt!r} does not divide segment duration {ds!r}.")
+    return n_sub
+
+
 def _segment_plan(
     path: PiecewiseConstantPath, noise: NoiseModel, basis: PauliBasis
 ) -> list[tuple[np.ndarray, int, float, float | None]]:
     """Per segment: generator, substep count, substep length, matched target."""
     dt = noise_step(path, noise)
     plan = []
-    for k, (H, ds) in enumerate(path.segments):
-        n_sub = int(round(ds / dt))
-        if n_sub < 1 or abs(n_sub * dt - ds) > 1e-9 * max(1.0, ds):
-            raise ValueError(
-                f"Noise step {dt!r} does not divide segment {k} duration {ds!r}."
-            )
+    for H, ds in path.segments:
+        n_sub = substeps(ds, dt)
         target = None
         if noise.kind == "bounded_matched":
             h = vectorize(H, basis).coefficients
@@ -215,7 +219,7 @@ def _run_trajectories(
     dev = np.abs(
         np.einsum("bji,bjk->bik", endpoints.conj(), endpoints) - np.eye(d)
     ).max()
-    if dev > TRAJECTORY_UNITARITY_TOL:
+    if not dev <= TRAJECTORY_UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"Trajectory lost unitarity: max |U†U - I| = {dev:.3e}.")
     return endpoints, integrals, worst_dev, plan
 
@@ -291,10 +295,7 @@ def ensemble_mean(
 
 
 def distance_unitaries(U: np.ndarray, W: np.ndarray) -> float:
-    """Geodesic distance (1/sqrt(d^2-1)) ||principal log(U†W)||_HS.
-
-    An eigenvalue at exactly -1 takes the +pi branch angle.
-    """
+    """Geodesic distance (1/sqrt(d^2-1)) ||principal log(U†W)||_HS: log_distance."""
     return log_distance(U, W)
 
 

@@ -131,7 +131,6 @@ def test_noise_sandwich_system_dominated(rng):
         assert rec["lower"] <= n + 1e-8
         assert rec["upper"] is not None
         assert n <= rec["upper"] + 1e-8
-        assert rec["distance_is_upper_bound"]
 
 
 def test_td_single_segment_commuting_matches_const():

@@ -307,6 +307,18 @@ _ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1
         ("rode", {"path": {"H": pairs(np.diag([1.0, 2.0, 3.0])), "t": 1.0}}, "'path'"),
         ("rode", {"path": {"H": SIGMA_Z, "t": 5e-324}, "noise": {"kind": "gaussian_pauli", "sigma": 0.1}},
          "'path'"),
+        # a noise step must divide every segment
+        ("rode", {"noise": {**_MATCHED, "dt_noise": 0.3}}, "'noise.dt_noise'"),
+        ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.3}, {"H": SIGMA_Z, "ds": 0.7}]},
+                  "noise": {**_MATCHED, "dt_noise": None}}, "'path.segments[0].ds'"),
+        ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.5}, {"H": SIGMA_Z, "ds": 0.7}]},
+                  "noise": {**_MATCHED, "dt_noise": 0.25}}, "'noise.dt_noise'"),
+        # the perturbative model needs commuting PSD H_S and A_S
+        ("channel", {"perturbative": {**_PERTURBATIVE, "H_S": pairs(np.diag([2.0, 1.0])),
+                                      "A_S": pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))}},
+         "'perturbative.A_S'"),
+        ("channel", {"perturbative": {**_PERTURBATIVE, "H_S": SIGMA_Z}}, "'perturbative.H_S'"),
+        ("channel", {"perturbative": {**_PERTURBATIVE, "A_S": pairs(-np.eye(2))}}, "'perturbative.A_S'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):
@@ -400,6 +412,7 @@ def test_sweep_to_stdout(tmp_path):
         ("cohering-power", "seed", ["-1"], "'seed'"),
         ("cohering-power", "seed", ["1", "x"], "'seed'"),
         ("cohering-power", "restarts", ["1", "1", "-1"], "'restarts'"),
+        ("rode", "noise.dt_noise", ["0.25", "0.5", "0.3"], "'noise.dt_noise'"),
     ],
 )
 def test_sweep_validates_every_config_first(
@@ -608,40 +621,45 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
     assert len(built) == first  # the second call reused the parser
 
 
-_STARTUP = """
+_NO_SCIPY = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from channelgeo import cli
-seen = [["import", 0, "scipy" in sys.modules, "scipy.linalg" in sys.modules]]
-for kind, path, out in json.loads(sys.argv[1]):
-    code = cli.main([kind, "--config", path, "--out", out])
-    seen.append([kind, code, "scipy" in sys.modules, "scipy.linalg" in sys.modules])
-print(json.dumps(seen))
+print(json.dumps([cli.main([kind, "--config", path, "--out", out])
+                  for kind, path, out in json.loads(sys.argv[1])]))
 """
 
 
-def test_only_the_schur_form_loads_scipy(tmp_path):
-    """The closed-form kinds run without importing scipy; `noise` needs the
-    principal log, whose Schur form loads scipy.linalg on first use."""
+def test_every_kind_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: every kind runs with scipy blocked."""
     runs = [
         ("complexity", _BASE["complexity"]),
         ("channel", _BASE["noise"]),
         ("channel", {"perturbative": _PERTURBATIVE}),
+        ("noise", _BASE["noise"]),
         ("cohering-power", _BASE["cohering-power"]),
         ("rode", _BASE["rode"]),
         ("decompose", _BASE["decompose"]),
-        ("noise", _BASE["noise"]),
+        ("verify-all", {}),
     ]
     argv = []
     for i, (kind, fields) in enumerate(runs):
         cfg = {"schema_version": 1, "kind": kind, "seed": 0, **fields}
         argv.append([kind, write_cfg(tmp_path, f"{i}.json", cfg), str(tmp_path / f"{i}-out.json")])
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP, json.dumps(argv)], capture_output=True, text=True
+        [sys.executable, "-c", _NO_SCIPY, json.dumps(argv)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen[:-1] == [[step, 0, False, False] for step in ["import", *(k for k, _ in runs[:-1])]]
-    assert seen[-1] == ["noise", 0, True, True]
+    assert json.loads(proc.stdout) == [0] * len(runs), proc.stderr
+
+
+def test_nan_trajectories_exit_one(tmp_path, capsys):
+    """A noise scale that overflows to NaN fails the unitarity check."""
+    noise = {"kind": "gaussian_pauli", "sigma": 1e308, "dt_noise": 0.25}
+    cfg = {"schema_version": 1, "kind": "rode", "seed": 0, **_BASE["rode"], "noise": noise}
+    with np.errstate(all="ignore"):
+        assert cli.main(["rode", "--config", write_cfg(tmp_path, "nan.json", cfg)]) == 1
+    assert "rode failed: Trajectory lost unitarity" in capsys.readouterr().err
 
 
 def _field_names(schema) -> set:

@@ -85,22 +85,50 @@ def test_path_length_sums_segments(rng):
     assert abs(path_length(p) - expect) < 1e-12
 
 
-def test_principal_log_round_trip(rng):
-    for d in (2, 4):
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_principal_log_round_trip(rng, d):
+    for _ in range(10):
         U = rand_unitary(rng, d)
         G = principal_log_generator(U)
-        assert np.abs(scipy.linalg.expm(-1j * G) - U).max() < 1e-10
+        assert np.abs(scipy.linalg.expm(-1j * G) - U).max() < 1e-13
         evals = np.linalg.eigvalsh(G)
         assert evals.min() >= -np.pi - 1e-12
-        assert evals.max() < np.pi + 1e-12
+        assert evals.max() < np.pi
+        assert np.abs(G - 1j * scipy.linalg.logm(U)).max() < 1e-12
 
 
-def test_principal_log_branch_at_minus_one():
+def _with_phases(rng, phases):
+    Q = rand_unitary(rng, len(phases))
+    return (Q * phases) @ Q.conj().T
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_principal_log_degenerate_spectrum(rng, d):
+    for _ in range(10):
+        U = _with_phases(rng, np.repeat(np.exp(1j * rng.uniform(-np.pi, np.pi, d // 2)), 2))
+        G = principal_log_generator(U)
+        assert np.abs(scipy.linalg.expm(-1j * G) - U).max() < 1e-13
+        assert np.abs(G - 1j * scipy.linalg.logm(U)).max() < 1e-12
+
+
+def test_principal_log_branch_at_minus_one(rng):
     U = np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
     G = principal_log_generator(U)
     evals = np.sort(np.linalg.eigvalsh(G))
     assert abs(evals[0] + np.pi) < 1e-12
     assert abs(evals[1]) < 1e-12
+    # -1 in a random basis takes the same branch
+    for d in (2, 3, 4, 8, 16):
+        for _ in range(10):
+            phases = np.exp(1j * rng.uniform(-3.0, 3.0, d))
+            phases[0] = -1.0
+            G = principal_log_generator(_with_phases(rng, phases))
+            evals = np.linalg.eigvalsh(G)
+            assert abs(evals[0] + np.pi) < 1e-12
+            assert evals[-1] < 3.0 + 1e-12
+    for d in (2, 4):
+        assert np.abs(principal_log_generator(np.eye(d))).max() == 0.0
+        assert np.abs(principal_log_generator(-np.eye(d)) + np.pi * np.eye(d)).max() < 1e-15
 
 
 def test_log_distance_properties(rng):
@@ -195,14 +223,14 @@ def _path_sha1(path):
 @pytest.mark.parametrize(
     "metric, u_seed, segments, restarts, seed, length, error, path_sha1",
     [
-        (lambda: _qubit_metric([1, 1, 4]), 3, 4, 2, 0, "0x1.eba8b4faa42d4p-1",
-         "0x1.264ad8ddfff95p-49", "7b3efc074ebfd6e39a71c9be68b759a6a1a5930a"),
-        (lambda: _qubit_metric([1, 2, 3]), 3, 3, 3, 5, "0x1.0c4dcc3d229eep+0",
-         "0x1.93e6a67de854dp-50", "f188b79998a2d2ccbf82b0048ab8b099ad729290"),
-        (lambda: build_penalty_metric(2, 4.0), 3, 2, 2, 1, "0x1.0316519d1ee9ap+0",
-         "0x1.3038ed3242a05p-49", "9f1462b8a780d8f639e2b9ab6c29092d1ae5ae69"),
-        (lambda: _qubit_metric([1, 1, 4]), 4, 2, 3, 0, "0x1.a00ddf7cdafc4p+0",
-         "0x1.7291f0941e7c5p-34", "a48ce21337b9a7a940452ec0b1aef00cd1c5b608"),
+        (lambda: _qubit_metric([1, 1, 4]), 3, 4, 2, 0, "0x1.eba8b4faa42d0p-1",
+         "0x1.3463ad6099b5cp-50", "715fece3a1489b1ca2116f2ef33774a1e301ccc1"),
+        (lambda: _qubit_metric([1, 2, 3]), 3, 3, 3, 5, "0x1.0c4dcc3d229edp+0",
+         "0x1.30bc674d853ebp-50", "d1760a8c3a75f5a8bdde789ade1223889fd319f6"),
+        (lambda: build_penalty_metric(2, 4.0), 3, 2, 2, 1, "0x1.0316519d1ee97p+0",
+         "0x1.0c149067b2ca2p-48", "cbebbf50ede2c6403c43e03361d95b70ca873fd6"),
+        (lambda: _qubit_metric([1, 1, 4]), 4, 2, 3, 0, "0x1.a00ddf7cdafcdp+0",
+         "0x1.729192ba80a66p-34", "0295ac710c2ab1da3ff4513b168f1e38e73cadf9"),
     ],
     ids=["d2-weights-1-1-4", "d2-weights-1-2-3", "d4-penalty-q4", "d2-penalty-rounds"],
 )

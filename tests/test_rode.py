@@ -52,6 +52,13 @@ def test_step_must_divide_segment(rng):
         integrate_rode(path, noise, 0)
 
 
+def test_nan_trajectory_fails_unitarity(rng):
+    path = constant_path(rand_hermitian(rng, 2), 1.0)
+    noise = NoiseModel(kind="gaussian_pauli", sigma=1e308, dt_noise=0.25)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="lost unitarity"):
+        integrate_rode(path, noise, 0)
+
+
 def test_requires_qubit_dimension(rng):
     path = constant_path(rand_hermitian(rng, 3), 1.0)
     noise = NoiseModel(kind="gaussian_pauli", sigma=0.1)
