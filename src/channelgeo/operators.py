@@ -15,7 +15,7 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
-#: Idempotency, pairwise orthogonality and completeness of a projector family.
+#: Idempotency, pairwise orthogonality (|Tr P_i P_j|) and completeness of a projector family.
 PROJECTOR_TOL = 1e-10
 #: Eigenvalues this close to zero are clamped to zero before square roots.
 EIG_CLAMP = 1e-10
@@ -73,7 +73,11 @@ def density(M: np.ndarray) -> np.ndarray:
 
 def projector_family(projectors) -> np.ndarray:
     """Validate Hermitian, idempotent, pairwise orthogonal projectors that
-    sum to the identity; returns them stacked as a (k, d, d) array."""
+    sum to the identity; returns them stacked as a (k, d, d) array.
+
+    Orthogonality is |Tr(P_i P_j)| <= PROJECTOR_TOL for every i < j; the
+    first pair that fails, in row order, is named.
+    """
     projs = [hermitian(P) for P in projectors]
     if not projs:
         raise ValueError("At least one projector is required.")
@@ -84,14 +88,17 @@ def projector_family(projectors) -> np.ndarray:
         dev = float(np.max(np.abs(P @ P - P)))
         if dev > PROJECTOR_TOL:
             raise ValueError(f"Projector {i} is not idempotent (deviation {dev:.3e}).")
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            dev = float(np.max(np.abs(projs[i] @ projs[j])))
-            if dev > PROJECTOR_TOL:
-                raise ValueError(
-                    f"Projectors {i} and {j} are not orthogonal (deviation {dev:.3e})."
-                )
     stack = np.stack(projs)
+    # For Hermitian idempotents Tr(P_i P_j) = ||P_i P_j||_F^2, so one Gram
+    # product of the flattened stack measures every pair at once.
+    flat = stack.reshape(len(projs), d * d)
+    gram = np.abs(flat.conj() @ flat.T)
+    bad = np.argwhere(np.triu(gram > PROJECTOR_TOL, 1))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"Projectors {i} and {j} are not orthogonal (deviation {gram[i, j]:.3e})."
+        )
     dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
     if dev > PROJECTOR_TOL:
         raise ValueError(f"Projectors do not sum to identity (deviation {dev:.3e}).")

@@ -1,15 +1,17 @@
 """Random-generator Schrödinger integration and ensemble statistics.
 
-Noise is piecewise constant over a correlation step, each substep is an
-exact Hermitian exponential, so every trajectory stays unitary and there
-is no integrator drift. Trajectories own independent RNG streams spawned
-from one seed, which makes single runs and batched ensembles agree
-trajectory for trajectory. An ensemble is integrated once: the mean, the
-per-trajectory statistics and, for norm-matched noise, the fluctuation
-checks all come from the same pass.
+Noise is piecewise constant over a correlation step, and each substep is
+the exponential of a Hermitian generator: closed form at d = 2, and above
+that a Taylor polynomial truncated below 2^-53, so every trajectory stays
+unitary to rounding and there is no integrator drift. Trajectories own
+independent RNG streams spawned from one seed, which makes single runs and
+batched ensembles agree trajectory for trajectory. An ensemble is
+integrated once: the mean, the per-trajectory statistics and, for
+norm-matched noise, the fluctuation checks all come from the same pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,15 @@ MAX_SUBSTEPS = 65536
 #: Most trajectories a config may ask for up to d = 8; see max_trajectories.
 MAX_TRAJECTORIES = 200_000
 _CHUNK = 512
+#: Taylor degrees m of the d >= 3 substep exponential, each with the largest
+#: theta for which theta^(m+1)/(m+1)! e^theta <= 2^-53, a bound on the
+#: truncation error of exp(X) for ||X||_2 <= theta.
+TAYLOR_DEGREES = (
+    (8, 0.06944931693563773),
+    (12, 0.32748371310275276),
+    (16, 0.7893586814173489),
+    (25, 2.3466949464971947),
+)
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,12 @@ def _noise_basis(d: int) -> PauliBasis:
 
 
 def _expm_batch(A: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i tau A) for a batch of Hermitian matrices."""
+    """exp(-i tau A) for a batch of Hermitian matrices.
+
+    d = 2 is closed form. Larger d is a Taylor polynomial whose degree, and
+    scaling-and-squaring count, follow from one norm bound on the stack, so
+    truncation stays below 2^-53; a non-finite stack gives NaN.
+    """
     d = A.shape[-1]
     if d == 2:
         a01 = A[..., 0, 1]
@@ -133,9 +149,50 @@ def _expm_batch(A: np.ndarray, tau: float) -> np.ndarray:
         out[..., 0, 1] = phase * (-1j * snc * (vx - 1j * vy))
         out[..., 1, 0] = phase * (-1j * snc * (vx + 1j * vy))
         return out
-    w, V = np.linalg.eigh(A)
-    ph = np.exp(-1j * tau * w)
-    return np.einsum("...ij,...j,...kj->...ik", V, ph, V.conj())
+    # The largest Frobenius norm in the stack bounds the 2-norm of every
+    # member; the squares of the real and imaginary parts sum to its square.
+    parts = A.reshape(-1, d * d).view(np.float64)
+    theta = tau * math.sqrt(np.einsum("bi,bi->b", parts, parts).max())
+    if not np.isfinite(theta):
+        return np.full_like(A, np.nan)
+    for m, theta_m in TAYLOR_DEGREES:
+        if theta <= theta_m:
+            return _taylor((-1j * tau) * A, m)
+    # Past the top degree: scale by 2^-s, where theta / theta_m < 2^s, then square.
+    m, theta_m = TAYLOR_DEGREES[-1]
+    s = math.frexp(theta / theta_m)[1]
+    U = _taylor((-1j * tau / 2.0**s) * A, m)
+    for _ in range(s):
+        U = U @ U
+    return U
+
+
+def _taylor(X: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k<=m} X^k / k! for a (B, d, d) stack, in Paterson–Stockmeyer form:
+    Horner's rule in X^p over blocks of degree below p, p = ceil(sqrt(m)).
+    Blocks are added in place, so the stack-sized temporaries are the powers
+    of X, the running sum, one product and one term."""
+    p = math.isqrt(m - 1) + 1
+    c = [1.0 / math.factorial(k) for k in range(m + 1)]
+    pows = [np.eye(X.shape[-1]), X]
+    for _ in range(p - 1):
+        pows.append(pows[-1] @ X)
+
+    def add_block(acc: np.ndarray, j: int) -> np.ndarray:
+        for i in range(min(p, m - j * p + 1)):
+            acc += c[j * p + i] * pows[i]
+        return acc
+
+    top = m // p
+    if m % p:
+        acc = add_block(np.zeros_like(X), top)
+    else:
+        # The top block is c_m I alone: its product with X^p is a scaling.
+        top -= 1
+        acc = add_block(c[m] * pows[p], top)
+    for j in range(top - 1, -1, -1):
+        acc = add_block(acc @ pows[p], j)
+    return acc
 
 
 def noise_step(path: PiecewiseConstantPath, noise: NoiseModel) -> float:
@@ -155,6 +212,9 @@ def _segment_plan(
     path: PiecewiseConstantPath, noise: NoiseModel, basis: PauliBasis
 ) -> list[tuple[np.ndarray, int, float, float | None]]:
     """Per segment: generator, substep count, substep length, matched target."""
+    n_coeff = len(basis.labels)
+    if noise.kind == "gaussian_pauli" and noise.sigma.size not in (1, n_coeff):
+        raise ValueError(f"sigma has {noise.sigma.size} entries, expected 1 or {n_coeff}.")
     dt = noise_step(path, noise)
     plan = []
     for H, ds in path.segments:
@@ -175,10 +235,7 @@ def _sample_coeffs(
     noise: NoiseModel, n_sub: int, n_coeff: int, target: float | None, rng
 ) -> np.ndarray:
     if noise.kind == "gaussian_pauli":
-        sig = noise.sigma
-        if sig.size not in (1, n_coeff):
-            raise ValueError(f"sigma has {sig.size} entries, expected 1 or {n_coeff}.")
-        return rng.normal(0.0, 1.0, size=(n_sub, n_coeff)) * sig
+        return rng.normal(0.0, 1.0, size=(n_sub, n_coeff)) * noise.sigma
     g = rng.normal(size=(n_sub, n_coeff))
     nrm = np.linalg.norm(g, axis=1, keepdims=True)
     nrm[nrm == 0.0] = 1.0
@@ -197,28 +254,31 @@ def _run_trajectories(
     endpoints = np.empty((M, d, d), dtype=np.complex128)
     integrals = np.zeros(M)
     worst_dev = 0.0
-    for lo in range(0, M, _CHUNK):
-        hi = min(lo + _CHUNK, M)
-        B = hi - lo
-        U = np.broadcast_to(np.eye(d, dtype=np.complex128), (B, d, d)).copy()
-        for H, n_sub, tau, target in plan:
-            # Filled row by row: a list of samples plus np.stack, or one norm
-            # over the whole block, would hold a second copy of C at once.
-            C = np.empty((B, n_sub, len(basis.labels)))
-            norms = np.empty((B, n_sub))
-            for i in range(B):
-                C[i] = _sample_coeffs(noise, n_sub, len(basis.labels), target, rngs[lo + i])
-                norms[i] = np.linalg.norm(C[i], axis=1)
-            integrals[lo:hi] += tau * norms.sum(axis=1)
-            if target is not None:
-                worst_dev = max(worst_dev, float(np.max(np.abs(norms - target))))
-            for s in range(n_sub):
-                A = H + devectorize_rows(C[:, s], basis)
-                U = _expm_batch(A, tau) @ U
-        endpoints[lo:hi] = U
-    dev = np.abs(
-        np.einsum("bji,bjk->bik", endpoints.conj(), endpoints) - np.eye(d)
-    ).max()
+    dev = 0.0
+    # An overflowing noise scale turns into NaN, which the unitarity check
+    # below reports; numpy's warnings on the way there would only clutter stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, M, _CHUNK):
+            hi = min(lo + _CHUNK, M)
+            B = hi - lo
+            U = np.broadcast_to(np.eye(d, dtype=np.complex128), (B, d, d)).copy()
+            for H, n_sub, tau, target in plan:
+                # Filled row by row: a list of samples plus np.stack, or one norm
+                # over the whole block, would hold a second copy of C at once.
+                C = np.empty((B, n_sub, len(basis.labels)))
+                norms = np.empty((B, n_sub))
+                for i in range(B):
+                    C[i] = _sample_coeffs(noise, n_sub, len(basis.labels), target, rngs[lo + i])
+                    norms[i] = np.linalg.norm(C[i], axis=1)
+                integrals[lo:hi] += tau * norms.sum(axis=1)
+                if target is not None:
+                    worst_dev = max(worst_dev, float(np.max(np.abs(norms - target))))
+                for s in range(n_sub):
+                    A = H + devectorize_rows(C[:, s], basis)
+                    U = _expm_batch(A, tau) @ U
+            endpoints[lo:hi] = U
+            # np.maximum, unlike max(), keeps a NaN.
+            dev = np.maximum(dev, np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(d)).max())
     if not dev <= TRAJECTORY_UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"Trajectory lost unitarity: max |U†U - I| = {dev:.3e}.")
     return endpoints, integrals, worst_dev, plan

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -660,6 +661,18 @@ def test_nan_trajectories_exit_one(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert cli.main(["rode", "--config", write_cfg(tmp_path, "nan.json", cfg)]) == 1
     assert "rode failed: Trajectory lost unitarity" in capsys.readouterr().err
+
+
+def test_nan_trajectories_exit_one_quietly_at_d4(tmp_path, capsys):
+    """At d = 4 the overflow ends in the same message, with no numpy warning."""
+    noise = {"kind": "gaussian_pauli", "sigma": 1e308, "dt_noise": 0.25}
+    path = {"H": pairs(np.diag([1.0, -1.0, 1.0, -1.0])), "t": 1.0}
+    cfg = {"schema_version": 1, "kind": "rode", "seed": 0, "path": path, "noise": noise, "M": 4}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["rode", "--config", write_cfg(tmp_path, "nan4.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "channelgeo: rode failed: Trajectory lost unitarity: max |U†U - I| = nan.\n"
 
 
 def _field_names(schema) -> set:

@@ -13,6 +13,7 @@ from channelgeo.operators import (
     matrix_abs,
     matrix_exp_unitary,
     partial_trace_env,
+    projector_family,
     sqrt_abs_diff,
     tensor,
     unitary,
@@ -157,3 +158,11 @@ def test_commutator_antisymmetry(rng):
     A = rand_hermitian(rng, 3)
     B = rand_hermitian(rng, 3)
     assert np.abs(commutator(A, B) + commutator(B, A)).max() < 1e-14
+
+
+def test_projector_family_names_the_first_overlapping_pair():
+    e = [np.diag(np.eye(3)[k]) for k in range(3)]
+    # Pairs (1, 4) and (2, 3) overlap; row order names (1, 4) first.
+    msg = r"^Projectors 1 and 4 are not orthogonal \(deviation 1\.000e\+00\)\.$"
+    with pytest.raises(ValueError, match=msg):
+        projector_family([e[0], e[1], e[2], e[2], e[1]])

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +59,44 @@ def test_nan_trajectory_fails_unitarity(rng):
     noise = NoiseModel(kind="gaussian_pauli", sigma=1e308, dt_noise=0.25)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="lost unitarity"):
         integrate_rode(path, noise, 0)
+
+
+def test_nan_trajectory_fails_unitarity_quietly_at_d4(rng):
+    path = constant_path(rand_hermitian(rng, 4), 1.0)
+    noise = NoiseModel(kind="gaussian_pauli", sigma=1e308, dt_noise=0.25)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="= nan"):
+        warnings.simplefilter("error", RuntimeWarning)
+        integrate_rode(path, noise, 0)
+
+
+@pytest.mark.parametrize("poisoned", [0, 2])
+def test_unitarity_is_checked_in_every_chunk(monkeypatch, rng, poisoned):
+    # Five trajectories in chunks of two: a NaN in the first or the last
+    # chunk fails the check, whatever the other chunks hold.
+    calls = []
+    original = rode._expm_batch
+
+    def expm(A, tau):
+        out = original(A, tau)
+        if len(calls) == poisoned * 4:
+            out[0, 0, 0] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(rode, "_CHUNK", 2)
+    monkeypatch.setattr(rode, "_expm_batch", expm)
+    path = constant_path(rand_hermitian(rng, 2), 1.0)
+    noise = NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=0.25)
+    with pytest.raises(ValueError, match="= nan"):
+        ensemble_mean(path, noise, M=5, seed=0)
+    assert len(calls) == 12
+
+
+def test_sigma_size_is_checked_before_sampling(rng):
+    path = constant_path(rand_hermitian(rng, 2), 1.0)
+    noise = NoiseModel(kind="gaussian_pauli", sigma=[0.1, 0.2], dt_noise=0.25)
+    with pytest.raises(ValueError, match="sigma has 2 entries, expected 1 or 3"):
+        rode._segment_plan(path, noise, build_pauli_basis(1))
 
 
 def test_requires_qubit_dimension(rng):
@@ -261,3 +301,70 @@ def test_noise_block_is_held_once(rng):
     finally:
         tracemalloc.stop()
     assert block < peak < 1.5 * block
+
+
+def test_taylor_thresholds_bound_the_truncation():
+    # theta_m is the largest theta with theta^(m+1)/(m+1)! e^theta <= 2^-53.
+    def tail(m, theta):
+        return theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta)
+
+    for m, theta_m in rode.TAYLOR_DEGREES:
+        assert tail(m, theta_m * (1 - 1e-9)) <= 2.0**-53 < tail(m, theta_m * (1 + 1e-9))
+
+
+def _unit_stack(rng, d, n=3):
+    """Hermitian members of unit Frobenius norm, so that theta = tau."""
+    A = np.stack([rand_hermitian(rng, d) for _ in range(n)])
+    return A / np.linalg.norm(A, axis=(1, 2))[:, None, None]
+
+
+def _check_exponentials(A, tau, got):
+    expm = pytest.importorskip("scipy.linalg").expm
+    d = A.shape[-1]
+    for a, g in zip(A, got):
+        assert np.abs(g - matrix_exp_unitary(a, tau)).max() <= 1e-14
+        assert np.abs(g - expm(-1j * tau * a)).max() <= 1e-14
+        assert np.abs(g.conj().T @ g - np.eye(d)).max() <= 1e-14
+
+
+_T8, _T12, _T16, _T25 = (theta for _, theta in rode.TAYLOR_DEGREES)
+_BELOW, _ABOVE = 1 - 1e-6, 1 + 1e-6
+# (tau, the Taylor degree used), with theta = tau: each threshold from just
+# below and just above; above the top one (and at tau = 3) the top degree
+# runs on X / 2, and one squaring follows.
+_TAUS = [
+    (1 / 256, 8),
+    (_T8 * _BELOW, 8), (_T8 * _ABOVE, 12),
+    (_T12 * _BELOW, 12), (_T12 * _ABOVE, 16),
+    (_T16 * _BELOW, 16), (_T16 * _ABOVE, 25),
+    (_T25 * _BELOW, 25), (_T25 * _ABOVE, 25),
+    (3.0, 25),
+]
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 16])
+@pytest.mark.parametrize("tau, degree", _TAUS)
+def test_expm_batch_taylor_kernel(monkeypatch, rng, d, tau, degree):
+    used = []
+    original = rode._taylor
+
+    def taylor(X, m):
+        used.append((m, float(np.linalg.norm(X, axis=(1, 2)).max())))
+        return original(X, m)
+
+    monkeypatch.setattr(rode, "_taylor", taylor)
+    A = _unit_stack(rng, d)
+    got = rode._expm_batch(A, tau)
+    [(m, theta)] = used
+    assert m == degree
+    assert theta <= dict(rode.TAYLOR_DEGREES)[m]
+    _check_exponentials(A, tau, got)
+
+
+@pytest.mark.parametrize("d", [3, 16])
+def test_expm_batch_one_large_member_squares_the_stack(rng, d):
+    # theta = 12 takes three squarings, which the small members go through too.
+    A = _unit_stack(rng, d, n=4)
+    A[0] *= 4.0
+    A[1:] *= 1e-3
+    _check_exponentials(A, 3.0, rode._expm_batch(A, 3.0))
