@@ -26,6 +26,7 @@ from .geodesic import (
     log_distance,
 )
 from .operators import (
+    ArgumentError,
     density,
     embed_system,
     hermitian,
@@ -43,6 +44,14 @@ KRAUS_COMPLETENESS_TOL = 1e-9
 PROB_TOL = 1e-9
 COMMUTE_TOL = 1e-10
 PSD_TOL = -1e-10
+
+
+def _check_dim(name: str, A: np.ndarray, d: int) -> None:
+    """Refuse argument `name`, A, unless it is a d-vector or a d×d matrix."""
+    A = np.asarray(A)
+    if A.shape not in ((d,), (d, d)):
+        square = A.ndim == 1 or A.ndim == 2 and A.shape[0] == A.shape[1]
+        raise ArgumentError(name, f"expected dimension {d}, got {len(A) if square else A.shape}")
 
 
 @dataclass(frozen=True)
@@ -64,31 +73,24 @@ class ChannelSpec:
 
     def __post_init__(self) -> None:
         if self.d_S < 1 or self.d_E < 1:
-            raise ValueError("Both dimensions must be positive.")
+            raise ArgumentError("d_S" if self.d_S < 1 else "d_E", "expected a positive dimension")
         H_S = hermitian(self.H_S)
         H_I = hermitian(self.H_I)
         H_E = hermitian(self.H_E)
-        if H_S.shape[0] != self.d_S:
-            raise ValueError(f"H_S has dim {H_S.shape[0]}, expected {self.d_S}.")
-        if H_E.shape[0] != self.d_E:
-            raise ValueError(f"H_E has dim {H_E.shape[0]}, expected {self.d_E}.")
-        if H_I.shape[0] != self.d_S * self.d_E:
-            raise ValueError(
-                f"H_I has dim {H_I.shape[0]}, expected {self.d_S * self.d_E}."
-            )
+        _check_dim("H_S", H_S, self.d_S)
+        _check_dim("H_I", H_I, self.d_S * self.d_E)
+        _check_dim("H_E", H_E, self.d_E)
         if self.env_probs is None:
             p = np.full(self.d_E, 1.0 / self.d_E)
         else:
             p = np.asarray(self.env_probs, dtype=float)
-        if p.shape != (self.d_E,):
-            raise ValueError(f"Need {self.d_E} environment probabilities, got {p.shape}.")
+        _check_dim("env_probs", p, self.d_E)
         if np.any(p < 0):
-            raise ValueError(f"Environment probabilities must be >= 0, min {p.min()!r}.")
+            raise ArgumentError("env_probs", f"entries must be >= 0, min is {float(p.min())!r}")
         if abs(float(p.sum()) - 1.0) > PROB_TOL:
-            raise ValueError(f"Environment probabilities sum to {p.sum()!r}, not 1.")
+            raise ArgumentError("env_probs", f"entries sum to {float(p.sum())!r}, not 1")
         B = np.eye(self.d_E, dtype=np.complex128) if self.env_basis is None else unitary(self.env_basis)
-        if B.shape[0] != self.d_E:
-            raise ValueError(f"env_basis has dim {B.shape[0]}, expected {self.d_E}.")
+        _check_dim("env_basis", B, self.d_E)
         object.__setattr__(self, "H_S", H_S)
         object.__setattr__(self, "H_I", H_I)
         object.__setattr__(self, "H_E", H_E)
@@ -276,17 +278,22 @@ def noise_complexity_td(spec: TimeDependentSpec) -> float:
     return abs(channel_complexity_td(spec) - noiseless)
 
 
-def perturbative_defect(H_S: np.ndarray, A_S: np.ndarray) -> tuple[str, str] | None:
-    """(argument to blame, message) for the first perturbative-model rule that Hermitian
-    H_S and A_S break: they commute (blamed on A_S), and each is PSD. None if both hold."""
+def check_perturbative(
+    H_S: np.ndarray, A_S: np.ndarray, env_energies: np.ndarray, weights: np.ndarray
+) -> None:
+    """Refuse, naming the argument, the first perturbative-model rule that
+    Hermitian H_S and A_S and vectors env_energies and weights break: A_S
+    has H_S's dimension and weights one entry per energy; H_S and A_S
+    commute (blamed on A_S), and each is PSD."""
+    _check_dim("A_S", A_S, len(H_S))
+    _check_dim("weights", weights, len(env_energies))
     comm_dev = float(np.max(np.abs(H_S @ A_S - A_S @ H_S)))
     if comm_dev > COMMUTE_TOL:
-        return "A_S", f"H_S and A_S do not commute (deviation {comm_dev:.3e})."
+        raise ArgumentError("A_S", f"H_S and A_S do not commute (deviation {comm_dev:.3e}).")
     for name, M in (("H_S", H_S), ("A_S", A_S)):
         w_min = float(np.linalg.eigvalsh(M)[0])
         if w_min < PSD_TOL:
-            return name, f"{name} is not PSD (min eigenvalue {w_min:.3e})."
-    return None
+            raise ArgumentError(name, f"{name} is not PSD (min eigenvalue {w_min:.3e}).")
 
 
 def perturbative_example(
@@ -319,8 +326,7 @@ def perturbative_example(
     alpha = np.asarray(weights, dtype=float)
     if eps < 0:
         raise ValueError(f"Perturbation strength must be >= 0, got {eps!r}.")
-    if defect := perturbative_defect(H_S, A_S):
-        raise ValueError(defect[1])
+    check_perturbative(H_S, A_S, E, alpha)
     if np.any(E < 0):
         raise ValueError(f"Environment energies must be >= 0, min {E.min()!r}.")
     if np.any(alpha < 0) or abs(float(alpha.sum()) - 1.0) > PROB_TOL:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     channelgeo <kind> --config cfg.json [--out report.json] [--seed N]
-    channelgeo sweep --config cfg.json --param name --values v1 v2 ... [--threads K]
+    channelgeo sweep --config cfg.json --param name --values v1 v2 ... [--out dir]
 
 Exit codes: 0 when every bound check holds, 1 on a failed check or a
 numerical error, 2 on configuration problems. Reports are byte-stable
@@ -49,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run one experiment per parameter value")
     _add_common(sweep)
     sweep.add_argument(
-        "--threads", type=int, default=1, help="worker threads for the runs (default 1)"
-    )
-    sweep.add_argument(
         "--param", required=True, help="dotted config path to vary, e.g. perturbative.eps"
     )
     sweep.add_argument(
@@ -79,10 +76,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be non-negative")
             cfg["seed"] = args.seed
-        if args.command == "sweep":  # run_sweep validates the config and each swept one
-            if args.threads < 1:
-                raise ConfigError("--threads must be at least 1")
-        else:
+        if args.command != "sweep":  # run_sweep validates the config and each swept one
             cfg = validate_config(cfg, args.command)
     except ConfigError as exc:
         print(f"channelgeo: {exc}", file=sys.stderr)
@@ -91,7 +85,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             values = [_parse_value(v) for v in args.values]
-            reports, rows = run_sweep(cfg, args.param, values, threads=args.threads)
+            reports, rows = run_sweep(cfg, args.param, values)
             if args.out is None:
                 write_sweep_csv(rows, sys.stdout)
             else:

@@ -21,6 +21,18 @@ PROJECTOR_TOL = 1e-10
 EIG_CLAMP = 1e-10
 
 
+class ArgumentError(ValueError):
+    """A value refused by the rule of one named argument.
+
+    name is the argument, or a dotted path under one (``noise.sigma``);
+    message says what the rule wants. str() gives both.
+    """
+
+    def __init__(self, name: str, message: str) -> None:
+        super().__init__(f"{name}: {message}")
+        self.name, self.message = name, message
+
+
 def as_square(M: np.ndarray) -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
     A = np.asarray(M, dtype=np.complex128)

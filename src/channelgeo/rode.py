@@ -17,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesic import PiecewiseConstantPath, log_distance, log_norms, path_endpoint
-from .operators import hs_norm
-from .pauli import PauliBasis, build_pauli_basis, devectorize_rows, vectorize
+from .operators import ArgumentError, hs_norm
+from .pauli import build_pauli_basis, devectorize_rows, vectorize
 
 TRAJECTORY_UNITARITY_TOL = 1e-9
 MEAN_OP_NORM_TOL = 1e-9
 MATCHED_NORM_TOL = 1e-9
 DISTANCE_BOUND_SLACK = 1e-6
 TRIANGLE_SLACK = 1e-9
-#: Most noise substeps a config may ask for: 256 times the default count.
+#: Most noise substeps a run may ask for: 256 times the default count.
 MAX_SUBSTEPS = 65536
-#: Most trajectories a config may ask for up to d = 8; see max_trajectories.
+#: Most trajectories a run may ask for up to d = 8; see max_trajectories.
 MAX_TRAJECTORIES = 200_000
 _CHUNK = 512
 #: Taylor degrees m of the d >= 3 substep exponential, each with the largest
@@ -62,23 +62,16 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian_pauli", "bounded_matched"):
-            raise ValueError(f"Unknown noise kind {self.kind!r}.")
-        if self.kind == "gaussian_pauli":
-            if self.sigma is None:
-                raise ValueError("gaussian_pauli requires sigma.")
-            sig = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-            if np.any(sig < 0):
-                raise ValueError(f"Noise sigma must be >= 0, min {sig.min()!r}.")
-            object.__setattr__(self, "sigma", sig)
-        else:
-            if self.weights is None:
-                raise ValueError("bounded_matched requires weights.")
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 1.0):
-                raise ValueError(f"Matched-noise weights must be >= 1, min {w.min()!r}.")
-            object.__setattr__(self, "weights", w)
+            raise ArgumentError("kind", f"unknown noise kind {self.kind!r}")
+        need, floor = ("sigma", 0.0) if self.kind == "gaussian_pauli" else ("weights", 1.0)
+        if getattr(self, need) is None:
+            raise ArgumentError(need, f"missing; noise kind {self.kind!r} needs it")
+        v = np.asarray(getattr(self, need), dtype=float)
+        if np.any(v < floor):
+            raise ArgumentError(need, f"entries must be >= {floor}, min is {float(v.min())!r}")
+        object.__setattr__(self, need, np.atleast_1d(v))
         if self.dt_noise is not None and self.dt_noise <= 0:
-            raise ValueError(f"dt_noise must be positive, got {self.dt_noise!r}.")
+            raise ArgumentError("dt_noise", f"expected a number > 0, got {self.dt_noise!r}")
 
 
 @dataclass(frozen=True)
@@ -109,19 +102,12 @@ class EnsembleResult:
 
 
 def max_trajectories(d: int) -> int:
-    """Largest ensemble a config may ask for at dimension d.
+    """Largest ensemble a run may ask for at dimension d.
 
     MAX_TRAJECTORIES up to d = 8, then scaled by 64/d^2, so that the
     stored endpoints never take more than about 205 MB at any d.
     """
     return MAX_TRAJECTORIES * 64 // max(64, d * d)
-
-
-def _noise_basis(d: int) -> PauliBasis:
-    n = int(round(np.log2(d)))
-    if 2**n != d:
-        raise ValueError(f"Noise sampling needs a qubit dimension, got {d}.")
-    return build_pauli_basis(n)
 
 
 def _expm_batch(A: np.ndarray, tau: float) -> np.ndarray:
@@ -195,37 +181,46 @@ def _taylor(X: np.ndarray, m: int) -> np.ndarray:
     return acc
 
 
-def noise_step(path: PiecewiseConstantPath, noise: NoiseModel) -> float:
-    """The noise substep: dt_noise, or else the total time / 256."""
-    return noise.dt_noise if noise.dt_noise is not None else path.total_time / 256.0
-
-
-def substeps(ds: float, dt: float) -> int:
-    """Noise substeps in a segment of duration ds: ds / dt, a whole number >= 1."""
-    n_sub = int(round(ds / dt))
-    if n_sub < 1 or abs(n_sub * dt - ds) > 1e-9 * max(1.0, ds):
-        raise ValueError(f"Noise step {dt!r} does not divide segment duration {ds!r}.")
-    return n_sub
-
-
-def _segment_plan(
-    path: PiecewiseConstantPath, noise: NoiseModel, basis: PauliBasis
+def segment_plan(
+    path: PiecewiseConstantPath, noise: NoiseModel, M: int
 ) -> list[tuple[np.ndarray, int, float, float | None]]:
-    """Per segment: generator, substep count, substep length, matched target."""
-    n_coeff = len(basis.labels)
-    if noise.kind == "gaussian_pauli" and noise.sigma.size not in (1, n_coeff):
-        raise ValueError(f"sigma has {noise.sigma.size} entries, expected 1 or {n_coeff}.")
-    dt = noise_step(path, noise)
+    """Per segment of a run of M trajectories: generator, substep count,
+    substep length and matched-noise target.
+
+    Every rule of a run is checked here, before anything is sampled, and the
+    first one broken raises ArgumentError naming what to blame: `path` for
+    a dimension other than 2, 4, ..., 32 (the noise is drawn in a Pauli basis
+    of 1..5 qubits); `M` outside 1..max_trajectories(d); `noise.sigma` (1 or
+    d²-1 entries) or `noise.weights` (d²-1) of the wrong size; and, for a noise
+    step that underflows, gives more than MAX_SUBSTEPS substeps or does not
+    divide a segment, `noise.dt_noise`, or else, under the default step of
+    total time / 256, `path` or `path.segments[k].ds`.
+    """
+    d = path.dim
+    n = d * d - 1
+    if d < 2 or d & (d - 1) or d > 2**5:
+        raise ArgumentError("path", f"noise sampling needs a dimension 2, 4, 8, 16 or 32, got {d}")
+    if not 1 <= M <= max_trajectories(d):
+        raise ArgumentError("M", f"expected an integer from 1 to {max_trajectories(d)}, got {M}")
+    if noise.kind == "gaussian_pauli" and noise.sigma.size not in (1, n):
+        raise ArgumentError("noise.sigma", f"expected 1 or {n} entries, got {noise.sigma.size}")
+    if noise.kind == "bounded_matched" and noise.weights.shape != (n,):
+        raise ArgumentError("noise.weights", f"expected {n} entries, got {noise.weights.size}")
+    step = "path" if noise.dt_noise is None else "noise.dt_noise"  # the argument that sets dt
+    dt = path.total_time / 256.0 if noise.dt_noise is None else noise.dt_noise
+    if not dt > 0 or path.total_time / dt > MAX_SUBSTEPS:  # dt is 0 if it underflows
+        raise ArgumentError(step, f"a noise step of {dt!r} gives more than {MAX_SUBSTEPS} "
+                                  f"substeps over total time {path.total_time!r}")
+    basis = build_pauli_basis(d.bit_length() - 1)
     plan = []
-    for H, ds in path.segments:
-        n_sub = substeps(ds, dt)
+    for k, (H, ds) in enumerate(path.segments):
+        n_sub = int(round(ds / dt))
+        if n_sub < 1 or abs(n_sub * dt - ds) > 1e-9 * max(1.0, ds):
+            raise ArgumentError(f"path.segments[{k}].ds" if step == "path" else step,
+                                f"noise step {dt!r} does not divide segment duration {ds!r}")
         target = None
         if noise.kind == "bounded_matched":
             h = vectorize(H, basis).coefficients
-            if noise.weights.shape != h.shape:
-                raise ValueError(
-                    f"Need {h.size} matched-noise weights, got {noise.weights.size}."
-                )
             target = float(np.sqrt(np.sum(noise.weights * h * h)))
         plan.append((H, n_sub, ds / n_sub, target))
     return plan
@@ -243,13 +238,12 @@ def _sample_coeffs(
 
 
 def _run_trajectories(
-    path: PiecewiseConstantPath, noise: NoiseModel, rngs: list
-) -> tuple[np.ndarray, np.ndarray, float, list]:
-    """Evolve one trajectory per RNG; returns endpoints, noise-norm
-    integrals, the worst matched-norm deviation seen, and the segment plan."""
-    d = path.dim
-    basis = _noise_basis(d)
-    plan = _segment_plan(path, noise, basis)
+    plan: list, noise: NoiseModel, rngs: list
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Evolve one trajectory per RNG along a segment_plan; returns endpoints,
+    noise-norm integrals and the worst matched-norm deviation seen."""
+    d = len(plan[0][0])
+    basis = build_pauli_basis(d.bit_length() - 1)
     M = len(rngs)
     endpoints = np.empty((M, d, d), dtype=np.complex128)
     integrals = np.zeros(M)
@@ -281,14 +275,15 @@ def _run_trajectories(
             dev = np.maximum(dev, np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(d)).max())
     if not dev <= TRAJECTORY_UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"Trajectory lost unitarity: max |U†U - I| = {dev:.3e}.")
-    return endpoints, integrals, worst_dev, plan
+    return endpoints, integrals, worst_dev
 
 
 def integrate_rode(
     path: PiecewiseConstantPath, noise: NoiseModel, seed
 ) -> np.ndarray:
     """One sample path of the noisy propagator. Deterministic given seed."""
-    endpoints, _, _, _ = _run_trajectories(path, noise, [np.random.default_rng(seed)])
+    plan = segment_plan(path, noise, 1)
+    endpoints, _, _ = _run_trajectories(plan, noise, [np.random.default_rng(seed)])
     return endpoints[0]
 
 
@@ -297,11 +292,10 @@ def _ensemble(
 ) -> EnsembleResult:
     """Integrate M seeded trajectories once and derive every statistic,
     including the matched-noise fluctuation checks, from that pass."""
-    if M < 1:
-        raise ValueError(f"Ensemble size must be >= 1, got {M}.")
+    plan = segment_plan(path, noise, M)  # every rule, before any stream is spawned
     children = np.random.SeedSequence(seed).spawn(M)
     rngs = [np.random.default_rng(c) for c in children]
-    endpoints, integrals, worst_dev, plan = _run_trajectories(path, noise, rngs)
+    endpoints, integrals, worst_dev = _run_trajectories(plan, noise, rngs)
     V = endpoints.mean(axis=0)
     U_free = path_endpoint(path)
     distances = np.linalg.norm(endpoints - V, axis=(1, 2))

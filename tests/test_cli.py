@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import rand_hermitian as herm
 
-from channelgeo import cli, coherence, reports, rode
+from channelgeo import channel, cli, coherence, reports, rode
+from channelgeo.geodesic import PiecewiseConstantPath, constant_path
+from channelgeo.operators import ArgumentError
 from channelgeo.reports import (
     CONVENTIONS,
     KIND_FIELDS,
@@ -29,6 +31,7 @@ from channelgeo.reports import (
     validate_config,
     write_sweep_csv,
 )
+from channelgeo.rode import NoiseModel
 
 SIGMA_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 
@@ -333,6 +336,91 @@ def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):
     assert "Traceback" not in err
 
 
+_Z = np.diag([1.0, -1.0]).astype(np.complex128)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+_GAUSS = NoiseModel(kind="gaussian_pauli", sigma=0.1)
+_MATCHED_MODEL = NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=0.0625)
+_SPEC = dict(d_S=2, d_E=2, H_S=_Z, H_I=np.zeros((4, 4)), H_E=np.zeros((2, 2)))
+_PERT = dict(H_S=np.diag([1.0, 2.0]), A_S=np.eye(2), env_energies=np.array([0.0, 1.0]),
+             weights=np.array([0.5, 0.5]))
+
+
+def _segments(*ds):
+    return PiecewiseConstantPath(segments=tuple((_Z, d) for d in ds))
+
+
+@pytest.mark.parametrize(
+    "call, at, name, kind, fields",
+    [
+        # rode.segment_plan holds every rule of a run
+        (lambda: rode.segment_plan(constant_path(np.diag([1.0, 2.0, 3.0]), 1.0), _GAUSS, 4),
+         "", "path", "rode", {"path": {"H": pairs(np.diag([1.0, 2.0, 3.0])), "t": 1.0}}),
+        (lambda: rode.segment_plan(constant_path(_Z, 5e-324), _GAUSS, 4), "", "path", "rode",
+         {"path": {"H": SIGMA_Z, "t": 5e-324}, "noise": {"kind": "gaussian_pauli", "sigma": 0.1}}),
+        (lambda: rode.segment_plan(constant_path(_Z, 1.0), _MATCHED_MODEL, rode.MAX_TRAJECTORIES + 1),
+         "", "M", "rode", {"M": rode.MAX_TRAJECTORIES + 1}),
+        (lambda: rode.segment_plan(constant_path(_Z, 1.0),
+                                   NoiseModel(kind="gaussian_pauli", sigma=[0.1, 0.1]), 4),
+         "", "noise.sigma", "rode", {"noise": {"kind": "gaussian_pauli", "sigma": [0.1, 0.1]}}),
+        (lambda: rode.segment_plan(constant_path(_Z, 1.0),
+                                   NoiseModel(kind="bounded_matched", weights=np.ones(2)), 4),
+         "", "noise.weights", "rode", {"noise": {**_MATCHED, "weights": [1.0, 1.0]}}),
+        (lambda: rode.segment_plan(constant_path(_Z, 1.0),
+                                   NoiseModel(kind="bounded_matched", weights=np.ones(3),
+                                              dt_noise=2**-17), 4),
+         "", "noise.dt_noise", "rode", {"noise": {**_MATCHED, "dt_noise": 2**-17}}),
+        (lambda: rode.segment_plan(constant_path(_Z, 1.0),
+                                   NoiseModel(kind="bounded_matched", weights=np.ones(3),
+                                              dt_noise=0.3), 4),
+         "", "noise.dt_noise", "rode", {"noise": {**_MATCHED, "dt_noise": 0.3}}),
+        (lambda: rode.segment_plan(_segments(0.3, 0.7), NoiseModel(kind="bounded_matched",
+                                                                  weights=np.ones(3)), 4),
+         "", "path.segments[0].ds", "rode",
+         {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.3}, {"H": SIGMA_Z, "ds": 0.7}]},
+          "noise": {**_MATCHED, "dt_noise": None}}),
+        # rode.NoiseModel, read under `noise`
+        (lambda: NoiseModel(kind="gaussian_pauli"), "noise.", "sigma", "rode",
+         {"noise": {"kind": "gaussian_pauli"}}),
+        (lambda: NoiseModel(kind="bounded_matched"), "noise.", "weights", "rode",
+         {"noise": {"kind": "bounded_matched"}}),
+        # channel.ChannelSpec, the joint spec of `channel` and `noise`
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_S": np.eye(3)}), "", "H_S", "noise",
+         {"H_S": pairs(np.eye(3))}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_I": np.eye(2)}), "", "H_I", "noise",
+         {"H_I": pairs(np.eye(2))}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_E": np.eye(3)}), "", "H_E", "channel",
+         {**_BASE["noise"], "H_E": pairs(np.eye(3))}),
+        (lambda: channel.ChannelSpec(**_SPEC, env_probs=[1.0]), "", "env_probs", "noise",
+         {"env_probs": [1.0]}),
+        (lambda: channel.ChannelSpec(**_SPEC, env_basis=np.eye(3)), "", "env_basis", "noise",
+         {"env_basis": pairs(np.eye(3))}),
+        # channel.check_perturbative, read under `perturbative`
+        (lambda: channel.check_perturbative(**{**_PERT, "A_S": np.eye(3)}), "perturbative.",
+         "A_S", "channel", {"perturbative": {**_PERTURBATIVE, "A_S": pairs(np.eye(3))}}),
+        (lambda: channel.check_perturbative(**{**_PERT, "weights": np.ones(1)}), "perturbative.",
+         "weights", "channel", {"perturbative": {**_PERTURBATIVE, "weights": [1.0]}}),
+        (lambda: channel.check_perturbative(**{**_PERT, "H_S": np.diag([2.0, 1.0]), "A_S": _X}),
+         "perturbative.", "A_S", "channel",
+         {"perturbative": {**_PERTURBATIVE, "H_S": pairs(np.diag([2.0, 1.0])), "A_S": pairs(_X)}}),
+        (lambda: channel.check_perturbative(**{**_PERT, "H_S": _Z}), "perturbative.", "H_S",
+         "channel", {"perturbative": {**_PERTURBATIVE, "H_S": SIGMA_Z}}),
+        (lambda: channel.check_perturbative(**{**_PERT, "A_S": -np.eye(2)}), "perturbative.",
+         "A_S", "channel", {"perturbative": {**_PERTURBATIVE, "A_S": pairs(-np.eye(2))}}),
+    ],
+)
+def test_domain_rule_names_the_field_the_cli_blames(tmp_path, capsys, call, at, name, kind, fields):
+    with pytest.raises(ArgumentError) as info:
+        call()
+    assert info.value.name == name
+    cfg = {"schema_version": 1, "kind": kind, "seed": 0, **_BASE[kind], **fields}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main([kind, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{at}{name}'" in err
+    assert "Traceback" not in err
+
+
 def test_missing_field_exits_two(tmp_path):
     cfg = write_cfg(
         tmp_path, "mf.json", {"schema_version": 1, "kind": "complexity", "seed": 0, "t": 1.0}
@@ -582,7 +670,7 @@ def test_run_sweep_rows_and_csv():
         "H": SIGMA_Z,
         "t": 1.0,
     }
-    reports, rows = run_sweep(cfg, "t", [0.5, 1.0], threads=2)
+    reports, rows = run_sweep(cfg, "t", [0.5, 1.0])
     assert len(reports) == 2
     assert rows[0]["value"] == 0.5
     assert abs(rows[1]["G_hs"] - np.sqrt(2.0 / 3.0)) < 1e-12

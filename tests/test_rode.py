@@ -14,7 +14,7 @@ from channelgeo.geodesic import (
     log_distance,
     path_endpoint,
 )
-from channelgeo.operators import hs_norm, matrix_exp_unitary
+from channelgeo.operators import ArgumentError, hs_norm, matrix_exp_unitary
 from channelgeo.pauli import MetricSpec, build_pauli_basis, omega_norm_raw
 from channelgeo.rode import (
     NoiseModel,
@@ -92,11 +92,41 @@ def test_unitarity_is_checked_in_every_chunk(monkeypatch, rng, poisoned):
     assert len(calls) == 12
 
 
-def test_sigma_size_is_checked_before_sampling(rng):
+def test_sigma_size_is_checked_before_sampling(rng, monkeypatch):
     path = constant_path(rand_hermitian(rng, 2), 1.0)
     noise = NoiseModel(kind="gaussian_pauli", sigma=[0.1, 0.2], dt_noise=0.25)
-    with pytest.raises(ValueError, match="sigma has 2 entries, expected 1 or 3"):
-        rode._segment_plan(path, noise, build_pauli_basis(1))
+    with pytest.raises(ArgumentError, match="expected 1 or 3 entries, got 2") as info:
+        rode.segment_plan(path, noise, 4)
+    assert info.value.name == "noise.sigma"
+
+    def sample(*args):
+        raise AssertionError("noise was sampled before the sigma size was checked")
+
+    monkeypatch.setattr(rode, "_sample_coeffs", sample)
+    with pytest.raises(ArgumentError, match="expected 1 or 3 entries, got 2"):
+        ensemble_mean(path, noise, M=4, seed=0)
+
+
+_SIGMA = NoiseModel(kind="gaussian_pauli", sigma=0.1)
+
+
+@pytest.mark.parametrize(
+    "t, noise, M, name",
+    [
+        (5e-324, _SIGMA, 4, "path"),  # the default step, t / 256, underflows to 0
+        (1.0, NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=2**-17), 4, "noise.dt_noise"),
+        (1.0, _SIGMA, rode.max_trajectories(2) + 1, "M"),
+    ],
+)
+def test_ensemble_refuses_a_run_before_spawning_streams(monkeypatch, t, noise, M, name):
+    def spawn(*args, **kwargs):
+        raise AssertionError("a seed stream was spawned before the run was checked")
+
+    monkeypatch.setattr(np.random, "SeedSequence", spawn)
+    path = constant_path(np.diag([1.0, -1.0]).astype(np.complex128), t)
+    with pytest.raises(ArgumentError) as info:
+        ensemble_mean(path, noise, M, seed=0)
+    assert info.value.name == name
 
 
 def test_requires_qubit_dimension(rng):
