@@ -27,12 +27,14 @@ from .geodesic import (
 )
 from .operators import (
     ArgumentError,
+    at_least,
     density,
     embed_system,
     hermitian,
     hs_norm,
     matrix_abs,
     matrix_exp_unitary,
+    named,
     partial_trace_env,
     sqrt_abs_diff,
     tensor,
@@ -52,6 +54,15 @@ def _check_dim(name: str, A: np.ndarray, d: int) -> None:
     if A.shape not in ((d,), (d, d)):
         square = A.ndim == 1 or A.ndim == 2 and A.shape[0] == A.shape[1]
         raise ArgumentError(name, f"expected dimension {d}, got {len(A) if square else A.shape}")
+
+
+def _check_probabilities(name: str, p, d: int) -> np.ndarray:
+    """Refuse argument `name`, p, unless it is a probability d-vector."""
+    p = at_least(name, p, 0)
+    _check_dim(name, p, d)
+    if abs(float(p.sum()) - 1.0) > PROB_TOL:
+        raise ArgumentError(name, f"entries sum to {float(p.sum())!r}, not 1")
+    return p
 
 
 @dataclass(frozen=True)
@@ -74,26 +85,17 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if self.d_S < 1 or self.d_E < 1:
             raise ArgumentError("d_S" if self.d_S < 1 else "d_E", "expected a positive dimension")
-        H_S = hermitian(self.H_S)
-        H_I = hermitian(self.H_I)
-        H_E = hermitian(self.H_E)
-        _check_dim("H_S", H_S, self.d_S)
-        _check_dim("H_I", H_I, self.d_S * self.d_E)
-        _check_dim("H_E", H_E, self.d_E)
+        for name, d in (("H_S", self.d_S), ("H_I", self.d_S * self.d_E), ("H_E", self.d_E)):
+            H = named(name, hermitian, getattr(self, name))
+            _check_dim(name, H, d)
+            object.__setattr__(self, name, H)
         if self.env_probs is None:
             p = np.full(self.d_E, 1.0 / self.d_E)
         else:
-            p = np.asarray(self.env_probs, dtype=float)
-        _check_dim("env_probs", p, self.d_E)
-        if np.any(p < 0):
-            raise ArgumentError("env_probs", f"entries must be >= 0, min is {float(p.min())!r}")
-        if abs(float(p.sum()) - 1.0) > PROB_TOL:
-            raise ArgumentError("env_probs", f"entries sum to {float(p.sum())!r}, not 1")
-        B = np.eye(self.d_E, dtype=np.complex128) if self.env_basis is None else unitary(self.env_basis)
+            p = _check_probabilities("env_probs", self.env_probs, self.d_E)
+        B = self.env_basis
+        B = np.eye(self.d_E, dtype=np.complex128) if B is None else named("env_basis", unitary, B)
         _check_dim("env_basis", B, self.d_E)
-        object.__setattr__(self, "H_S", H_S)
-        object.__setattr__(self, "H_I", H_I)
-        object.__setattr__(self, "H_E", H_E)
         object.__setattr__(self, "env_probs", p)
         object.__setattr__(self, "env_basis", B)
 
@@ -279,14 +281,20 @@ def noise_complexity_td(spec: TimeDependentSpec) -> float:
 
 
 def check_perturbative(
-    H_S: np.ndarray, A_S: np.ndarray, env_energies: np.ndarray, weights: np.ndarray
-) -> None:
-    """Refuse, naming the argument, the first perturbative-model rule that
-    Hermitian H_S and A_S and vectors env_energies and weights break: A_S
-    has H_S's dimension and weights one entry per energy; H_S and A_S
-    commute (blamed on A_S), and each is PSD."""
+    H_S: np.ndarray, A_S: np.ndarray, env_energies: np.ndarray, weights: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refuse, naming the argument, the first perturbative-model rule broken:
+    H_S and A_S are Hermitian, of one dimension, commuting (blamed on A_S)
+    and PSD; env_energies are >= 0; weights are a probability vector with
+    one entry per energy; eps >= 0. Returns H_S, A_S, env_energies and
+    weights as checked arrays."""
+    H_S = named("H_S", hermitian, H_S)
+    A_S = named("A_S", hermitian, A_S)
     _check_dim("A_S", A_S, len(H_S))
-    _check_dim("weights", weights, len(env_energies))
+    E = at_least("env_energies", env_energies, 0)
+    weights = _check_probabilities("weights", weights, len(E))
+    if not eps >= 0:
+        raise ArgumentError("eps", f"expected a number >= 0, got {eps!r}")
     comm_dev = float(np.max(np.abs(H_S @ A_S - A_S @ H_S)))
     if comm_dev > COMMUTE_TOL:
         raise ArgumentError("A_S", f"H_S and A_S do not commute (deviation {comm_dev:.3e}).")
@@ -294,6 +302,7 @@ def check_perturbative(
         w_min = float(np.linalg.eigvalsh(M)[0])
         if w_min < PSD_TOL:
             raise ArgumentError(name, f"{name} is not PSD (min eigenvalue {w_min:.3e}).")
+    return H_S, A_S, E, weights
 
 
 def perturbative_example(
@@ -320,17 +329,7 @@ def perturbative_example(
     is not used. The match is O(eps^{3/2}) when the environment weights
     are uniform (then Tr diag(E) = d_E <E>).
     """
-    H_S = hermitian(H_S)
-    A_S = hermitian(A_S)
-    E = np.asarray(env_energies, dtype=float)
-    alpha = np.asarray(weights, dtype=float)
-    if eps < 0:
-        raise ValueError(f"Perturbation strength must be >= 0, got {eps!r}.")
-    check_perturbative(H_S, A_S, E, alpha)
-    if np.any(E < 0):
-        raise ValueError(f"Environment energies must be >= 0, min {E.min()!r}.")
-    if np.any(alpha < 0) or abs(float(alpha.sum()) - 1.0) > PROB_TOL:
-        raise ValueError("Weights must be a probability vector.")
+    H_S, A_S, E, alpha = check_perturbative(H_S, A_S, env_energies, weights, eps)
     d_S = H_S.shape[0]
     d_E = E.size
     spec = ChannelSpec(

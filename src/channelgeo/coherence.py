@@ -13,8 +13,8 @@ import numpy as np
 
 from .geodesic import geometric_complexity_const
 from .operators import (
-    commutator, density, hermitian, hs_norm, matrix_exp_unitary, projector_family, rowdot,
-    unitary,
+    ArgumentError, commutator, density, hermitian, hs_norm, matrix_exp_unitary,
+    projector_family, rowdot, unitary,
 )
 from .optimize import coordinate_search
 
@@ -146,6 +146,8 @@ def cohering_power(
     re-evaluated exactly at the winning state, so it certifies a lower
     bound on the true maximum.
     """
+    if not 0 <= restarts <= MAX_RESTARTS:
+        raise ArgumentError("restarts", f"expected an integer 0..{MAX_RESTARTS}, got {restarts}")
     U = unitary(U)
     d = U.shape[0]
     if d != E.dim:

@@ -39,8 +39,8 @@ class PiecewiseConstantPath:
         dim = None
         for k, (H, ds) in enumerate(self.segments):
             H = hermitian(H)
-            if ds <= 0:
-                raise ValueError(f"Segment {k} duration must be positive, got {ds!r}.")
+            if not 0 < ds < np.inf:  # NaN fails too
+                raise ValueError(f"Segment {k} duration must be positive and finite, got {ds!r}.")
             if dim is None:
                 dim = H.shape[0]
             elif H.shape[0] != dim:
@@ -98,7 +98,7 @@ def geometric_complexity_const(H: np.ndarray, t: float, m: MetricSpec | None = N
     coefficients instead.
     """
     H = hermitian(H)
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise ValueError(f"Time must be nonnegative, got {t!r}.")
     d = H.shape[0]
     return t * generator_norm(H, m) / np.sqrt(d**2 - 1)

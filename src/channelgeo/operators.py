@@ -33,6 +33,22 @@ class ArgumentError(ValueError):
         self.name, self.message = name, message
 
 
+def named(name: str, check, value):
+    """check(value), with any ValueError it raises refused as argument name."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ArgumentError(name, str(exc)) from None
+
+
+def at_least(name: str, v, floor: float) -> np.ndarray:
+    """v as a float array, refused as argument name unless every entry is >= floor."""
+    v = np.asarray(v, dtype=float)
+    if not np.all(v >= floor):
+        raise ArgumentError(name, f"entries must be >= {floor}, min is {float(np.min(v))!r}")
+    return v
+
+
 def as_square(M: np.ndarray) -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
     A = np.asarray(M, dtype=np.complex128)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import hermitian
+from .operators import ArgumentError, at_least, hermitian
 
 _SIGMA = {
     "I": np.eye(2, dtype=np.complex128),
@@ -78,14 +78,10 @@ class MetricSpec:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.basis.labels),):
-            raise ValueError(
-                f"Expected {len(self.basis.labels)} weights, got shape {w.shape}."
-            )
-        if np.any(w < 1.0):
-            raise ValueError(f"Metric weights must be >= 1, min is {w.min()!r}.")
-        object.__setattr__(self, "weights", w)
+        w, n = np.asarray(self.weights, dtype=float), len(self.basis.labels)
+        if w.shape != (n,):
+            raise ArgumentError("weights", f"expected {n} entries, got shape {w.shape}")
+        object.__setattr__(self, "weights", at_least("weights", w, 1.0))
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ def build_pauli_basis(n: int) -> PauliBasis:
     elements are read-only.
     """
     if not 1 <= n <= 5:
-        raise ValueError(f"Supported qubit counts are 1..5, got {n}.")
+        raise ArgumentError("n", f"supported qubit counts are 1..5, got {n}")
     dim = 2**n
     keyed = []
     for combo in itertools.product("IXYZ", repeat=n):
@@ -146,9 +142,9 @@ def build_penalty_metric(n: int, q: float) -> MetricSpec:
     At n <= 2 no string has weight 3 or more, so every weight is 1 and the
     metric is the flat traceless one, whatever q.
     """
-    if q < 1.0:
-        raise ValueError(f"Penalty must be >= 1, got {q!r}.")
     basis = build_pauli_basis(n)
+    if not q >= 1.0:
+        raise ArgumentError("q", f"expected a number >= 1, got {q!r}")
     weights = np.array(
         [1.0 if string_weight(lab) <= 2 else float(q) for lab in basis.labels]
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesic import PiecewiseConstantPath, log_distance, log_norms, path_endpoint
-from .operators import ArgumentError, hs_norm
+from .operators import ArgumentError, at_least, hs_norm
 from .pauli import build_pauli_basis, devectorize_rows, vectorize
 
 TRAJECTORY_UNITARITY_TOL = 1e-9
@@ -66,11 +66,8 @@ class NoiseModel:
         need, floor = ("sigma", 0.0) if self.kind == "gaussian_pauli" else ("weights", 1.0)
         if getattr(self, need) is None:
             raise ArgumentError(need, f"missing; noise kind {self.kind!r} needs it")
-        v = np.asarray(getattr(self, need), dtype=float)
-        if np.any(v < floor):
-            raise ArgumentError(need, f"entries must be >= {floor}, min is {float(v.min())!r}")
-        object.__setattr__(self, need, np.atleast_1d(v))
-        if self.dt_noise is not None and self.dt_noise <= 0:
+        object.__setattr__(self, need, np.atleast_1d(at_least(need, getattr(self, need), floor)))
+        if self.dt_noise is not None and not self.dt_noise > 0:
             raise ArgumentError("dt_noise", f"expected a number > 0, got {self.dt_noise!r}")
 
 

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from conftest import rand_hermitian as herm
 
 from channelgeo import channel, cli, coherence, reports, rode
-from channelgeo.geodesic import PiecewiseConstantPath, constant_path
+from channelgeo.geodesic import PiecewiseConstantPath, constant_path, geometric_complexity_const
 from channelgeo.operators import ArgumentError
+from channelgeo.pauli import MetricSpec, build_pauli_basis, build_penalty_metric
 from channelgeo.reports import (
     CONVENTIONS,
     KIND_FIELDS,
@@ -342,7 +343,7 @@ _GAUSS = NoiseModel(kind="gaussian_pauli", sigma=0.1)
 _MATCHED_MODEL = NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=0.0625)
 _SPEC = dict(d_S=2, d_E=2, H_S=_Z, H_I=np.zeros((4, 4)), H_E=np.zeros((2, 2)))
 _PERT = dict(H_S=np.diag([1.0, 2.0]), A_S=np.eye(2), env_energies=np.array([0.0, 1.0]),
-             weights=np.array([0.5, 0.5]))
+             weights=np.array([0.5, 0.5]), eps=0.01)
 
 
 def _segments(*ds):
@@ -406,6 +407,37 @@ def _segments(*ds):
          "channel", {"perturbative": {**_PERTURBATIVE, "H_S": SIGMA_Z}}),
         (lambda: channel.check_perturbative(**{**_PERT, "A_S": -np.eye(2)}), "perturbative.",
          "A_S", "channel", {"perturbative": {**_PERTURBATIVE, "A_S": pairs(-np.eye(2))}}),
+        # range and matrix rules, which the readers leave to the domain types
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_S": 1j * _X}), "", "H_S", "noise",
+         {"H_S": pairs(1j * _X)}),
+        (lambda: channel.ChannelSpec(**_SPEC, env_basis=2 * np.eye(2)), "", "env_basis", "noise",
+         {"env_basis": pairs(2 * np.eye(2))}),
+        (lambda: channel.ChannelSpec(**_SPEC, env_probs=[-0.5, 1.5]), "", "env_probs", "noise",
+         {"env_probs": [-0.5, 1.5]}),
+        (lambda: channel.check_perturbative(**{**_PERT, "eps": -0.1}), "perturbative.", "eps",
+         "channel", {"perturbative": {**_PERTURBATIVE, "eps": -0.1}}),
+        (lambda: channel.check_perturbative(**{**_PERT, "env_energies": np.array([-1.0, 1.0])}),
+         "perturbative.", "env_energies", "channel",
+         {"perturbative": {**_PERTURBATIVE, "env_energies": [-1.0, 1.0]}}),
+        (lambda: channel.check_perturbative(**{**_PERT, "weights": np.array([0.3, 0.3])}),
+         "perturbative.", "weights", "channel",
+         {"perturbative": {**_PERTURBATIVE, "weights": [0.3, 0.3]}}),
+        (lambda: NoiseModel(kind="x"), "noise.", "kind", "rode", {"noise": {"kind": "x"}}),
+        (lambda: NoiseModel(kind="gaussian_pauli", sigma=-0.1), "noise.", "sigma", "rode",
+         {"noise": {"kind": "gaussian_pauli", "sigma": -0.1}}),
+        (lambda: NoiseModel(kind="bounded_matched", weights=[1.0, 0.5, 1.0]), "noise.", "weights",
+         "rode", {"noise": {**_MATCHED, "weights": [1.0, 0.5, 1.0]}}),
+        (lambda: NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=0.0), "noise.",
+         "dt_noise", "rode", {"noise": {**_MATCHED, "dt_noise": 0.0}}),
+        (lambda: rode.segment_plan(constant_path(_Z, 1.0), _MATCHED_MODEL, 0), "", "M", "rode",
+         {"M": 0}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "d_E": 0}), "", "d_E", "noise", {"d_E": 0}),
+        (lambda: build_penalty_metric(1, 0.5), "metric.", "q", "complexity",
+         {"metric": {"n": 1, "q": 0.5}}),
+        (lambda: build_penalty_metric(6, 2.0), "metric.", "n", "complexity",
+         {"metric": {"n": 6, "q": 2.0}}),
+        (lambda: MetricSpec(basis=build_pauli_basis(1), weights=[1.0, 0.5, 1.0]), "metric.",
+         "weights", "complexity", {"metric": {"n": 1, "weights": [1.0, 0.5, 1.0]}}),
     ],
 )
 def test_domain_rule_names_the_field_the_cli_blames(tmp_path, capsys, call, at, name, kind, fields):
@@ -419,6 +451,25 @@ def test_domain_rule_names_the_field_the_cli_blames(tmp_path, capsys, call, at, 
     err = capsys.readouterr().err
     assert f"config field '{at}{name}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: channel.ChannelSpec(**_SPEC, env_probs=[np.nan, 1.0]), "env_probs"),
+        (lambda: NoiseModel(kind="gaussian_pauli", sigma=np.nan), "sigma"),
+        (lambda: NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=np.nan), "dt_noise"),
+        (lambda: MetricSpec(basis=build_pauli_basis(1), weights=[np.nan, 1.0, 1.0]), "weights"),
+        (lambda: build_penalty_metric(3, np.nan), "q"),
+        (lambda: constant_path(_Z, np.nan), None),
+        (lambda: constant_path(_Z, np.inf), None),
+        (lambda: geometric_complexity_const(_Z, np.nan), None),
+    ],
+)
+def test_domain_rules_refuse_nan(call, name):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert getattr(info.value, "name", None) == name
 
 
 def test_missing_field_exits_two(tmp_path):

@@ -166,6 +166,17 @@ def test_cohering_power_dim_mismatch():
         cohering_power(HADAMARD, E)
 
 
+@pytest.mark.parametrize("restarts", [-1, -5, coherence.MAX_RESTARTS + 1])
+def test_cohering_power_refuses_restarts_out_of_range(monkeypatch, restarts):
+    def spawn(*args, **kwargs):
+        raise AssertionError("a start was built")
+
+    monkeypatch.setattr(coherence.np.random, "SeedSequence", spawn)
+    with pytest.raises(operators.ArgumentError) as info:
+        cohering_power(HADAMARD, computational_dephasing(2), restarts=restarts)
+    assert info.value.name == "restarts"
+
+
 def test_identity_has_no_cohering_power():
     E = computational_dephasing(2)
     res = cohering_power(np.eye(2), E, restarts=2, seed=0)
