@@ -24,6 +24,7 @@ from .geodesic import (
     generator_norm,
     geometric_complexity_const,
     log_distance,
+    segment_duration,
 )
 from .operators import (
     ArgumentError,
@@ -48,18 +49,18 @@ COMMUTE_TOL = 1e-10
 PSD_TOL = -1e-10
 
 
-def _check_dim(name: str, A: np.ndarray, d: int) -> None:
-    """Refuse argument `name`, A, unless it is a d-vector or a d×d matrix."""
+def _check_shape(name: str, A: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Refuse argument `name`, A, unless its shape is `shape`: (d,) for a
+    vector, (d, d) for a matrix."""
     A = np.asarray(A)
-    if A.shape not in ((d,), (d, d)):
-        square = A.ndim == 1 or A.ndim == 2 and A.shape[0] == A.shape[1]
-        raise ArgumentError(name, f"expected dimension {d}, got {len(A) if square else A.shape}")
+    if A.shape != shape:
+        raise ArgumentError(name, f"expected shape {shape}, got {A.shape}")
 
 
 def _check_probabilities(name: str, p, d: int) -> np.ndarray:
     """Refuse argument `name`, p, unless it is a probability d-vector."""
     p = at_least(name, p, 0)
-    _check_dim(name, p, d)
+    _check_shape(name, p, (d,))
     if abs(float(p.sum()) - 1.0) > PROB_TOL:
         raise ArgumentError(name, f"entries sum to {float(p.sum())!r}, not 1")
     return p
@@ -87,7 +88,7 @@ class ChannelSpec:
             raise ArgumentError("d_S" if self.d_S < 1 else "d_E", "expected a positive dimension")
         for name, d in (("H_S", self.d_S), ("H_I", self.d_S * self.d_E), ("H_E", self.d_E)):
             H = named(name, hermitian, getattr(self, name))
-            _check_dim(name, H, d)
+            _check_shape(name, H, (d, d))
             object.__setattr__(self, name, H)
         if self.env_probs is None:
             p = np.full(self.d_E, 1.0 / self.d_E)
@@ -95,7 +96,7 @@ class ChannelSpec:
             p = _check_probabilities("env_probs", self.env_probs, self.d_E)
         B = self.env_basis
         B = np.eye(self.d_E, dtype=np.complex128) if B is None else named("env_basis", unitary, B)
-        _check_dim("env_basis", B, self.d_E)
+        _check_shape("env_basis", B, (self.d_E, self.d_E))
         object.__setattr__(self, "env_probs", p)
         object.__setattr__(self, "env_basis", B)
 
@@ -227,13 +228,12 @@ class TimeDependentSpec:
             H_S = hermitian(H_S)
             H_I = hermitian(H_I)
             H_E = hermitian(H_E)
-            if ds <= 0:
-                raise ValueError(f"Segment {k} duration must be positive, got {ds!r}.")
+            ds = segment_duration(k, ds)
             if H_S.shape[0] != self.d_S or H_E.shape[0] != self.d_E:
                 raise ValueError(f"Segment {k} factor dimensions are wrong.")
             if H_I.shape[0] != self.d_S * self.d_E:
                 raise ValueError(f"Segment {k} interaction dimension is wrong.")
-            checked.append((H_S, H_I, H_E, float(ds)))
+            checked.append((H_S, H_I, H_E, ds))
         object.__setattr__(self, "segments", tuple(checked))
 
     def joint_segment(self, k: int) -> tuple[np.ndarray, float]:
@@ -290,8 +290,9 @@ def check_perturbative(
     weights as checked arrays."""
     H_S = named("H_S", hermitian, H_S)
     A_S = named("A_S", hermitian, A_S)
-    _check_dim("A_S", A_S, len(H_S))
+    _check_shape("A_S", A_S, H_S.shape)
     E = at_least("env_energies", env_energies, 0)
+    _check_shape("env_energies", E, (E.size,))
     weights = _check_probabilities("weights", weights, len(E))
     if not eps >= 0:
         raise ArgumentError("eps", f"expected a number >= 0, got {eps!r}")
@@ -329,7 +330,13 @@ def perturbative_example(
     is not used. The match is O(eps^{3/2}) when the environment weights
     are uniform (then Tr diag(E) = d_E <E>).
     """
-    H_S, A_S, E, alpha = check_perturbative(H_S, A_S, env_energies, weights, eps)
+    return perturbative_values(*check_perturbative(H_S, A_S, env_energies, weights, eps), eps, t)
+
+
+def perturbative_values(
+    H_S: np.ndarray, A_S: np.ndarray, E: np.ndarray, alpha: np.ndarray, eps: float, t: float
+) -> dict:
+    """perturbative_example on the arrays that check_perturbative returned."""
     d_S = H_S.shape[0]
     d_E = E.size
     spec = ChannelSpec(

@@ -28,6 +28,13 @@ ENDPOINT_TOL = 1e-6
 MAX_ROUNDS = 22
 
 
+def segment_duration(k: int, ds: float) -> float:
+    """Segment k's duration as a float, refused unless positive and finite."""
+    if not 0 < ds < np.inf:  # NaN fails too
+        raise ValueError(f"Segment {k} duration must be positive and finite, got {ds!r}.")
+    return float(ds)
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantPath:
     """Ordered (generator, duration) segments; durations strictly positive."""
@@ -39,15 +46,14 @@ class PiecewiseConstantPath:
         dim = None
         for k, (H, ds) in enumerate(self.segments):
             H = hermitian(H)
-            if not 0 < ds < np.inf:  # NaN fails too
-                raise ValueError(f"Segment {k} duration must be positive and finite, got {ds!r}.")
+            ds = segment_duration(k, ds)
             if dim is None:
                 dim = H.shape[0]
             elif H.shape[0] != dim:
                 raise ValueError(
                     f"Segment {k} dimension {H.shape[0]} differs from {dim}."
                 )
-            checked.append((H, float(ds)))
+            checked.append((H, ds))
         object.__setattr__(self, "segments", tuple(checked))
 
     @property

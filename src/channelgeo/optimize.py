@@ -1,4 +1,4 @@
-"""Derivative-free local search shared by the geodesic and coherence optimizers.
+"""Derivative-free local search for the weighted-metric geodesic estimate.
 
 Cyclic coordinate descent with a per-coordinate quadratic fit: each move
 tries the two probe points and, when the fitted parabola is convex, its
@@ -8,8 +8,8 @@ with absolute-value kinks are handled without special casing.
 Starts run in lockstep: a stack of starts advances over the same
 coordinate together, so each move costs one objective call on the
 stacked probes (plus one on the rows that try a vertex), while every
-start keeps its own steps, value and stopping rule. Both callers, the
-weighted geodesic search and cohering power, stack all their starts.
+start keeps its own steps, value and stopping rule. The weighted
+geodesic search, the one caller, stacks every restart still in play.
 """
 from __future__ import annotations
 

@@ -230,9 +230,12 @@ def _dephasing(v: dict) -> dict:
     return v
 
 
-def _perturbative(v: dict) -> dict:
-    channel.check_perturbative(v["H_S"], v["A_S"], v["env_energies"], v["weights"], v["eps"])
-    return v
+def _perturbative(v: dict) -> tuple:
+    """The arguments of channel.perturbative_values, checked once here."""
+    checked = channel.check_perturbative(
+        v["H_S"], v["A_S"], v["env_energies"], v["weights"], v["eps"]
+    )
+    return (*checked, v["eps"], v["t"])
 
 
 def _path(v: dict) -> geodesic.PiecewiseConstantPath:
@@ -402,9 +405,9 @@ def _run_complexity(seed: int, H: np.ndarray, t: float, metric: MetricSpec | Non
     return scalars, checks, None
 
 
-def _run_channel(seed: int, perturbative: dict | None = None, spec=None, t=None):
+def _run_channel(seed: int, perturbative: tuple | None = None, spec=None, t=None):
     if perturbative is not None:
-        out = channel.perturbative_example(**perturbative)
+        out = channel.perturbative_values(*perturbative)
         scalars = {
             "exact": float(out["exact"]),
             "perturbative": float(out["perturbative"]),
@@ -447,15 +450,17 @@ def _run_cohering_power(
     options = {"restarts": restarts, "seed": seed, "pure_only": pure_only}
     d = len(U if U is not None else generator)
     if U is not None:
-        scalars = {"C_power": coherence.cohering_power(U, dephasing, **options).value}
-        checks = []
+        cp = coherence.cohering_power(U, dephasing, **options)
+        scalars, upper, checks = {"C_power": cp.value}, cp.upper, []
     else:
         out = coherence.verify_decohering_bound(generator, t, dephasing, **options)
         scalars = {"C_power": out["cohering_power"], "G_hs": out["rhs"]}
+        upper = out["cohering_power_upper"]
         slack = coherence.DECOHERING_SLACK
         checks = [make_check("decohering_bound", out["lhs"], out["rhs"] + slack)]
     cap = make_check("coherence_cap", scalars["C_power"], (1.0 - 1.0 / d) + 1e-12)
-    return scalars, [cap, *checks], None
+    bracket = make_check("coherence_bracket", scalars["C_power"], upper + 1e-12)
+    return scalars, [cap, bracket, *checks], None
 
 
 def _run_rode(seed: int, path: geodesic.PiecewiseConstantPath, noise: rode.NoiseModel, M: int):

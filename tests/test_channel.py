@@ -10,6 +10,7 @@ from channelgeo.channel import (
     apply_channel_via_joint,
     channel_complexity_const,
     channel_complexity_td,
+    check_perturbative,
     kraus_operators,
     noise_complexity,
     noise_complexity_bounds,
@@ -17,7 +18,8 @@ from channelgeo.channel import (
     noiseless_complexity,
     perturbative_example,
 )
-from channelgeo.operators import hs_norm, matrix_abs, sqrt_abs_diff
+from channelgeo.geodesic import PiecewiseConstantPath
+from channelgeo.operators import ArgumentError, hs_norm, matrix_abs, sqrt_abs_diff
 
 
 def make_spec(rng, d_S=2, d_E=2, scale_S=1.0, scale_IE=1.0, uniform_env=True):
@@ -166,6 +168,34 @@ def test_td_validation():
         TimeDependentSpec(
             d_S=2, d_E=2, segments=((H_S, np.eye(3), np.eye(2), 1.0),)
         )
+
+
+@pytest.mark.parametrize("ds", [float("nan"), float("inf"), 0.0, -1.0])
+def test_td_refuses_a_duration_as_a_path_does(ds):
+    with pytest.raises(ValueError) as td:
+        TimeDependentSpec(d_S=2, d_E=2, segments=((np.eye(2), np.eye(4), np.eye(2), ds),))
+    with pytest.raises(ValueError) as path:
+        PiecewiseConstantPath(segments=((np.eye(2), ds),))
+    assert str(td.value) == str(path.value)
+
+
+_PINNED = dict(H_S=np.diag([1.0, 2.0]), A_S=np.eye(2), env_energies=np.array([0.0, 1.0]),
+               weights=np.array([0.5, 0.5]), eps=0.01)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2),
+                             env_probs=np.eye(2) / 2), "env_probs"),
+        (lambda: check_perturbative(**{**_PINNED, "weights": np.eye(2) / 2}), "weights"),
+        (lambda: check_perturbative(**{**_PINNED, "env_energies": np.eye(2)}), "env_energies"),
+    ],
+)
+def test_vector_arguments_refuse_matrices(build, name):
+    with pytest.raises(ArgumentError) as info:
+        build()
+    assert info.value.name == name
 
 
 def pinned_exact_oracle(eps):

@@ -658,7 +658,7 @@ def test_cohering_power_kind(tmp_path):
     assert code == 0
     rep = json.loads(out)
     names = [c["name"] for c in rep["checks"]]
-    assert names == ["coherence_cap", "decohering_bound"]
+    assert names == ["coherence_cap", "coherence_bracket", "decohering_bound"]
     assert rep["all_ok"] is True
     assert "G_hs" in rep["scalars"]
 
@@ -730,6 +730,21 @@ def test_run_sweep_rows_and_csv():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "value,G_hs,all_ok"
     assert len(lines) == 3
+
+
+def test_perturbative_config_is_checked_once(monkeypatch):
+    calls = []
+    check = channel.check_perturbative
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(channel, "check_perturbative", counted)
+    cfg = {"schema_version": 1, "kind": "channel", "seed": 0, "perturbative": _PERTURBATIVE}
+    rep = run_experiment(validate_config(cfg))
+    assert len(calls) == 1
+    assert rep["scalars"]["exact"] == channel.perturbative_example(*calls[0])["exact"]
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -184,44 +185,93 @@ def test_identity_has_no_cohering_power():
 
 
 # Cohering power pinned bit for bit: value.hex() and the SHA-1 of the
-# argmax state's bytes, recorded while the pinch was still the
-# three-operand projector einsum.
+# argmax state's bytes, from the shifted power method and Frank-Wolfe.
+# `floor` is the value the coordinate search over the L L† chart pinned
+# before; the climb may not fall below it by more than rounding.
 @pytest.mark.parametrize(
-    "d, family, pure_only, restarts, seed, value, state_sha1",
+    "d, family, pure_only, restarts, seed, floor, value, state_sha1",
     [
-        (2, "computational", False, 2, 1, "0x1.d415cb7c9e476p-2",
-         "fab2873c821c745127b74ab3b890ff9e502e0138"),
-        (2, "computational", True, 3, 2, "0x1.12649e7f4ed68p-2",
-         "4d17eea8c6e443bc9e005e45a4ed2c7557427250"),
-        (3, "computational", False, 4, 3, "0x1.331868004837cp-1",
-         "43d94c510a6de157af3ccbe8d07bba113ef4cc8f"),
-        (3, "computational", True, 2, 4, "0x1.338f786696937p-1",
-         "3abccc6eff46d10f4aedf951e76e067c7ea95f07"),
-        (4, "computational", False, 3, 5, "0x1.6d55fb0f89133p-1",
-         "8100373a54a4d6cd316b66f90eb8bd5cd956ea28"),
-        (4, "computational", True, 4, 6, "0x1.7ddbfaa3fa86bp-1",
-         "49236083f574330f2a9809a3dbc290344416908b"),
-        (4, "blocks", False, 2, 7, "0x1.fffffffffffe8p-2",
-         "b345dd81b00913e568f58a7122de7c2385ab767b"),
-        (4, "blocks", True, 3, 8, "0x1.0000000000003p-1",
-         "7feb37635bfe65f0dbbe310fb23b52a93d512f9a"),
+        (2, "computational", False, 2, 1, "0x1.d415cb7c9e476p-2", "0x1.d415cb7c9e470p-2",
+         "7f8fd6ac3195d61ba5b09017b357f859b2969cdb"),
+        (2, "computational", True, 3, 2, "0x1.12649e7f4ed68p-2", "0x1.12649e7f4ed58p-2",
+         "52067905f5c4ea39d2acbffab69452ec16f91c63"),
+        (3, "computational", False, 4, 3, "0x1.331868004837cp-1", "0x1.331868004837bp-1",
+         "a512523474e5989d5447f4863494b54181c6a471"),
+        (3, "computational", True, 2, 4, "0x1.338f786696937p-1", "0x1.338f786696931p-1",
+         "8cabecd918c7483aaf2bfafb0b75a7c8c6ae471e"),
+        (4, "computational", False, 3, 5, "0x1.6d55fb0f89133p-1", "0x1.7604014990f4dp-1",
+         "1eabf38772b01afb0bc1f83be35dc845e5102d6b"),
+        (4, "computational", True, 4, 6, "0x1.7ddbfaa3fa86bp-1", "0x1.7ddbfaa3fa862p-1",
+         "bdbcf2d23afb50f067511fb361d05f56e03ec5ed"),
+        (4, "blocks", False, 2, 7, "0x1.fffffffffffe8p-2", "0x1.0000000000001p-1",
+         "a91c00acdb103d3bd774da3fb9e39194a23a7056"),
+        (4, "blocks", True, 3, 8, "0x1.0000000000003p-1", "0x1.fffffffffffbcp-2",
+         "50c4b2c046983e3c55374515e6df3a867435eada"),
     ],
+    ids=["d2-computational-mixed", "d2-computational-pure", "d3-computational-mixed",
+         "d3-computational-pure", "d4-computational-mixed", "d4-computational-pure",
+         "d4-blocks-mixed", "d4-blocks-pure"],
 )
-def test_cohering_power_is_pinned(d, family, pure_only, restarts, seed, value, state_sha1):
+def test_cohering_power_is_pinned(d, family, pure_only, restarts, seed, floor, value, state_sha1):
     E = computational_dephasing(d) if family == "computational" else _block_dephasing(d)
     U = rand_unitary(np.random.default_rng(seed), d)
     res = cohering_power(U, E, restarts=restarts, seed=seed, pure_only=pure_only)
     assert res.value.hex() == value
     assert hashlib.sha1(res.argmax_state.tobytes()).hexdigest() == state_sha1
+    assert res.value >= float.fromhex(floor) - 1e-12
+    assert res.value <= res.upper + 1e-12
 
 
 def test_decohering_bound_is_pinned():
     H = rand_hermitian(np.random.default_rng(9), 2)
     out = verify_decohering_bound(H, 0.7, computational_dephasing(2), restarts=3, seed=9)
-    assert out["cohering_power"].hex() == "0x1.ca6eddc1474c0p-2"
-    assert float(out["lhs"]).hex() == "0x1.442940096e769p-3"
+    assert out["cohering_power"].hex() == "0x1.ca6eddc1474bap-2"
+    assert out["cohering_power"] >= float.fromhex("0x1.ca6eddc1474c0p-2") - 1e-12
+    assert float(out["lhs"]).hex() == "0x1.442940096e765p-3"
     assert float(out["rhs"]).hex() == "0x1.44cdf3ceba5cfp-1"
     assert out["holds"] is True
+    assert out["proved"] is True
+
+
+def test_cohering_power_bracket_holds(monkeypatch):
+    # Any state's gap is at most upper, so the bracket must hold however
+    # far the climbs get; two steps per climb keep the 1000 draws quick.
+    monkeypatch.setattr(coherence, "MAX_STEPS", 2)
+    rng = np.random.default_rng(2026)
+    for k in range(1000):
+        d = int(rng.integers(2, 9))
+        E = dephasing_families(rng, d)[int(rng.integers(3))]
+        res = cohering_power(rand_unitary(rng, d), E, restarts=int(rng.integers(0, 3)),
+                             seed=k, pure_only=bool(rng.integers(2)))
+        assert res.value <= res.upper + 1e-12
+        assert res.upper <= 1.0 - 1.0 / d + 1e-12
+        if d == 2:  # the extreme eigenvector's state attains upper, with no step
+            assert abs(res.value - res.upper) <= 1e-12
+            assert res.steps == 0 and res.converged
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_no_cohering_power_without_coherence_change(rng, d, diagonal):
+    # U = I gives M = 0 exactly; a diagonal U gives M = 0 up to rounding.
+    U = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d))) if diagonal else np.eye(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cohering_power(U, computational_dephasing(d), restarts=2)
+    assert res.value <= 1e-15 and res.upper <= 1e-15
+    assert res.steps == 0 and res.converged
+    if not diagonal:
+        assert res.value == 0.0 and res.upper == 0.0
+        assert np.array_equal(res.argmax_state, np.diag(np.eye(d)[0]))
+
+
+@pytest.mark.parametrize("restarts", [0, coherence.MAX_RESTARTS])
+def test_cohering_power_runs_at_restart_limits(rng, restarts):
+    U = rand_unitary(rng, 3)
+    res = cohering_power(U, computational_dephasing(3), restarts=restarts, seed=1)
+    assert res.restarts == 3 + 8 + restarts
+    assert 0.0 < res.value <= res.upper + 1e-12
+    assert 0 <= res.converged_starts <= res.restarts
 
 
 def test_rate_matches_finite_difference(rng):

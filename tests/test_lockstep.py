@@ -5,88 +5,16 @@ import pytest
 
 from conftest import dephasing_families, rand_density, rand_pure, rand_unitary
 
-from channelgeo.coherence import (
-    _coherence_gap,
-    _negative_gaps,
-    cohering_power,
-    dephase,
-    purity,
-)
+from channelgeo.coherence import dephase, purity
 from channelgeo.geodesic import _Chart, _penalized
-from channelgeo.operators import density, hs_norm, matrix_exp_unitary
+from channelgeo.operators import hs_norm, matrix_exp_unitary
 from channelgeo.optimize import coordinate_search
 from channelgeo.pauli import MetricSpec, build_pauli_basis
-
-
-def _scalar_state(x, d, pure_only):
-    """One chart point -> state, or None without mass (the one-state chart)."""
-    if pure_only:
-        v = x[:d] + 1j * x[d:]
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-150:
-            return None
-        v = v / nrm
-        return np.outer(v, v.conj())
-    L = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
-    G = L @ L.conj().T
-    tr = float(np.trace(G).real)
-    if tr < 1e-150:
-        return None
-    return G / tr
 
 
 def _rows(f):
     """The stacked objective that applies a one-point f to every row."""
     return lambda X: np.array([f(x) for x in X])
-
-
-def _scalar_objective(U, E, pure_only):
-    d = U.shape[0]
-
-    def f(x):
-        rho = _scalar_state(x, d, pure_only)
-        return 0.0 if rho is None else -_coherence_gap(U, rho, E)
-
-    return f
-
-
-def _serial_cohering_power(U, E, restarts, seed, pure_only):
-    """One one-start search per start, in start order; the first best wins."""
-    d = U.shape[0]
-    n = 2 * d if pure_only else 2 * d * d
-    starts = []
-    for k in range(d):
-        x = np.zeros(n)
-        x[k if pure_only else k * d + k] = 1.0
-        starts.append(x)
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        starts.append(np.random.default_rng(child).normal(scale=1.0, size=n))
-    f = _rows(_scalar_objective(U, E, pure_only))
-    best, converged = None, False
-    for x0 in starts:
-        res = coordinate_search(f, x0[None], step=0.3, step_tol=1e-7, max_sweeps=40)
-        converged = converged or res.converged
-        if best is None or res.fun[0] < best.fun[0]:
-            best = res
-    rho = density(_scalar_state(best.x[0], d, pure_only))
-    return _coherence_gap(U, rho, E), rho, converged
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("pure_only", [False, True])
-def test_stacked_objective_rows_match_single_state(rng, d, pure_only):
-    n = 2 * d if pure_only else 2 * d * d
-    for E in dephasing_families(rng, d)[:2]:
-        U = rand_unitary(rng, d)
-        X = rng.normal(size=(6, n))
-        X[2] = 0.0  # no mass: the objective is 0.0 there
-        X[4, : n // 2] = 0.0  # purely imaginary chart coordinates
-        f = _scalar_objective(U, E, pure_only)
-        got = _negative_gaps(X, U, E, pure_only)
-        assert got.shape == (6,)
-        assert got[2] == 0.0
-        for row, value in zip(X, got):
-            assert value == f(row)
 
 
 def _kinked(x):
@@ -118,29 +46,6 @@ def test_stacked_search_matches_one_start_runs():
     assert res.converged is True
     # one call for the start values, then at most two per coordinate move
     assert len(calls) <= 1 + 2 * 4 * 30
-
-
-def _cohering_cases():
-    rng = np.random.default_rng(2024)
-    cases = []
-    for k in range(20):
-        d = (2, 3, 4)[k % 3]
-        pure_only = d == 4 or bool(k % 2)
-        cases.append((k, d, pure_only, int(rng.integers(0, 4)), int(rng.integers(2**31))))
-    return cases
-
-
-@pytest.mark.parametrize("k,d,pure_only,restarts,seed", _cohering_cases())
-def test_cohering_power_matches_serial_oracle(k, d, pure_only, restarts, seed):
-    rng = np.random.default_rng([7, k])
-    U = rand_unitary(rng, d)
-    E = dephasing_families(rng, d)[k % 3]
-    got = cohering_power(U, E, restarts=restarts, seed=seed, pure_only=pure_only)
-    value, rho, converged = _serial_cohering_power(U, E, restarts, seed, pure_only)
-    assert got.value == value
-    assert np.array_equal(got.argmax_state, rho)
-    assert got.converged == converged
-    assert got.restarts == d + restarts
 
 
 @pytest.mark.parametrize("d", range(2, 9))
