@@ -10,6 +10,7 @@ always achievable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,9 +116,14 @@ def _coherence_gap(U: np.ndarray, rho: np.ndarray, E: DephasingChannel) -> float
 
 
 def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The d²×d² operator M on each matrix of an (n, d, d) stack (row-major vec)."""
+    """The d²×d² operator M on each matrix of an (n, d, d) stack (row-major vec).
+
+    One (1, d²) @ (d², d²) product per matrix, as in `operators.rowdot`, so a
+    stacked row rounds as it does alone and a start climbs the same whichever
+    other starts share its stack.
+    """
     n, d, _ = X.shape
-    return (X.reshape(n, d * d) @ M.T).reshape(n, d, d)
+    return (X.reshape(n, 1, d * d) @ M.T).reshape(n, d, d)
 
 
 def _form(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -128,6 +134,40 @@ def _form(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _outer(psi: np.ndarray) -> np.ndarray:
     """psi psi† for each row of an (n, d) stack."""
     return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+def _gap_operator(U: np.ndarray, E: DephasingChannel) -> np.ndarray:
+    """The Hermitian d²×d² M = S - W†SW, W = U ⊗ Ū: the gap of rho is |<rho, M rho>|."""
+    W = np.kron(U, U.conj())
+    M = E._super - W.conj().T @ E._super @ W
+    return (M + M.conj().T) / 2.0
+
+
+def _quad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """<X, M X> for each matrix of an (n, d, d) stack."""
+    return _form(X, _apply(M, X))
+
+
+def _power_step(M: np.ndarray, alpha: float, psi: np.ndarray, s: np.ndarray):
+    """One shifted power step psi <- normalize(s M(P) psi + alpha psi),
+    P = psi psi†, on each row of an (n, d) stack, with its new s <P, M P>."""
+    A = s[:, None, None] * _apply(M, _outer(psi))
+    psi = np.einsum("nab,nb->na", A, psi) + alpha * psi
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return psi, s * _quad(M, _outer(psi))
+
+
+def _frank_wolfe_step(M: np.ndarray, rho: np.ndarray, s: np.ndarray):
+    """One Frank-Wolfe step on each state of an (n, d, d) stack toward the
+    top eigenvector of s M(rho), with the exact line search of the quadratic
+    s <rho, M rho> on [0, 1]; returns the states and their new objective."""
+    G = s[:, None, None] * _apply(M, rho)
+    D = _outer(np.linalg.eigh(G)[1][:, :, -1]) - rho
+    a = s * _quad(M, D)
+    b = 2.0 * _form(D, G)
+    vertex = np.divide(-b, 2.0 * a, out=np.ones_like(a), where=a < 0)
+    rho = rho + np.clip(vertex, 0.0, 1.0)[:, None, None] * D
+    return rho, s * _quad(M, rho)
 
 
 def _eigen_states(vecs: np.ndarray, d: int) -> np.ndarray:
@@ -201,9 +241,7 @@ def cohering_power(
     d = U.shape[0]
     if d != E.dim:
         raise ValueError(f"Unitary dimension {d} does not match channel {E.dim}.")
-    W = np.kron(U, U.conj())
-    M = E._super - W.conj().T @ E._super @ W
-    M = (M + M.conj().T) / 2.0
+    M = _gap_operator(U, E)
     w, V = np.linalg.eigh(M)
     scale = float(np.abs(w).max())
     upper = (1.0 - 1.0 / d) * scale
@@ -218,29 +256,12 @@ def cohering_power(
     sign = np.repeat([1.0, -1.0], R)
     alpha = 2.0 * scale
 
-    def quad(X):
-        return _form(X, _apply(M, X))
-
-    def power_step(psi, s):
-        A = s[:, None, None] * _apply(M, _outer(psi))
-        psi = np.einsum("nab,nb->na", A, psi) + alpha * psi
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        return psi, s * quad(_outer(psi))
-
-    def frank_wolfe_step(rho, s):
-        G = s[:, None, None] * _apply(M, rho)
-        D = _outer(np.linalg.eigh(G)[1][:, :, -1]) - rho
-        a = s * quad(D)
-        b = 2.0 * _form(D, G)
-        vertex = np.divide(-b, 2.0 * a, out=np.ones_like(a), where=a < 0)
-        rho = rho + np.clip(vertex, 0.0, 1.0)[:, None, None] * D
-        return rho, s * quad(rho)
-
     psi = np.concatenate([starts, starts])
-    psi, f, steps, settled = _climb(power_step, psi, sign, sign * quad(_outer(psi)), upper)
+    f = sign * _quad(M, _outer(psi))
+    psi, f, steps, settled = _climb(partial(_power_step, M, alpha), psi, sign, f, upper)
     rho = _outer(psi)
     if not pure_only:
-        rho, f, more, settled_fw = _climb(frank_wolfe_step, rho, sign, f, upper)
+        rho, f, more, settled_fw = _climb(partial(_frank_wolfe_step, M), rho, sign, f, upper)
         steps += more
         settled &= settled_fw
     rho_star = density(rho[int(np.argmax(f))])  # first of the best, in start order

@@ -187,30 +187,53 @@ def test_identity_has_no_cohering_power():
 # Cohering power pinned bit for bit: value.hex() and the SHA-1 of the
 # argmax state's bytes, from the shifted power method and Frank-Wolfe.
 # `floor` is the value the coordinate search over the L L† chart pinned
-# before; the climb may not fall below it by more than rounding.
+# before; the climb may not fall below it by more than rounding. Each id
+# keeps the case's name from then: its parameters, that old value and the
+# SHA-1 of that search's argmax state.
 @pytest.mark.parametrize(
     "d, family, pure_only, restarts, seed, floor, value, state_sha1",
     [
-        (2, "computational", False, 2, 1, "0x1.d415cb7c9e476p-2", "0x1.d415cb7c9e470p-2",
-         "7f8fd6ac3195d61ba5b09017b357f859b2969cdb"),
-        (2, "computational", True, 3, 2, "0x1.12649e7f4ed68p-2", "0x1.12649e7f4ed58p-2",
-         "52067905f5c4ea39d2acbffab69452ec16f91c63"),
-        (3, "computational", False, 4, 3, "0x1.331868004837cp-1", "0x1.331868004837bp-1",
-         "a512523474e5989d5447f4863494b54181c6a471"),
-        (3, "computational", True, 2, 4, "0x1.338f786696937p-1", "0x1.338f786696931p-1",
-         "8cabecd918c7483aaf2bfafb0b75a7c8c6ae471e"),
-        (4, "computational", False, 3, 5, "0x1.6d55fb0f89133p-1", "0x1.7604014990f4dp-1",
-         "1eabf38772b01afb0bc1f83be35dc845e5102d6b"),
-        (4, "computational", True, 4, 6, "0x1.7ddbfaa3fa86bp-1", "0x1.7ddbfaa3fa862p-1",
-         "bdbcf2d23afb50f067511fb361d05f56e03ec5ed"),
-        (4, "blocks", False, 2, 7, "0x1.fffffffffffe8p-2", "0x1.0000000000001p-1",
-         "a91c00acdb103d3bd774da3fb9e39194a23a7056"),
-        (4, "blocks", True, 3, 8, "0x1.0000000000003p-1", "0x1.fffffffffffbcp-2",
-         "50c4b2c046983e3c55374515e6df3a867435eada"),
+        pytest.param(
+            2, "computational", False, 2, 1, "0x1.d415cb7c9e476p-2", "0x1.d415cb7c9e470p-2",
+            "7f8fd6ac3195d61ba5b09017b357f859b2969cdb",
+            id="2-computational-False-2-1-0x1.d415cb7c9e476p-2-"
+               "fab2873c821c745127b74ab3b890ff9e502e0138"),
+        pytest.param(
+            2, "computational", True, 3, 2, "0x1.12649e7f4ed68p-2", "0x1.12649e7f4ed58p-2",
+            "52067905f5c4ea39d2acbffab69452ec16f91c63",
+            id="2-computational-True-3-2-0x1.12649e7f4ed68p-2-"
+               "4d17eea8c6e443bc9e005e45a4ed2c7557427250"),
+        pytest.param(
+            3, "computational", False, 4, 3, "0x1.331868004837cp-1", "0x1.3318680048380p-1",
+            "cffcccfcf4eb253034232e206fbea013b085ce46",
+            id="3-computational-False-4-3-0x1.331868004837cp-1-"
+               "43d94c510a6de157af3ccbe8d07bba113ef4cc8f"),
+        pytest.param(
+            3, "computational", True, 2, 4, "0x1.338f786696937p-1", "0x1.338f786696930p-1",
+            "ab8ff009ff0a53fd8928a6988009d1b43be8a01e",
+            id="3-computational-True-2-4-0x1.338f786696937p-1-"
+               "3abccc6eff46d10f4aedf951e76e067c7ea95f07"),
+        pytest.param(
+            4, "computational", False, 3, 5, "0x1.6d55fb0f89133p-1", "0x1.7604014990f4fp-1",
+            "696a14f9afbf12f85d7287f5f1842fc2ac690ebe",
+            id="4-computational-False-3-5-0x1.6d55fb0f89133p-1-"
+               "8100373a54a4d6cd316b66f90eb8bd5cd956ea28"),
+        pytest.param(
+            4, "computational", True, 4, 6, "0x1.7ddbfaa3fa86bp-1", "0x1.7ddbfaa3fa862p-1",
+            "337cec6dbed440ba783325071d8b3b4775e9a19c",
+            id="4-computational-True-4-6-0x1.7ddbfaa3fa86bp-1-"
+               "49236083f574330f2a9809a3dbc290344416908b"),
+        pytest.param(
+            4, "blocks", False, 2, 7, "0x1.fffffffffffe8p-2", "0x1.ffffffffffffcp-2",
+            "b4ffa0b16bbe9eab02abe43eff3d63f9d1b8d2c6",
+            id="4-blocks-False-2-7-0x1.fffffffffffe8p-2-"
+               "b345dd81b00913e568f58a7122de7c2385ab767b"),
+        pytest.param(
+            4, "blocks", True, 3, 8, "0x1.0000000000003p-1", "0x1.fffffffffffb8p-2",
+            "47f3c18839d81d355af5240b6c998fe63d807607",
+            id="4-blocks-True-3-8-0x1.0000000000003p-1-"
+               "7feb37635bfe65f0dbbe310fb23b52a93d512f9a"),
     ],
-    ids=["d2-computational-mixed", "d2-computational-pure", "d3-computational-mixed",
-         "d3-computational-pure", "d4-computational-mixed", "d4-computational-pure",
-         "d4-blocks-mixed", "d4-blocks-pure"],
 )
 def test_cohering_power_is_pinned(d, family, pure_only, restarts, seed, floor, value, state_sha1):
     E = computational_dephasing(d) if family == "computational" else _block_dephasing(d)
@@ -225,9 +248,9 @@ def test_cohering_power_is_pinned(d, family, pure_only, restarts, seed, floor, v
 def test_decohering_bound_is_pinned():
     H = rand_hermitian(np.random.default_rng(9), 2)
     out = verify_decohering_bound(H, 0.7, computational_dephasing(2), restarts=3, seed=9)
-    assert out["cohering_power"].hex() == "0x1.ca6eddc1474bap-2"
+    assert out["cohering_power"].hex() == "0x1.ca6eddc1474bep-2"
     assert out["cohering_power"] >= float.fromhex("0x1.ca6eddc1474c0p-2") - 1e-12
-    assert float(out["lhs"]).hex() == "0x1.442940096e765p-3"
+    assert float(out["lhs"]).hex() == "0x1.442940096e767p-3"
     assert float(out["rhs"]).hex() == "0x1.44cdf3ceba5cfp-1"
     assert out["holds"] is True
     assert out["proved"] is True

@@ -5,9 +5,21 @@ import pytest
 
 from conftest import dephasing_families, rand_density, rand_pure, rand_unitary
 
-from channelgeo.coherence import dephase, purity
+from channelgeo import coherence
+from channelgeo.coherence import (
+    _coherence_gap,
+    _eigen_states,
+    _frank_wolfe_step,
+    _gap_operator,
+    _outer,
+    _power_step,
+    _quad,
+    cohering_power,
+    dephase,
+    purity,
+)
 from channelgeo.geodesic import _Chart, _penalized
-from channelgeo.operators import hs_norm, matrix_exp_unitary
+from channelgeo.operators import density, hs_norm, matrix_exp_unitary
 from channelgeo.optimize import coordinate_search
 from channelgeo.pauli import MetricSpec, build_pauli_basis
 
@@ -15,6 +27,71 @@ from channelgeo.pauli import MetricSpec, build_pauli_basis
 def _rows(f):
     """The stacked objective that applies a one-point f to every row."""
     return lambda X: np.array([f(x) for x in X])
+
+
+def _serial_climb(step, xs, signs, fs, upper):
+    """The lockstep climb with each active row stepped by itself, in row order."""
+    xs, fs = list(xs), list(fs)
+    active = [True] * len(xs)
+    steps = 0
+    while any(active) and steps < coherence.MAX_STEPS and max(fs) < upper - coherence.BRACKET_TOL:
+        for i, s in enumerate(signs):
+            if not active[i]:
+                continue
+            x, f = step(xs[i][None], np.array([s]))
+            if f[0] - fs[i] > coherence.GAIN_TOL:
+                xs[i], fs[i] = x[0], f[0]
+            else:
+                active[i] = False
+        steps += 1
+    bracketed = max(fs) >= upper - coherence.BRACKET_TOL
+    return xs, fs, steps, [bracketed or not a for a in active]
+
+
+def _serial_cohering_power(U, E, restarts, seed, pure_only):
+    """cohering_power with every start climbed, and every restart drawn, alone."""
+    d = U.shape[0]
+    M = _gap_operator(U, E)
+    w, V = np.linalg.eigh(M)
+    scale = float(np.abs(w).max())
+    upper = (1.0 - 1.0 / d) * scale
+    starts = list(np.eye(d, dtype=np.complex128)) + list(_eigen_states(V[:, [0, 1, -2, -1]], d))
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        x = np.random.default_rng(child).normal(size=(1, 2 * d))
+        v = x[:, :d] + 1j * x[:, d:]
+        starts.append((v / np.linalg.norm(v, axis=1, keepdims=True))[0])
+    signs = [1.0] * len(starts) + [-1.0] * len(starts)
+    psi = starts + starts
+    fs = [s * _quad(M, _outer(p[None]))[0] for p, s in zip(psi, signs)]
+    psi, fs, steps, settled = _serial_climb(
+        lambda p, s: _power_step(M, 2.0 * scale, p, s), psi, signs, fs, upper)
+    rho = [_outer(p[None])[0] for p in psi]
+    if not pure_only:
+        rho, fs, more, settled_fw = _serial_climb(
+            lambda r, s: _frank_wolfe_step(M, r, s), rho, signs, fs, upper)
+        steps += more
+        settled = [a and b for a, b in zip(settled, settled_fw)]
+    rho_star = density(rho[int(np.argmax(fs))])
+    R = len(starts)
+    converged_starts = sum(settled[k] and settled[R + k] for k in range(R))
+    return _coherence_gap(U, rho_star, E), rho_star, upper, R, steps, converged_starts
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("pure_only", [False, True])
+def test_stacked_objective_rows_match_single_state(rng, d, pure_only):
+    draw = rand_pure if pure_only else rand_density
+    for E in dephasing_families(rng, d)[:2]:
+        U = rand_unitary(rng, d)
+        M = _gap_operator(U, E)
+        states = np.stack([draw(rng, d) for _ in range(6)])
+        states[2] = np.eye(d) / d  # M(I) = 0: no gap there
+        got = _quad(M, states)
+        assert got.shape == (6,)
+        assert abs(got[2]) <= 1e-15
+        for rho, value in zip(states, got):
+            assert value == _quad(M, rho[None])[0]
+            assert abs(abs(value) - _coherence_gap(U, rho, E)) <= 1e-14
 
 
 def _kinked(x):
@@ -46,6 +123,33 @@ def test_stacked_search_matches_one_start_runs():
     assert res.converged is True
     # one call for the start values, then at most two per coordinate move
     assert len(calls) <= 1 + 2 * 4 * 30
+
+
+def _cohering_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for k in range(20):
+        d = (2, 3, 4)[k % 3]
+        pure_only = d == 4 or bool(k % 2)
+        cases.append((k, d, pure_only, int(rng.integers(0, 4)), int(rng.integers(2**31))))
+    return cases
+
+
+@pytest.mark.parametrize("k,d,pure_only,restarts,seed", _cohering_cases())
+def test_cohering_power_matches_serial_oracle(k, d, pure_only, restarts, seed):
+    rng = np.random.default_rng([7, k])
+    U = rand_unitary(rng, d)
+    E = dephasing_families(rng, d)[k % 3]
+    got = cohering_power(U, E, restarts=restarts, seed=seed, pure_only=pure_only)
+    value, rho, upper, R, steps, converged_starts = _serial_cohering_power(
+        U, E, restarts, seed, pure_only)
+    assert got.value == value
+    assert np.array_equal(got.argmax_state, rho)
+    assert got.upper == upper
+    assert got.restarts == R == d + 8 + restarts
+    assert got.steps == steps
+    assert got.converged_starts == converged_starts
+    assert got.converged == (converged_starts == R)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
