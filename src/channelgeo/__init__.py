@@ -8,7 +8,6 @@ from .algebra import (
     TwoLevelGate,
     algebraic_complexity,
     decompose_two_level,
-    embed_gate,
     law,
     random_special_unitary,
     reconstruct,
@@ -37,7 +36,6 @@ from .coherence import (
     coherence_rate_exact,
     computational_dephasing,
     dephase,
-    linear_entropy,
     purity,
     rel_entropy_coherence,
     verify_decohering_bound,
@@ -63,7 +61,6 @@ from .operators import (
     embed_system,
     hermitian,
     hermitian_eig,
-    hs_inner,
     hs_norm,
     matrix_abs,
     matrix_exp_unitary,
@@ -78,10 +75,7 @@ from .pauli import (
     VectorizedOperator,
     build_pauli_basis,
     build_penalty_metric,
-    devectorize,
     devectorize_rows,
-    flat_metric,
-    omega_inner,
     omega_norm_raw,
     string_weight,
     vectorize,
@@ -93,7 +87,6 @@ from .rode import (
     distance_unitaries,
     ensemble_mean,
     fluctuation_report,
-    integrate_rode,
     segment_plan,
     write_ensemble,
 )

@@ -123,9 +123,6 @@ class TwoLevelGate:
             raise ValueError(f"Gate block determinant {det!r} is not 1.")
         object.__setattr__(self, "block", B)
 
-    def adjoint(self) -> "TwoLevelGate":
-        return TwoLevelGate(self.a, self.b, self.block.conj().T)
-
 
 def _unchecked_gate(a: int, b: int, block: np.ndarray) -> TwoLevelGate:
     """TwoLevelGate(a, b, block) without its checks; for complex128 blocks
@@ -135,22 +132,6 @@ def _unchecked_gate(a: int, b: int, block: np.ndarray) -> TwoLevelGate:
     object.__setattr__(gate, "b", b)
     object.__setattr__(gate, "block", block)
     return gate
-
-
-def _check_fits(gate: TwoLevelGate, N: int) -> None:
-    if gate.b >= N:
-        raise ValueError(f"Gate touches index {gate.b}, matrix has dimension {N}.")
-
-
-def embed_gate(gate: TwoLevelGate, N: int) -> np.ndarray:
-    """Place the 2x2 block at rows/columns (a, b) of an N x N identity."""
-    _check_fits(gate, N)
-    out = np.eye(N, dtype=np.complex128)
-    out[gate.a, gate.a] = gate.block[0, 0]
-    out[gate.a, gate.b] = gate.block[0, 1]
-    out[gate.b, gate.a] = gate.block[1, 0]
-    out[gate.b, gate.b] = gate.block[1, 1]
-    return out
 
 
 def _is_identity_block(B: np.ndarray) -> bool:
@@ -190,7 +171,8 @@ def reconstruct(circuit: TwoLevelCircuit, N: int) -> np.ndarray:
     """
     out = np.eye(N, dtype=np.complex128)
     for g in circuit.gates:
-        _check_fits(g, N)
+        if g.b >= N:
+            raise ValueError(f"Gate touches index {g.b}, matrix has dimension {N}.")
         rows = [g.a, g.b]
         out[rows] = g.block @ out[rows]
     return out
@@ -262,16 +244,6 @@ def circuit_records(circuit: TwoLevelCircuit) -> list[dict]:
             }
         )
     return records
-
-
-def circuit_from_records(records: list[dict]) -> TwoLevelCircuit:
-    gates = []
-    for rec in records:
-        block = np.array(
-            [[complex(re, im) for re, im in row] for row in rec["block"]]
-        )
-        gates.append(TwoLevelGate(int(rec["a"]), int(rec["b"]), block))
-    return TwoLevelCircuit(gates=tuple(gates))
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:

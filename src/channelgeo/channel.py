@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geodesic import (
-    PiecewiseConstantPath,
     generator_norm,
     geometric_complexity_const,
     log_distance,
@@ -99,10 +98,6 @@ class ChannelSpec:
         _check_shape("env_basis", B, (self.d_E, self.d_E))
         object.__setattr__(self, "env_probs", p)
         object.__setattr__(self, "env_basis", B)
-
-    @property
-    def dim(self) -> int:
-        return self.d_S * self.d_E
 
     def h_system_embedded(self) -> np.ndarray:
         return embed_system(self.H_S, self.d_E)
@@ -214,37 +209,25 @@ def noise_complexity_bounds(spec: ChannelSpec, t: float) -> dict:
 
 @dataclass(frozen=True)
 class TimeDependentSpec:
-    """Per-segment split of a piecewise-constant joint generator."""
+    """A piecewise-constant channel family: each ChannelSpec segment holds
+    for its duration. Every segment has the first one's d_S and d_E, and a
+    metric acts on their joint space."""
 
-    d_S: int
-    d_E: int
-    segments: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], ...]
-    #: (H_S on d_S, H_I on joint, H_E on d_E, duration) per segment
+    segments: tuple[tuple[ChannelSpec, float], ...]
     metric: MetricSpec | None = None
 
     def __post_init__(self) -> None:
-        checked = []
-        for k, (H_S, H_I, H_E, ds) in enumerate(self.segments):
-            H_S = hermitian(H_S)
-            H_I = hermitian(H_I)
-            H_E = hermitian(H_E)
-            ds = segment_duration(k, ds)
-            if H_S.shape[0] != self.d_S or H_E.shape[0] != self.d_E:
-                raise ValueError(f"Segment {k} factor dimensions are wrong.")
-            if H_I.shape[0] != self.d_S * self.d_E:
-                raise ValueError(f"Segment {k} interaction dimension is wrong.")
-            checked.append((H_S, H_I, H_E, ds))
+        if not self.segments:
+            raise ArgumentError("segments", "expected at least one segment")
+        dims = [(spec.d_S, spec.d_E) for spec, _ in self.segments]
+        for k, dk in enumerate(dims):
+            if dk != dims[0]:
+                raise ArgumentError("segments", f"segment {k} has (d_S, d_E) {dk}, not {dims[0]}")
+        m, d = self.metric, dims[0][0] * dims[0][1]
+        if m is not None and m.basis.dim != d:
+            raise ArgumentError("metric", f"basis dimension {m.basis.dim}, not d_S·d_E = {d}")
+        checked = [(spec, segment_duration(k, ds)) for k, (spec, ds) in enumerate(self.segments)]
         object.__setattr__(self, "segments", tuple(checked))
-
-    def joint_segment(self, k: int) -> tuple[np.ndarray, float]:
-        H_S, H_I, H_E, ds = self.segments[k]
-        H = embed_system(H_S, self.d_E) + H_I + tensor(np.eye(self.d_S), H_E)
-        return H, ds
-
-    def joint_path(self) -> PiecewiseConstantPath:
-        return PiecewiseConstantPath(
-            segments=tuple(self.joint_segment(k) for k in range(len(self.segments)))
-        )
 
 
 def channel_complexity_td(spec: TimeDependentSpec) -> float:
@@ -256,14 +239,12 @@ def channel_complexity_td(spec: TimeDependentSpec) -> float:
     segment whose residual H_tot^2 - H_Se^2 is sign-definite reproduces
     channel_complexity_const exactly.
     """
-    d = spec.d_S * spec.d_E
+    d = len(spec.segments[0][0].H_I)
     m = spec.metric
     total = 0.0
-    for k in range(len(spec.segments)):
-        H_S, _, _, ds = spec.segments[k]
-        H_joint, _ = spec.joint_segment(k)
-        a = generator_norm(H_joint, m)
-        b = generator_norm(embed_system(H_S, spec.d_E), m)
+    for seg, ds in spec.segments:
+        a = generator_norm(seg.h_total(), m)
+        b = generator_norm(seg.h_system_embedded(), m)
         total += ds * abs(a - np.sqrt(abs(a * a - b * b)))
     return total / np.sqrt(d**2 - 1)
 
@@ -271,11 +252,10 @@ def channel_complexity_td(spec: TimeDependentSpec) -> float:
 def noise_complexity_td(spec: TimeDependentSpec) -> float:
     """Absolute gap between the time-dependent channel complexity and the
     noiseless system path length (embedded-system convention)."""
-    d = spec.d_S * spec.d_E
+    d = len(spec.segments[0][0].H_I)
     m = spec.metric
     noiseless = sum(
-        ds * generator_norm(embed_system(H_S, spec.d_E), m)
-        for H_S, _, _, ds in spec.segments
+        ds * generator_norm(seg.h_system_embedded(), m) for seg, ds in spec.segments
     ) / np.sqrt(d**2 - 1)
     return abs(channel_complexity_td(spec) - noiseless)
 

@@ -4,9 +4,9 @@
     channelgeo sweep --config cfg.json --param name --values v1 v2 ... [--out dir]
 
 Exit codes: 0 when every bound check holds, 1 on a failed check or a
-numerical error, 2 on configuration problems. Reports are byte-stable
-for a fixed config and seed; wall time goes to stderr, never into the
-report.
+numerical error, 2 on configuration problems or an unwritable --out.
+Reports are byte-stable for a fixed config and seed; wall time goes to
+stderr, never into the report.
 """
 from __future__ import annotations
 
@@ -53,9 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--values",
-        nargs="*",
-        default=[],
-        help="values for the parameter (parsed as JSON scalars)",
+        nargs="+",
+        required=True,
+        help="one or more values for the parameter (parsed as JSON scalars)",
     )
     return parser
 
@@ -106,6 +106,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"channelgeo: {cfg.get('kind', args.command)} failed: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the report, a sidecar or the sweep directory
+        print(f"channelgeo: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
 
     elapsed = time.perf_counter() - started
     print(f"channelgeo: {args.command} finished in {elapsed:.2f}s", file=sys.stderr)

@@ -100,10 +100,6 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
     return float(p) if rho.ndim == 2 else p
 
 
-def linear_entropy(rho: np.ndarray) -> float:
-    return 1.0 - purity(rho)
-
-
 def rel_entropy_coherence(rho: np.ndarray, E: DephasingChannel) -> float:
     """Purity lost under dephasing: purity(rho) - purity(dephase(rho))."""
     return purity(rho) - purity(dephase(rho, E))

@@ -173,15 +173,6 @@ def sqrt_abs_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr{A†B}."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError(f"Dimension mismatch: {A.shape} vs {B.shape}.")
-    return complex(np.vdot(A, B))
-
-
 def hs_norm(A: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(Tr{A†A})."""
     return float(npl.norm(np.asarray(A)))

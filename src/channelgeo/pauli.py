@@ -1,8 +1,8 @@
 """Pauli-string operator bases and the weighted trace metric.
 
 An ordered, HS-orthonormal, traceless basis of the qubit operator space,
-the coefficient vectorization it induces, the diagonally weighted inner
-product built on it, and the two-local penalty weighting.
+the coefficient vectorization it induces, the diagonally weighted
+coefficient norm built on it, and the two-local penalty weighting.
 """
 from __future__ import annotations
 
@@ -88,9 +88,9 @@ class MetricSpec:
 class VectorizedOperator:
     """Coefficients over a PauliBasis plus the split-off identity component.
 
-    ``devectorize(coefficients) + identity_component * I`` reproduces the
-    original operator; the identity part is reported rather than silently
-    dropped.
+    ``devectorize_rows(coefficients, basis) + identity_component * I``
+    reproduces the original operator; the identity part is reported rather
+    than silently dropped.
     """
 
     coefficients: np.ndarray
@@ -131,11 +131,6 @@ def build_pauli_basis(n: int) -> PauliBasis:
     )
 
 
-def flat_metric(basis: PauliBasis) -> MetricSpec:
-    """Unit weights: the plain HS metric on the traceless sector."""
-    return MetricSpec(basis=basis, weights=np.ones(len(basis.labels)))
-
-
 def build_penalty_metric(n: int, q: float) -> MetricSpec:
     """Weight 1 on strings of weight <= 2, penalty q on strings of weight >= 3.
 
@@ -166,16 +161,6 @@ def vectorize(A: np.ndarray, basis: PauliBasis) -> VectorizedOperator:
     return VectorizedOperator(coefficients=coeffs.real.copy(), identity_component=ident)
 
 
-def devectorize(v: VectorizedOperator | np.ndarray, basis: PauliBasis) -> np.ndarray:
-    """Rebuild the traceless operator sum_k c_k E_k from coefficients."""
-    coeffs = v.coefficients if isinstance(v, VectorizedOperator) else np.asarray(v)
-    if coeffs.shape != (len(basis.labels),):
-        raise ValueError(
-            f"Expected {len(basis.labels)} coefficients, got shape {coeffs.shape}."
-        )
-    return devectorize_rows(coeffs, basis)
-
-
 def devectorize_rows(C: np.ndarray, basis: PauliBasis) -> np.ndarray:
     """sum_k C[..., k] E_k for every row of real coefficients, (..., d, d).
 
@@ -194,14 +179,6 @@ def devectorize_rows(C: np.ndarray, basis: PauliBasis) -> np.ndarray:
             acc += C[..., k] * v
         part[...] = acc
     return out.reshape(C.shape[:-1] + (basis.dim, basis.dim))
-
-
-def omega_inner(A: np.ndarray, B: np.ndarray, m: MetricSpec) -> float:
-    """Weighted inner product with the 1/(N²-1) prefactor included."""
-    a = vectorize(A, m.basis).coefficients
-    b = vectorize(B, m.basis).coefficients
-    n_sq_minus_1 = m.basis.dim**2 - 1
-    return float(np.sum(m.weights * a * b) / n_sq_minus_1)
 
 
 def omega_norm_raw(A: np.ndarray, m: MetricSpec) -> float:

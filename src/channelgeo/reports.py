@@ -62,10 +62,6 @@ def _fail(field: str, message: str) -> ConfigError:
     return ConfigError(f"config field {field!r}: {message}")
 
 
-def matrix_to_pairs(M: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(M)]
-
-
 # Field readers. Each takes a JSON value and the dotted path it was found at,
 # and returns the value checked for JSON type and shape, or raises a ConfigError
 # naming that path. Value rules belong to the domain types the builds make,
@@ -301,11 +297,6 @@ KIND_FIELDS = {
 }
 KINDS = tuple(KIND_FIELDS)
 _HEADER = ("schema_version", "kind", "seed")
-
-
-def parse_metric(obj) -> MetricSpec | None:
-    """A `metric` config object read on its own; None for null."""
-    return None if obj is None else _read(obj, "metric", _METRIC, lambda field: None)
 
 
 def load_config(path: str) -> dict:

@@ -275,15 +275,6 @@ def _run_trajectories(
     return endpoints, integrals, worst_dev
 
 
-def integrate_rode(
-    path: PiecewiseConstantPath, noise: NoiseModel, seed
-) -> np.ndarray:
-    """One sample path of the noisy propagator. Deterministic given seed."""
-    plan = segment_plan(path, noise, 1)
-    endpoints, _, _ = _run_trajectories(plan, noise, [np.random.default_rng(seed)])
-    return endpoints[0]
-
-
 def _ensemble(
     path: PiecewiseConstantPath, noise: NoiseModel, M: int, seed: int
 ) -> EnsembleResult:

@@ -15,6 +15,12 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
+def pairs(M) -> list:
+    """A complex matrix as the nested [re, im] pairs a config holds."""
+    M = np.asarray(M, dtype=np.complex128)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in M]
+
+
 def rand_pure(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v = v / np.linalg.norm(v)

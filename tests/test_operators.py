@@ -8,7 +8,6 @@ from channelgeo.operators import (
     embed_system,
     hermitian,
     hermitian_eig,
-    hs_inner,
     hs_norm,
     matrix_abs,
     matrix_exp_unitary,
@@ -105,7 +104,7 @@ def test_sqrt_abs_diff_squares_to_abs_difference(rng):
 def test_hs_inner_and_norm_match_trace_formula(rng):
     A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert abs(hs_inner(A, B) - np.trace(A.conj().T @ B)) < 1e-12
+    assert abs(np.vdot(A, B) - np.trace(A.conj().T @ B)) < 1e-12
     assert abs(hs_norm(A) - np.sqrt(np.trace(A.conj().T @ A).real)) < 1e-12
 
 
@@ -149,8 +148,8 @@ def test_embedding_adjoint_identity(rng):
     # <A (x) I, X> = <A, Tr_E X> for all X
     A = rand_hermitian(rng, 2)
     X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    lhs = hs_inner(embed_system(A, 3), X)
-    rhs = hs_inner(A, partial_trace_env(X, 2, 3))
+    lhs = np.vdot(embed_system(A, 3), X)
+    rhs = np.vdot(A, partial_trace_env(X, 2, 3))
     assert abs(lhs - rhs) < 1e-12
 
 

@@ -4,15 +4,13 @@ from conftest import rand_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channelgeo.operators import hs_inner, hs_norm
+from channelgeo.geodesic import geometric_complexity_const
+from channelgeo.operators import hs_norm
 from channelgeo.pauli import (
     MetricSpec,
     build_pauli_basis,
     build_penalty_metric,
-    devectorize,
     devectorize_rows,
-    flat_metric,
-    omega_inner,
     omega_norm_raw,
     string_weight,
     vectorize,
@@ -41,7 +39,7 @@ def test_basis_orthonormal_traceless():
         for i in range(k):
             assert abs(np.trace(basis.elements[i])) < 1e-14
             for j in range(i, k):
-                ip = hs_inner(basis.elements[i], basis.elements[j])
+                ip = np.vdot(basis.elements[i], basis.elements[j])
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-13
 
 
@@ -76,7 +74,7 @@ def test_devectorize_rows_matches_dense_sum(rng, n):
     assert got.shape == (5, basis.dim, basis.dim)
     assert np.array_equal(got, dense)
     for row, g in zip(C, got):
-        assert np.abs(g - devectorize(row, basis)).max() < 1e-14
+        assert np.array_equal(g, devectorize_rows(row, basis))  # a row sums as it would alone
     with pytest.raises(ValueError):
         devectorize_rows(C + 0j, basis)
 
@@ -85,7 +83,7 @@ def test_vectorize_round_trip(rng):
     basis = build_pauli_basis(2)
     H = rand_hermitian(rng, 4)
     v = vectorize(H, basis)
-    back = devectorize(v, basis) + v.identity_component * np.eye(4)
+    back = devectorize_rows(v.coefficients, basis) + v.identity_component * np.eye(4)
     assert np.abs(back - H).max() < 1e-12
     # identity component carries the trace
     assert abs(v.identity_component - np.trace(H) / 4.0) < 1e-12
@@ -103,25 +101,25 @@ def test_vectorize_rejects_nonhermitian(rng):
 def test_coefficients_round_trip_property(seed):
     basis = build_pauli_basis(1)
     coeffs = np.random.default_rng(seed).normal(size=3)
-    H = devectorize(coeffs, basis)
+    H = devectorize_rows(coeffs, basis)
     assert np.abs(vectorize(H, basis).coefficients - coeffs).max() < 1e-12
 
 
 def test_flat_metric_matches_traceless_hs(rng):
     basis = build_pauli_basis(2)
-    m = flat_metric(basis)
+    m = MetricSpec(basis, np.ones(len(basis.labels)))
     H = rand_hermitian(rng, 4)
     traceless = H - np.trace(H) / 4.0 * np.eye(4)
     assert abs(omega_norm_raw(H, m) - hs_norm(traceless)) < 1e-12
 
 
-def test_omega_inner_prefactor(rng):
-    # the bilinear form carries 1/(N^2-1); the raw norm does not
+def test_raw_norm_carries_no_prefactor(rng):
+    # complexity carries 1/sqrt(N^2-1); the raw norm does not
     basis = build_pauli_basis(1)
-    m = flat_metric(basis)
+    m = MetricSpec(basis, np.ones(len(basis.labels)))
     H = rand_hermitian(rng, 2)
     H = H - np.trace(H) / 2.0 * np.eye(2)
-    assert abs(omega_inner(H, H, m) - hs_norm(H) ** 2 / 3.0) < 1e-12
+    assert abs(geometric_complexity_const(H, 1.0, m) - hs_norm(H) / np.sqrt(3.0)) < 1e-12
     assert abs(omega_norm_raw(H, m) - hs_norm(H)) < 1e-12
 
 
@@ -130,7 +128,7 @@ def test_weighted_norm_hand_example():
     m = MetricSpec(basis=basis, weights=np.array([1.0, 4.0, 9.0]))
     # H = x*sigma_x/sqrt(2) pieces with coefficients (1, 2, 1)
     coeffs = np.array([1.0, 2.0, 1.0])
-    H = devectorize(coeffs, basis)
+    H = devectorize_rows(coeffs, basis)
     expected = np.sqrt(1 * 1 + 4 * 4 + 9 * 1)
     assert abs(omega_norm_raw(H, m) - expected) < 1e-12
 

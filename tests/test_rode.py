@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rand_hermitian
+from conftest import pairs, rand_hermitian
 
 from channelgeo import reports, rode
 from channelgeo.geodesic import (
@@ -22,9 +22,15 @@ from channelgeo.rode import (
     distance_unitaries,
     ensemble_mean,
     fluctuation_report,
-    integrate_rode,
     write_ensemble,
 )
+
+
+def integrate_rode(path: PiecewiseConstantPath, noise: NoiseModel, seed) -> np.ndarray:
+    """One sample path of the noisy propagator, on the generator default_rng(seed)."""
+    plan = rode.segment_plan(path, noise, 1)
+    endpoints, _, _ = rode._run_trajectories(plan, noise, [np.random.default_rng(seed)])
+    return endpoints[0]
 
 
 def traceless(H):
@@ -291,7 +297,7 @@ def test_matched_rode_report_integrates_once(monkeypatch, rng):
             "schema_version": 1,
             "kind": "rode",
             "seed": 4,
-            "path": {"H": reports.matrix_to_pairs(rand_hermitian(rng, 2)), "t": 1.0},
+            "path": {"H": pairs(rand_hermitian(rng, 2)), "t": 1.0},
             "noise": {"kind": "bounded_matched", "weights": [1.0, 1.0, 1.0]},
             "M": 6,
         }
