@@ -21,11 +21,10 @@ from .channel import (
     apply_channel_via_joint,
     channel_complexity_const,
     channel_complexity_td,
+    complexity_split,
     kraus_operators,
-    noise_complexity,
     noise_complexity_bounds,
     noise_complexity_td,
-    noiseless_complexity,
     perturbative_example,
 )
 from .coherence import (

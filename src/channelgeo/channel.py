@@ -175,13 +175,13 @@ def channel_complexity_const(spec: ChannelSpec, t: float) -> float:
     return G_tot - G_resid
 
 
-def noiseless_complexity(spec: ChannelSpec, t: float) -> float:
-    return geometric_complexity_const(spec.h_system_embedded(), t, None)
-
-
-def noise_complexity(spec: ChannelSpec, t: float) -> float:
-    """Absolute gap between channel complexity and the noiseless value."""
-    return abs(channel_complexity_const(spec, t) - noiseless_complexity(spec, t))
+def complexity_split(spec: ChannelSpec, t: float) -> dict:
+    """G_hs, the channel complexity; G_noiseless, the complexity of the
+    embedded system generator alone; and N_hs, the noise complexity, the
+    absolute gap between the two."""
+    g_channel = float(channel_complexity_const(spec, t))
+    g_free = float(geometric_complexity_const(spec.h_system_embedded(), t, None))
+    return {"G_hs": g_channel, "G_noiseless": g_free, "N_hs": abs(g_channel - g_free)}
 
 
 def noise_complexity_bounds(spec: ChannelSpec, t: float) -> dict:
@@ -202,7 +202,7 @@ def noise_complexity_bounds(spec: ChannelSpec, t: float) -> dict:
     distance = log_distance(matrix_exp_unitary(H_tot, t), matrix_exp_unitary(resid, t))
     return {
         "lower": lower,
-        "upper": noiseless_complexity(spec, t) - distance,
+        "upper": geometric_complexity_const(H_Se, t, None) - distance,
         "distance_estimate": distance,
     }
 

@@ -23,6 +23,7 @@ from .reports import (
     load_config,
     run_experiment,
     run_sweep,
+    staging,
     validate_config,
     write_report,
     write_sweep_csv,
@@ -91,10 +92,12 @@ def main(argv=None) -> int:
             else:
                 out_dir = Path(args.out)
                 out_dir.mkdir(parents=True, exist_ok=True)
-                for i, rep in enumerate(reports):
-                    write_report(rep, str(out_dir / f"report_{i:03d}.json"))
-                with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-                    write_sweep_csv(rows, fh)
+                with staging() as stage:
+                    for i, rep in enumerate(reports):
+                        write_report(rep, str(out_dir / f"report_{i:03d}.json"), stage)
+                    csv_path = stage(out_dir / "sweep.csv")
+                    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+                        write_sweep_csv(rows, fh)
             ok = all(rep["all_ok"] for rep in reports)
         else:
             report = run_experiment(cfg)

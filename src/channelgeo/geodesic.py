@@ -3,8 +3,8 @@
 Closed form for constant generators, the length functional and endpoint
 map for piecewise-constant controls, the right-invariant control distance
 between two unitaries (exact principal-log geodesic for the flat metric,
-a lockstep multi-start upper-bound search for weighted metrics), and the
-l1-cost inequality chain.
+a multi-start upper-bound search over exactly closed paths for weighted
+metrics), and the l1-cost inequality chain.
 
 Normalization convention used throughout: integrands are raw weighted
 coefficient norms (no prefactor) and one global 1/sqrt(d^2-1) factor is
@@ -18,14 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import hermitian, hs_norm, matrix_exp_unitary, rowdot, unitary
+from .operators import ArgumentError, hermitian, hs_norm, matrix_exp_unitary, rowdot, unitary
 from .optimize import coordinate_search
 from .pauli import MetricSpec, PauliBasis, omega_norm_raw, vectorize
 
-#: Endpoint error a searched path may leave: ||endpoint - target||_HS.
+#: Endpoint error a searched path may leave: ||endpoint - target||_HS. The
+#: closing segment meets the target to rounding, so a miss means a bug.
 ENDPOINT_TOL = 1e-6
-#: Penalty rounds per restart; each multiplies the endpoint weight by 4.
-MAX_ROUNDS = 22
+#: Sweeps and final probe step of the weighted estimate's coordinate search.
+SEARCH_SWEEPS = 25
+SEARCH_STEP_TOL = 1e-6
 
 
 def segment_duration(k: int, ds: float) -> float:
@@ -37,11 +39,14 @@ def segment_duration(k: int, ds: float) -> float:
 
 @dataclass(frozen=True)
 class PiecewiseConstantPath:
-    """Ordered (generator, duration) segments; durations strictly positive."""
+    """Ordered (generator, duration) segments, at least one; durations
+    strictly positive."""
 
     segments: tuple[tuple[np.ndarray, float], ...]
 
     def __post_init__(self) -> None:
+        if not self.segments:
+            raise ArgumentError("segments", "expected at least one segment")
         checked = []
         dim = None
         for k, (H, ds) in enumerate(self.segments):
@@ -62,8 +67,6 @@ class PiecewiseConstantPath:
 
     @property
     def dim(self) -> int:
-        if not self.segments:
-            raise ValueError("Empty path has no dimension.")
         return self.segments[0][0].shape[0]
 
 
@@ -112,8 +115,6 @@ def geometric_complexity_const(H: np.ndarray, t: float, m: MetricSpec | None = N
 
 def path_length(p: PiecewiseConstantPath, m: MetricSpec | None = None) -> float:
     """(1/sqrt(d^2-1)) * sum of duration * generator norm over segments."""
-    if not p.segments:
-        return 0.0
     d = p.dim
     total = sum(ds * generator_norm(H, m) for H, ds in p.segments)
     return total / np.sqrt(d**2 - 1)
@@ -121,8 +122,6 @@ def path_length(p: PiecewiseConstantPath, m: MetricSpec | None = None) -> float:
 
 def path_endpoint(p: PiecewiseConstantPath) -> np.ndarray:
     """Ordered product exp(-i H_K ds_K) ... exp(-i H_1 ds_1)."""
-    if not p.segments:
-        raise ValueError("Cannot evaluate the endpoint of an empty path.")
     U = np.eye(p.dim, dtype=np.complex128)
     for H, ds in p.segments:
         U = matrix_exp_unitary(H, ds) @ U
@@ -130,22 +129,26 @@ def path_endpoint(p: PiecewiseConstantPath) -> np.ndarray:
 
 
 def principal_log_generator(U: np.ndarray) -> np.ndarray:
-    """Hermitian G with exp(-i G) = U and eigenvalues of G in [-pi, pi).
+    """Hermitian G with exp(-i G) = U and eigenvalues of G in [-pi, pi)."""
+    return _principal_logs(unitary(U)[None])[0]
+
+
+def _principal_logs(U: np.ndarray) -> np.ndarray:
+    """Principal-log generators of an unchecked (n, d, d) stack of unitaries.
 
     A global phase puts -1 in the middle of U's widest eigen-angle gap, so the
     Cayley transform i (I + V)^-1 (I - V) of the rotated V is Hermitian and well
     conditioned; its eigh basis Q gives the angles as diag(Q† U Q), and -1 gives -pi.
     """
-    U = unitary(U)
-    theta = np.sort(np.angle(np.linalg.eigvals(U)))
-    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
-    k = np.argmax(gaps)
-    V = U * np.exp(1j * (np.pi - theta[k] - gaps[k] / 2))
-    eye = np.eye(len(U))
+    theta = np.sort(np.angle(np.linalg.eigvals(U)), axis=-1)
+    gaps = np.diff(theta, axis=-1, append=theta[:, :1] + 2 * np.pi)
+    rows, k = np.arange(len(U)), np.argmax(gaps, axis=-1)
+    V = U * np.exp(1j * (np.pi - theta[rows, k] - gaps[rows, k] / 2))[:, None, None]
+    eye = np.eye(U.shape[-1])
     _, Q = np.linalg.eigh(1j * np.linalg.solve(eye + V, eye - V))
-    g = -np.angle(np.einsum("ji,jk,ki->i", Q.conj(), U, Q))
+    g = -np.angle(np.einsum("nji,njk,nki->ni", Q.conj(), U, Q))
     g[g == np.pi] = -np.pi
-    return (Q * g) @ Q.conj().T
+    return (Q * g[:, None, :]) @ Q.conj().swapaxes(-1, -2)
 
 
 def log_norms(X: np.ndarray) -> np.ndarray:
@@ -177,8 +180,8 @@ class _Chart:
     Pauli coefficients plus one identity coordinate. The weighted norm
     covers the traceless sector only, so the identity coordinate costs
     nothing; it still moves the endpoint (a global phase), which the
-    endpoint penalty constrains. This keeps the reported length equal
-    to path_length of the returned path under the same metric.
+    closing segment absorbs. This keeps the reported length equal to
+    path_length of the returned path under the same metric.
     """
 
     def __init__(self, d: int, m: MetricSpec):
@@ -190,6 +193,8 @@ class _Chart:
         self.m = m
         self.size = d * d  # (d^2 - 1) traceless coefficients + identity
         self._sq_weights = np.concatenate([m.weights, [0.0]])
+        frame = np.concatenate([m.basis.elements, np.eye(d)[None] / np.sqrt(d)])
+        self._frame = frame.reshape(self.size, self.size)
 
     def to_matrices(self, X: np.ndarray) -> np.ndarray:
         """Generators of a (..., size) stack of coordinates, as (..., d, d)."""
@@ -199,38 +204,36 @@ class _Chart:
         H = H + (flat[:, -1] / np.sqrt(d))[:, None, None] * np.eye(d)
         return H.reshape(*X.shape[:-1], d, d)
 
+    def coords(self, G: np.ndarray) -> np.ndarray:
+        """Coordinates of a (..., d, d) stack of Hermitian generators, Tr(E_k G)
+        row by row."""
+        return rowdot(self._frame, G.reshape(*G.shape[:-2], 1, self.size)).real
+
     def norms(self, X: np.ndarray) -> np.ndarray:
         """Weighted norms of a (..., size) stack of coordinates."""
         return np.sqrt(np.sum(self._sq_weights * X * X, axis=-1))
 
-    def from_matrix(self, G: np.ndarray) -> np.ndarray:
-        vec = vectorize(G, self.m.basis)
-        return np.concatenate(
-            [vec.coefficients, [vec.identity_component.real * np.sqrt(self.d)]]
-        )
 
+def _closed(
+    X: np.ndarray, target: np.ndarray, chart: _Chart, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted length of each closed K-segment path of an (n, (K-1) * chart.size)
+    stack of free segments, each running for 1/K.
 
-def _penalized(
-    X: np.ndarray, target: np.ndarray, chart: _Chart, K: int, lam: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Penalized length of each K-segment path of an (m, K * chart.size) stack.
-
-    Returns (value, length, err) per row: the weighted path length, the
-    endpoint error ||endpoint - target||_HS, and value = length + lam * err^2.
-    Each segment runs for 1/K. Every row is computed as it would be alone.
+    The last segment runs K L for 1/K, with L the principal log of target P†
+    and P the product of the free segments, so every path ends on the target.
+    Returns (length, L) per row; every row is computed as it would be alone.
     """
     d = chart.d
-    segs = X.reshape(len(X), K, chart.size)
+    segs = X.reshape(len(X), K - 1, chart.size)
     w, V = np.linalg.eigh(chart.to_matrices(segs))
     exps = (V * np.exp(-1j * (1.0 / K) * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    U = np.eye(d, dtype=np.complex128)
-    for k in range(K):
-        U = exps[:, k] @ U
-    diff = (U - target).reshape(len(X), d * d)
-    re, im = diff.real, diff.imag
-    err = np.sqrt(rowdot(re, re) + rowdot(im, im))
-    length = np.sum(chart.norms(segs), axis=-1) * (1.0 / K) / np.sqrt(d**2 - 1)
-    return length + lam * err * err, length, err
+    P = np.eye(d, dtype=np.complex128)
+    for k in range(K - 1):
+        P = exps[:, k] @ P
+    L = _principal_logs(target @ P.conj().swapaxes(-1, -2))
+    free = np.sum(chart.norms(segs), axis=-1) * (1.0 / K)
+    return (free + chart.norms(chart.coords(L))) / np.sqrt(d**2 - 1), L
 
 
 def estimate_cc_distance(
@@ -240,8 +243,6 @@ def estimate_cc_distance(
     segments: int = 8,
     restarts: int = 16,
     seed: int = 0,
-    search_sweeps: int = 60,
-    search_step_tol: float = 1e-8,
 ) -> GeodesicEstimate:
     """Control distance from U to V, with a certificate path of `segments`
     equal pieces.
@@ -249,18 +250,17 @@ def estimate_cc_distance(
     Right-invariance is used exactly: the path connects the identity to
     V U†. Under the flat metric (m=None) the principal-log one-parameter
     group is the geodesic, so the length is exact, log_norms(V U†); no search
-    runs, restarts_used is 0, and restarts, seed and the search knobs are ignored.
+    runs, restarts_used is 0, and restarts and seed are ignored.
 
-    A MetricSpec runs a numerical search for an upper bound instead: a
-    penalty method over K-segment paths, with the endpoint error squared
-    as the penalty. Restart 0 starts from the principal-log path, which
-    already meets the endpoint; the remaining restarts are random. All
-    restarts advance in lockstep, so each penalty round is one
-    coordinate_search over the stack of restarts still in play (at most
-    MAX_ROUNDS calls), and each restart ends where it would alone. The
-    best feasible path (endpoint error within ENDPOINT_TOL) of minimal
-    length wins, the first in start order on a tie. Deterministic for a
-    fixed seed. search_sweeps and search_step_tol trade polish for speed.
+    A MetricSpec runs a numerical search for an upper bound instead, over
+    the first K - 1 = segments - 1 segments (so segments must be at least
+    2); the last segment closes each path exactly on the target (_closed),
+    and the objective is the weighted length alone. Restart 0 starts from
+    the principal-log path, which the closure returns unchanged, so the
+    estimate is never above it; the remaining restarts are random. One
+    coordinate_search runs every restart in lockstep, and each ends where
+    it would alone. The shortest wins, the first in start order on a tie.
+    Deterministic for a fixed seed.
     """
     U = unitary(U)
     V = unitary(V)
@@ -268,6 +268,10 @@ def estimate_cc_distance(
         raise ValueError(f"Dimension mismatch: {U.shape} vs {V.shape}.")
     if segments < 1 or restarts < 1:
         raise ValueError("segments and restarts must both be >= 1.")
+    if m is not None and segments < 2:
+        raise ArgumentError(
+            "segments", f"expected at least 2 with a metric, got {segments}: the last one closes"
+        )
     d = U.shape[0]
     target = V @ U.conj().T
     G = principal_log_generator(target)
@@ -281,65 +285,30 @@ def estimate_cc_distance(
         )
     chart = _Chart(d, m)
     K = segments
-    g_coords = chart.from_matrix(G)
+    g_coords = chart.coords(G)
     scale = max(float(np.linalg.norm(g_coords)), 0.5)
-    x = np.empty((restarts, K * chart.size))
-    x[0] = np.tile(g_coords, K)  # constant path: each segment runs G for 1/K
+    x = np.empty((restarts, (K - 1) * chart.size))
+    x[0] = np.tile(g_coords, K - 1)  # each free segment runs G for 1/K; the closure too
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(restarts - 1), start=1):
-        x[r] = np.random.default_rng(child).normal(scale=scale, size=K * chart.size)
-    step = np.full(restarts, 0.25 * max(scale, 1.0))
+        x[r] = np.random.default_rng(child).normal(scale=scale, size=x.shape[1])
+    step = np.full((restarts, 1), 0.25 * max(scale, 1.0))
     step[0] = 0.08 * max(scale, 1.0) / K
-
-    # Penalty loop: round r minimizes every restart still in play at endpoint
-    # weight 32 * 4^r, each from where its last round ended and with its own
-    # step. A restart's start is its first candidate, so the feasible
-    # principal-log path can never be lost to a search that wanders off. A
-    # restart leaves once its best is feasible and a round brought no gain.
-    _, best_len, best_err = _penalized(x, target, chart, K, 0.0)
-    best_x = x.copy()
-    active = np.arange(restarts)
-    lam = 32.0
-    for _ in range(MAX_ROUNDS):
-        res = coordinate_search(
-            lambda X, lam=lam: _penalized(X, target, chart, K, lam)[0],
-            x[active],
-            step=step[active, None],
-            step_tol=search_step_tol,
-            max_sweeps=search_sweeps,
-        )
-        _, length, err = _penalized(res.x, target, chart, K, lam)
-        was_ok = best_err[active] <= ENDPOINT_TOL
-        improved = (
-            (err <= ENDPOINT_TOL) & (~was_ok | (length < best_len[active] - 1e-10))
-        ) | (~was_ok & (err < best_err[active]))
-        won = active[improved]
-        best_x[won] = res.x[improved]
-        best_len[won], best_err[won] = length[improved], err[improved]
-        x[active] = res.x
-        keep = (best_err[active] > ENDPOINT_TOL) | improved
-        active = active[keep]
-        if not active.size:
-            break
-        lam *= 4.0
-        step[active] = np.maximum(step[active] * 0.5, 1e-3)
-
-    best, feasible = 0, bool(best_err[0] <= ENDPOINT_TOL)
-    for r in range(1, restarts):  # in start order: the first of the shortest wins
-        if best_err[r] <= ENDPOINT_TOL and (not feasible or best_len[r] < best_len[best]):
-            best, feasible = r, True
-        elif not feasible and best_err[r] < best_err[best]:
-            best = r
-    if not feasible:
-        raise ValueError(
-            f"No restart reached endpoint tolerance {ENDPOINT_TOL:.1e}; "
-            f"best endpoint error was {best_err[best]:.3e}."
-        )
-    Hs = chart.to_matrices(best_x[best].reshape(K, chart.size))
+    res = coordinate_search(
+        lambda X: _closed(X, target, chart, K)[0],
+        x,
+        step=step,
+        step_tol=SEARCH_STEP_TOL,
+        max_sweeps=SEARCH_SWEEPS,
+    )
+    best = res.x[np.argmin(res.fun)]
+    length, L = _closed(best[None], target, chart, K)
+    Hs = chart.to_matrices(best.reshape(K - 1, chart.size))
+    path = PiecewiseConstantPath(segments=tuple((H, 1.0 / K) for H in (*Hs, K * L[0])))
+    err = hs_norm(path_endpoint(path) - target)
+    if not err <= ENDPOINT_TOL:
+        raise ValueError(f"Closed path misses the target by {err:.3e} > {ENDPOINT_TOL:.1e}.")
     return GeodesicEstimate(
-        length=float(best_len[best]),
-        endpoint_error=float(best_err[best]),
-        path=PiecewiseConstantPath(segments=tuple((H, 1.0 / K) for H in Hs)),
-        restarts_used=restarts,
+        length=float(length[0]), endpoint_error=err, path=path, restarts_used=restarts
     )
 
 

@@ -9,7 +9,8 @@ Starts run in lockstep: a stack of starts advances over the same
 coordinate together, so each move costs one objective call on the
 stacked probes (plus one on the rows that try a vertex), while every
 start keeps its own steps, value and stopping rule. The weighted
-geodesic search, the one caller, stacks every restart still in play.
+geodesic estimate, the one caller, makes one call per estimate on the
+stack of all its restarts.
 """
 from __future__ import annotations
 

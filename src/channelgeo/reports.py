@@ -7,8 +7,11 @@ out of the payload (the CLI prints wall time to stderr instead).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -406,21 +409,13 @@ def _run_channel(seed: int, perturbative: tuple | None = None, spec=None, t=None
             "omega_coupling": float(out["omega_coupling"]),
         }
         return scalars, [], None
-    scalars = _complexities(spec, t)
+    scalars = channel.complexity_split(spec, t)
     checks = [make_check("channel_below_system", scalars["G_hs"], scalars["G_noiseless"] + 1e-9)]
     return scalars, checks, None
 
 
-def _complexities(spec: channel.ChannelSpec, t: float) -> dict:
-    """G_hs, G_noiseless and N_hs, each computed once; N_hs is the gap that
-    channel.noise_complexity returns."""
-    g_channel = float(channel.channel_complexity_const(spec, t))
-    g_free = float(channel.noiseless_complexity(spec, t))
-    return {"G_hs": g_channel, "G_noiseless": g_free, "N_hs": abs(g_channel - g_free)}
-
-
 def _run_noise(seed: int, spec: channel.ChannelSpec, t: float):
-    scalars = _complexities(spec, t)
+    scalars = channel.complexity_split(spec, t)
     n_hs = scalars["N_hs"]
     bounds = channel.noise_complexity_bounds(spec, t)
     scalars |= {
@@ -575,11 +570,8 @@ def verify_all_battery(seed: int) -> list[dict]:
     for _ in range(10):
         spec = _rand_spec(rng)
         t = rng.uniform(0.2, 1.5)
-        worst = max(
-            worst,
-            channel.channel_complexity_const(spec, t)
-            - channel.noiseless_complexity(spec, t),
-        )
+        split = channel.complexity_split(spec, t)
+        worst = max(worst, split["G_hs"] - split["G_noiseless"])
     checks.append(make_check("channel_below_system", worst, 1e-9))
 
     rng = rngs[3]
@@ -587,10 +579,7 @@ def verify_all_battery(seed: int) -> list[dict]:
     zero4 = np.zeros((4, 4), dtype=np.complex128)
     zero2 = np.zeros((2, 2), dtype=np.complex128)
     free = channel.ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=zero4, H_E=zero2)
-    dev_free = abs(
-        channel.channel_complexity_const(free, 1.0)
-        - channel.noiseless_complexity(free, 1.0)
-    )
+    dev_free = channel.complexity_split(free, 1.0)["N_hs"]
     checks.append(make_check("limit_noise_free", dev_free, 1e-10))
     lonely = channel.ChannelSpec(
         d_S=2, d_E=2, H_S=zero2, H_I=random_hermitian(rng, 4), H_E=zero2
@@ -606,7 +595,7 @@ def verify_all_battery(seed: int) -> list[dict]:
     worst = 0.0
     for _ in range(3):
         spec = _rand_spec(rng, scale_S=12.0, scale_IE=0.25)
-        n_hs = channel.noise_complexity(spec, 1.0)
+        n_hs = channel.complexity_split(spec, 1.0)["N_hs"]
         rng.integers(2**31)  # unused draw: keeps the specs drawn after it unchanged
         bounds = channel.noise_complexity_bounds(spec, 1.0)
         worst = max(worst, bounds["lower"] - n_hs, n_hs - bounds["upper"])
@@ -805,8 +794,39 @@ def run_experiment(cfg: dict) -> dict:
     return _report(cfg, read_config(cfg))
 
 
-def write_report(report: dict, out: str | None) -> None:
-    """Serialize to out (or stdout); rode ensembles get sidecar CSVs."""
+@contextlib.contextmanager
+def staging():
+    """Yield stage(dest), the temporary name beside dest to write it under.
+
+    When the block succeeds and no destination is a directory, every staged
+    file replaces its destination; otherwise none does and the temporaries
+    are removed, so a failed write leaves each destination as it was.
+    """
+    moves = []
+
+    def stage(dest: Path) -> Path:
+        tmp = dest.with_name(".partial-" + dest.name)
+        moves.append((tmp, dest))
+        return tmp
+
+    try:
+        yield stage
+        for _, dest in moves:
+            if dest.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dest))
+        for tmp, dest in moves:
+            os.replace(tmp, dest)
+        moves.clear()
+    finally:
+        for tmp, _ in moves:
+            with contextlib.suppress(FileNotFoundError):  # the block failed before it
+                tmp.unlink()
+
+
+def write_report(report: dict, out: str | None, stage=None) -> None:
+    """Serialize to out (or stdout); rode ensembles get sidecar CSVs. The
+    report and its sidecars are staged together, under a caller's stage (a
+    sweep's) or a staging of their own, so they land together or not at all."""
     ensemble = report.pop("_ensemble", None)
     data = report_bytes(report)
     if out is None:
@@ -814,12 +834,14 @@ def write_report(report: dict, out: str | None) -> None:
         return
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    if ensemble is not None:
-        stem = str(path)
-        if stem.endswith(".json"):
-            stem = stem[: -len(".json")]
-        rode.write_ensemble(ensemble, stem + "_trajectories")
+    with contextlib.nullcontext(stage) if stage else staging() as stage:
+        stage(path).write_bytes(data)
+        if ensemble is not None:
+            stem = path.name.removesuffix(".json") + "_trajectories"
+            csv_tmp = stage(path.with_name(stem + ".csv"))
+            stage(path.with_name(stem + ".json"))
+            # Staging only prefixes a name, so the two temporaries share a stem.
+            rode.write_ensemble(ensemble, str(csv_tmp.with_suffix("")))
 
 
 def _config_path_get(cfg: dict, dotted: str):

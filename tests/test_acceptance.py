@@ -21,10 +21,9 @@ from channelgeo.channel import (
     apply_channel,
     apply_channel_via_joint,
     channel_complexity_const,
+    complexity_split,
     kraus_operators,
-    noise_complexity,
     noise_complexity_bounds,
-    noiseless_complexity,
     perturbative_example,
 )
 from channelgeo.coherence import (
@@ -132,7 +131,7 @@ def test_criterion_04_split_and_monotonicity():
         )
         g = channel_complexity_const(spec, t)
         worst_split = max(worst_split, abs(g - oracle))
-        worst_monotone = max(worst_monotone, g - noiseless_complexity(spec, t))
+        worst_monotone = max(worst_monotone, g - complexity_split(spec, t)["G_noiseless"])
     assert worst_split <= 1e-9
     assert worst_monotone <= 1e-9
 
@@ -144,7 +143,7 @@ def test_criterion_05_limit_cases():
     for _ in range(20):
         free = ChannelSpec(d_S=2, d_E=2, H_S=rand_hermitian(rng, 2), H_I=z4, H_E=z2)
         t = float(rng.uniform(0.1, 2.0))
-        gap = abs(channel_complexity_const(free, t) - noiseless_complexity(free, t))
+        gap = complexity_split(free, t)["N_hs"]
         assert gap <= 1e-10
         lonely = ChannelSpec(d_S=2, d_E=2, H_S=z2, H_I=rand_hermitian(rng, 4), H_E=z2)
         assert abs(channel_complexity_const(lonely, t)) <= 1e-10
@@ -154,7 +153,7 @@ def test_criterion_06_sandwich_and_norm_gap():
     rng = np.random.default_rng(106)
     for _ in range(50):
         spec = random_channel_spec(rng, scale_S=12.0, scale_IE=0.25)
-        n = noise_complexity(spec, 1.0)
+        n = complexity_split(spec, 1.0)["N_hs"]
         rng.integers(2**31)  # unused draw: keeps the data drawn after it unchanged
         bounds = noise_complexity_bounds(spec, 1.0)
         assert bounds["lower"] <= n + 1e-8

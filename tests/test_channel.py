@@ -11,11 +11,10 @@ from channelgeo.channel import (
     channel_complexity_const,
     channel_complexity_td,
     check_perturbative,
+    complexity_split,
     kraus_operators,
-    noise_complexity,
     noise_complexity_bounds,
     noise_complexity_td,
-    noiseless_complexity,
     perturbative_example,
 )
 from channelgeo.geodesic import PiecewiseConstantPath
@@ -102,15 +101,18 @@ def test_channel_never_exceeds_noiseless(rng):
     for _ in range(25):
         spec = make_spec(rng)
         t = float(rng.uniform(0.2, 1.5))
-        assert channel_complexity_const(spec, t) <= noiseless_complexity(spec, t) + 1e-9
+        split = complexity_split(spec, t)
+        assert split["G_hs"] == channel_complexity_const(spec, t)
+        assert split["G_hs"] <= split["G_noiseless"] + 1e-9
 
 
 def test_noise_free_limit(rng):
     z2 = np.zeros((2, 2))
     spec = ChannelSpec(d_S=2, d_E=2, H_S=rand_hermitian(rng, 2), H_I=np.zeros((4, 4)), H_E=z2)
     t = 0.9
-    assert abs(noise_complexity(spec, t)) < 1e-10
-    assert abs(channel_complexity_const(spec, t) - noiseless_complexity(spec, t)) < 1e-10
+    split = complexity_split(spec, t)
+    assert split["N_hs"] < 1e-10
+    assert split["N_hs"] == abs(split["G_hs"] - split["G_noiseless"])
 
 
 def test_system_free_limit(rng):
@@ -122,7 +124,7 @@ def test_system_free_limit(rng):
         H_E=rand_hermitian(rng, 2),
     )
     assert abs(channel_complexity_const(spec, 1.1)) < 1e-10
-    assert abs(noiseless_complexity(spec, 1.1)) < 1e-15
+    assert abs(complexity_split(spec, 1.1)["G_noiseless"]) < 1e-15
 
 
 def test_noise_sandwich_system_dominated(rng):
@@ -130,7 +132,7 @@ def test_noise_sandwich_system_dominated(rng):
     for _ in range(10):
         spec = make_spec(rng, scale_S=12.0, scale_IE=0.25)
         rec = noise_complexity_bounds(spec, 1.0)
-        n = noise_complexity(spec, 1.0)
+        n = complexity_split(spec, 1.0)["N_hs"]
         assert rec["lower"] <= n + 1e-8
         assert rec["upper"] is not None
         assert n <= rec["upper"] + 1e-8
@@ -145,7 +147,7 @@ def test_td_single_segment_commuting_matches_const():
     t = 1.4
     td = TimeDependentSpec(segments=((spec, t),))
     assert abs(channel_complexity_td(td) - channel_complexity_const(spec, t)) < 1e-12
-    assert abs(noise_complexity_td(td) - noise_complexity(spec, t)) < 1e-12
+    assert abs(noise_complexity_td(td) - complexity_split(spec, t)["N_hs"]) < 1e-12
 
 
 def test_td_segment_additivity(rng):

@@ -551,24 +551,35 @@ def test_sweep_to_stdout(tmp_path):
         ("complexity", "taken"),  # a directory
         ("complexity", "file/r.json"),  # a path under a regular file
         ("rode", "r.json"),  # its trajectory sidecar is a directory
+        ("rode", "pw/r.json"),  # the same, beside an earlier report that must stay
         ("sweep", "file"),
         ("sweep", "file/sweep"),
+        ("sweep", "swept"),  # its sweep.csv is a directory
     ],
 )
 def test_unwritable_out_exits_two(tmp_path, capsys, command, out):
     (tmp_path / "taken").mkdir()
     (tmp_path / "r_trajectories.csv").mkdir()
     (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "pw" / "r_trajectories.csv").mkdir(parents=True)
+    (tmp_path / "pw" / "r.json").write_text("earlier\n", encoding="utf-8")
+    (tmp_path / "swept" / "sweep.csv").mkdir(parents=True)
     kind = "complexity" if command == "sweep" else command
     cfg = write_cfg(tmp_path, "c.json", {"schema_version": 1, "kind": kind, "seed": 0, **_BASE[kind]})
     argv = [command, "--config", cfg, "--out", str(tmp_path / out)]
     if command == "sweep":
-        argv += ["--param", "t", "--values", "0.5"]
+        argv += ["--param", "t", "--values", "0.5", "1.0"]
+
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+    before = tree()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"channelgeo: cannot write {tmp_path / out}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert tree() == before  # no output is new or changed, no staging is left
 
 
 @pytest.mark.parametrize(
@@ -633,6 +644,16 @@ def test_rode_trajectory_sidecars(tmp_path):
     assert len(csv_rows) == 9
     side = json.loads((tmp_path / "rode_report_trajectories.json").read_text())
     assert side["trajectories_used"] == 8
+    # a sweep stages each report with its sidecars, and leaves nothing else
+    out_dir = tmp_path / "swept"
+    code, _, _ = run_cli("sweep", "--config", cfg, "--param", "M", "--values", "8", "--out", str(out_dir))
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "report_000.json", "report_000_trajectories.csv", "report_000_trajectories.json", "sweep.csv"
+    ]
+    for ext in ("csv", "json"):
+        swept = (out_dir / f"report_000_trajectories.{ext}").read_bytes()
+        assert swept == (tmp_path / f"rode_report_trajectories.{ext}").read_bytes()
 
 
 def test_decompose_kind(tmp_path):

@@ -8,7 +8,6 @@ from conftest import rand_hermitian, rand_unitary
 
 from channelgeo import geodesic
 from channelgeo.geodesic import (
-    MAX_ROUNDS,
     PiecewiseConstantPath,
     check_cost_chain,
     constant_path,
@@ -63,6 +62,8 @@ def test_negative_time_rejected():
 
 
 def test_path_validation():
+    with pytest.raises(ValueError, match="segments"):
+        PiecewiseConstantPath(segments=())
     with pytest.raises(ValueError):
         PiecewiseConstantPath(segments=((SIGMA_Z, 0.0),))
     with pytest.raises(ValueError):
@@ -159,9 +160,7 @@ def test_log_distance_shape_mismatch():
 
 def test_estimate_recovers_sigma_z_geodesic():
     U = scipy.linalg.expm(-1j * SIGMA_Z)
-    est = estimate_cc_distance(
-        np.eye(2), U, segments=4, restarts=2, search_sweeps=25, search_step_tol=1e-6
-    )
+    est = estimate_cc_distance(np.eye(2), U, segments=4, restarts=2)
     assert est.endpoint_error <= 1e-6
     assert est.length <= np.sqrt(2.0 / 3.0) + 1e-6
     assert est.length >= log_distance(np.eye(2), U) - 1e-9
@@ -182,9 +181,7 @@ def test_flat_estimate_is_principal_log_path(d):
 
 def test_estimate_dominates_log_distance(rng):
     U = rand_unitary(rng, 2)
-    est = estimate_cc_distance(
-        np.eye(2), U, segments=4, restarts=2, search_sweeps=25, search_step_tol=1e-6
-    )
+    est = estimate_cc_distance(np.eye(2), U, segments=4, restarts=2)
     assert est.endpoint_error <= 1e-6
     assert est.length >= log_distance(np.eye(2), U) - 1e-9
 
@@ -193,10 +190,7 @@ def test_estimate_weighted_not_above_log_init(rng):
     basis = build_pauli_basis(1)
     m = MetricSpec(basis=basis, weights=np.array([1.0, 1.0, 4.0]))
     U = rand_unitary(rng, 2)
-    est = estimate_cc_distance(
-        np.eye(2), U, m=m, segments=4, restarts=2,
-        search_sweeps=25, search_step_tol=1e-6,
-    )
+    est = estimate_cc_distance(np.eye(2), U, m=m, segments=4, restarts=2)
     G = principal_log_generator(U)
     assert est.endpoint_error <= 1e-6
     assert est.length <= path_length(constant_path(G, 1.0), m) + 1e-9
@@ -216,37 +210,66 @@ def _path_sha1(path):
     return h.hexdigest()
 
 
-# Weighted estimates pinned bit for bit: length.hex(), endpoint_error.hex()
-# and the SHA-1 of the path's segment bytes, recorded when every restart
-# still ran its own one-start search. The last case needs several penalty
-# rounds and the 1e-10 gain margin to land where it does.
+# Weighted estimates pinned bit for bit: length.hex() and the SHA-1 of the
+# path's segment bytes. Each floor is the length the penalty-method search
+# gave for the same case before the endpoint was closed exactly; the closed
+# search must not lose it.
 @pytest.mark.parametrize(
-    "metric, u_seed, segments, restarts, seed, length, error, path_sha1",
+    "metric, u_seed, segments, restarts, seed, length, path_sha1, floor",
     [
-        (lambda: _qubit_metric([1, 1, 4]), 3, 4, 2, 0, "0x1.eba8b4faa42d0p-1",
-         "0x1.3463ad6099b5cp-50", "715fece3a1489b1ca2116f2ef33774a1e301ccc1"),
-        (lambda: _qubit_metric([1, 2, 3]), 3, 3, 3, 5, "0x1.0c4dcc3d229edp+0",
-         "0x1.30bc674d853ebp-50", "d1760a8c3a75f5a8bdde789ade1223889fd319f6"),
-        (lambda: build_penalty_metric(2, 4.0), 3, 2, 2, 1, "0x1.0316519d1ee97p+0",
-         "0x1.0c149067b2ca2p-48", "cbebbf50ede2c6403c43e03361d95b70ca873fd6"),
-        (lambda: _qubit_metric([1, 1, 4]), 4, 2, 3, 0, "0x1.a00ddf7cdafcdp+0",
-         "0x1.729192ba80a66p-34", "0295ac710c2ab1da3ff4513b168f1e38e73cadf9"),
+        (lambda: _qubit_metric([1, 1, 4]), 3, 4, 2, 0, "0x1.c0fb113bb8d5ep-1",
+         "9253162d58fb177b4063223183333aba4bcc2fdf", "0x1.eba8b4faa42d0p-1"),
+        (lambda: _qubit_metric([1, 2, 3]), 3, 3, 3, 5, "0x1.07ca2ee2ce520p+0",
+         "bf8d835cda04e4383789ccf88cbdb5219bc64b90", "0x1.0c4dcc3d229edp+0"),
+        (lambda: build_penalty_metric(2, 4.0), 3, 2, 2, 1, "0x1.f59b9cd71a180p-1",
+         "1533300600c892f79e32fcda8b9149c5b6dff386", "0x1.0316519d1ee97p+0"),
+        (lambda: _qubit_metric([1, 1, 4]), 4, 2, 3, 0, "0x1.63c5a7161d776p+0",
+         "93d345ea0878ad0f847f8af1265a0a498247b395", "0x1.a00ddf7cdafcdp+0"),
     ],
     ids=["d2-weights-1-1-4", "d2-weights-1-2-3", "d4-penalty-q4", "d2-penalty-rounds"],
 )
 def test_weighted_estimate_is_pinned(
-    metric, u_seed, segments, restarts, seed, length, error, path_sha1
+    metric, u_seed, segments, restarts, seed, length, path_sha1, floor
 ):
     m = metric()
     U = rand_unitary(np.random.default_rng(u_seed), m.basis.dim)
     est = estimate_cc_distance(
-        np.eye(m.basis.dim), U, m=m, segments=segments, restarts=restarts, seed=seed,
-        search_sweeps=25, search_step_tol=1e-6,
+        np.eye(m.basis.dim), U, m=m, segments=segments, restarts=restarts, seed=seed
     )
+    assert est.length <= float.fromhex(floor)
     assert est.length.hex() == length
-    assert est.endpoint_error.hex() == error
+    assert est.endpoint_error <= 1e-12
     assert _path_sha1(est.path) == path_sha1
     assert est.restarts_used == restarts
+
+
+def _pu_distance(U):
+    """The bi-invariant PU(d) distance from the identity: the flat traceless
+    length of the shortest branch of log U, over the d cyclic cuts of its
+    sorted eigenangles. Weights are at least 1 and the identity coordinate is
+    free, so it bounds every weighted distance from below."""
+    d = len(U)
+    a = np.sort(np.angle(np.linalg.eigvals(U)))
+    cuts = a + 2 * np.pi * (np.arange(d)[:, None] > np.arange(d))  # row c lifts the first c
+    spread = np.sqrt(np.sum((cuts - cuts.mean(axis=1, keepdims=True)) ** 2, axis=1))
+    return float(spread.min()) / np.sqrt(d**2 - 1)
+
+
+@pytest.mark.parametrize("n, segments, restarts", [(1, 3, 2), (2, 2, 1)])
+def test_weighted_estimate_is_bracketed(n, segments, restarts):
+    rng = np.random.default_rng(19 + n)
+    basis = build_pauli_basis(n)
+    for _ in range(20):
+        m = MetricSpec(basis=basis, weights=rng.uniform(1.0, 4.0, size=len(basis.labels)))
+        U = rand_unitary(rng, basis.dim)
+        est = estimate_cc_distance(
+            np.eye(basis.dim), U, m=m, segments=segments, restarts=restarts,
+            seed=int(rng.integers(2**31)),
+        )
+        log_path = path_length(constant_path(principal_log_generator(U), 1.0), m)
+        assert _pu_distance(U) <= est.length <= log_path + 1e-12
+        assert est.endpoint_error <= 1e-12
+        assert abs(est.length - path_length(est.path, m)) <= 1e-12
 
 
 def test_weighted_restarts_search_in_lockstep(monkeypatch):
@@ -260,13 +283,16 @@ def test_weighted_restarts_search_in_lockstep(monkeypatch):
     monkeypatch.setattr(geodesic, "coordinate_search", counted)
     est = estimate_cc_distance(
         np.eye(2), rand_unitary(np.random.default_rng(3), 2), m=_qubit_metric([1, 1, 4]),
-        segments=1, restarts=4, search_sweeps=25, search_step_tol=1e-6,
+        segments=3, restarts=4,
     )
-    assert est.endpoint_error <= 1e-6
-    # one call per penalty round, on the stack of restarts still in play
-    assert len(stacks) <= MAX_ROUNDS
-    assert stacks[0] == (4, 4)
-    assert all(a[0] >= b[0] for a, b in zip(stacks, stacks[1:]))
+    assert est.endpoint_error <= 1e-12
+    # one call on the stack of every restart's K - 1 free segments
+    assert stacks == [(4, 2 * 4)]
+
+
+def test_weighted_estimate_needs_two_segments():
+    with pytest.raises(ValueError, match="segments"):
+        estimate_cc_distance(np.eye(2), np.eye(2), m=_qubit_metric([1, 1, 4]), segments=1)
 
 
 def test_estimate_argument_guards():

@@ -18,8 +18,8 @@ from channelgeo.coherence import (
     dephase,
     purity,
 )
-from channelgeo.geodesic import _Chart, _penalized
-from channelgeo.operators import density, hs_norm, matrix_exp_unitary
+from channelgeo.geodesic import _Chart, _closed, principal_log_generator
+from channelgeo.operators import density, matrix_exp_unitary
 from channelgeo.optimize import coordinate_search
 from channelgeo.pauli import MetricSpec, build_pauli_basis
 
@@ -174,31 +174,37 @@ def test_dephase_and_purity_accept_stacks(rng, d):
     assert one == float(np.vdot(states[0], states[0]).real)
 
 
-def _one_path(x, target, chart, K, lam):
-    """Penalized length of one K-segment path, one segment at a time."""
+def _one_path(x, target, chart, K):
+    """Length of one closed K-segment path, one segment at a time, and the
+    principal log L that its last segment runs (as K L for 1/K)."""
     d, p, ds = chart.d, chart.size, 1.0 / K
     weights = np.concatenate([chart.m.weights, [0.0]])
-    U = np.eye(d, dtype=np.complex128)
-    norms = np.zeros(K)
-    for k in range(K):
+    frame = [*chart.m.basis.elements, np.eye(d) / np.sqrt(d)]
+    P = np.eye(d, dtype=np.complex128)
+    norms = np.zeros(K - 1)
+    for k in range(K - 1):
         seg = x[k * p : (k + 1) * p]
         H = np.einsum("k,kab->ab", seg[:-1].astype(np.complex128), chart.m.basis.elements)
         H = H + seg[-1] / np.sqrt(d) * np.eye(d)
-        U = matrix_exp_unitary(H, ds) @ U
+        P = matrix_exp_unitary(H, ds) @ P
         norms[k] = np.sqrt(np.sum(weights * seg * seg))
-    length = float(np.sum(norms) * ds / np.sqrt(d**2 - 1))
-    err = hs_norm(U - target)
-    return length + lam * err * err, length, err
+    L = principal_log_generator(target @ P.conj().T)
+    c = np.array([np.vdot(E, L).real for E in frame])
+    return (np.sum(norms) * ds + np.sqrt(np.sum(weights * c * c))) / np.sqrt(d**2 - 1), L
 
 
-@pytest.mark.parametrize("n, K", [(1, 1), (1, 3), (1, 4), (2, 2), (2, 3)])
-def test_penalized_rows_match_one_path(rng, n, K):
+@pytest.mark.parametrize("n, free", [(1, 1), (1, 3), (1, 4), (2, 2), (2, 3)])
+def test_penalized_rows_match_one_path(rng, n, free):
+    """Rows of the closed-path length objective against the one-path oracle."""
+    K = free + 1
     basis = build_pauli_basis(n)
     m = MetricSpec(basis=basis, weights=rng.uniform(1.0, 4.0, size=len(basis.labels)))
     chart = _Chart(basis.dim, m)
     target = rand_unitary(rng, basis.dim)
-    X = rng.normal(scale=0.8, size=(5, K * chart.size))
-    value, length, err = _penalized(X, target, chart, K, 128.0)
-    assert value.shape == length.shape == err.shape == (5,)
-    for row, got in zip(X, zip(value, length, err)):
-        assert got == _one_path(row, target, chart, K, 128.0)
+    X = rng.normal(scale=0.8, size=(5, free * chart.size))
+    length, L = _closed(X, target, chart, K)
+    assert length.shape == (5,) and L.shape == (5, basis.dim, basis.dim)
+    for row, got, log in zip(X, length, L):
+        want, want_log = _one_path(row, target, chart, K)
+        assert got == want
+        assert np.array_equal(log, want_log)
