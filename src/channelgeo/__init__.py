@@ -71,7 +71,6 @@ from .operators import (
 from .pauli import (
     MetricSpec,
     PauliBasis,
-    VectorizedOperator,
     build_pauli_basis,
     build_penalty_metric,
     devectorize_rows,

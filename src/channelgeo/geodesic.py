@@ -316,7 +316,7 @@ def cost_l1(p: PiecewiseConstantPath, basis: PauliBasis) -> float:
     """Integrated l1 norm of the control coefficients."""
     total = 0.0
     for H, ds in p.segments:
-        coeffs = vectorize(H, basis).coefficients
+        coeffs = vectorize(H, basis)
         total += ds * float(np.sum(np.abs(coeffs)))
     return total
 

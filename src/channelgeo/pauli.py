@@ -51,24 +51,6 @@ class PauliBasis:
                 f"got {len(self.labels)}."
             )
 
-    @functools.cached_property
-    def entry_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Sparse form of the elements, for the real and imaginary parts.
-
-        Each part is (idx, val), both (r, dim^2): column j of the flattened
-        elements is nonzero exactly at basis indices idx[:, j], in ascending
-        order, with values val[:, j]; columns with fewer than r nonzeros
-        are padded with zero-valued terms.
-        """
-        flat = self.elements.reshape(len(self.labels), self.dim**2)
-        terms = []
-        for part in (flat.real, flat.imag):
-            nonzero = part != 0
-            rows = int(nonzero.sum(axis=0).max())
-            idx = np.argsort(~nonzero, axis=0, kind="stable")[:rows]
-            terms.append((idx, np.take_along_axis(part, idx, axis=0)))
-        return tuple(terms)
-
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -84,19 +66,6 @@ class MetricSpec:
         object.__setattr__(self, "weights", at_least("weights", w, 1.0))
 
 
-@dataclass(frozen=True)
-class VectorizedOperator:
-    """Coefficients over a PauliBasis plus the split-off identity component.
-
-    ``devectorize_rows(coefficients, basis) + identity_component * I``
-    reproduces the original operator; the identity part is reported rather
-    than silently dropped.
-    """
-
-    coefficients: np.ndarray
-    identity_component: complex
-
-
 @functools.lru_cache(maxsize=None)
 def build_pauli_basis(n: int) -> PauliBasis:
     """All n-qubit Pauli strings except the identity, orthonormalized.
@@ -107,28 +76,18 @@ def build_pauli_basis(n: int) -> PauliBasis:
     if not 1 <= n <= 5:
         raise ArgumentError("n", f"supported qubit counts are 1..5, got {n}")
     dim = 2**n
-    keyed = []
-    for combo in itertools.product("IXYZ", repeat=n):
-        label = "".join(combo)
-        w = string_weight(label)
-        if w == 0:
-            continue
-        keyed.append((w, label))
-    keyed.sort()
+    # Sorted by (weight, label); the all-I string, of weight 0, comes first.
+    labels = sorted(map("".join, itertools.product("IXYZ", repeat=n)),
+                    key=lambda lab: (string_weight(lab), lab))[1:]
     norm = np.sqrt(dim)
     elements = np.empty((dim**2 - 1, dim, dim), dtype=np.complex128)
-    for k, (_, label) in enumerate(keyed):
+    for k, label in enumerate(labels):
         M = np.ones((1, 1), dtype=np.complex128)
         for c in label:
             M = np.kron(M, _SIGMA[c])
         elements[k] = M / norm
     elements.flags.writeable = False
-    return PauliBasis(
-        n_qubits=n,
-        dim=dim,
-        labels=tuple(label for _, label in keyed),
-        elements=elements,
-    )
+    return PauliBasis(n_qubits=n, dim=dim, labels=tuple(labels), elements=elements)
 
 
 def build_penalty_metric(n: int, q: float) -> MetricSpec:
@@ -146,8 +105,12 @@ def build_penalty_metric(n: int, q: float) -> MetricSpec:
     return MetricSpec(basis=basis, weights=weights)
 
 
-def vectorize(A: np.ndarray, basis: PauliBasis) -> VectorizedOperator:
-    """Coefficients Tr{E_k A} over the basis, identity component split off."""
+def vectorize(A: np.ndarray, basis: PauliBasis) -> np.ndarray:
+    """Real coefficients Tr{E_k A} over the basis, shape (d²-1,).
+
+    The identity component tr(A)/d is not among them: A equals
+    devectorize_rows(vectorize(A, basis), basis) + tr(A)/d I.
+    """
     A = hermitian(A)
     if A.shape[0] != basis.dim:
         raise ValueError(f"Operator dim {A.shape[0]} does not match basis dim {basis.dim}.")
@@ -157,28 +120,24 @@ def vectorize(A: np.ndarray, basis: PauliBasis) -> VectorizedOperator:
         raise ValueError(
             f"Hermitian input produced complex coefficients (residue {resid:.3e})."
         )
-    ident = complex(np.trace(A) / basis.dim)
-    return VectorizedOperator(coefficients=coeffs.real.copy(), identity_component=ident)
+    return coeffs.real.copy()
 
 
 def devectorize_rows(C: np.ndarray, basis: PauliBasis) -> np.ndarray:
     """sum_k C[..., k] E_k for every row of real coefficients, (..., d, d).
 
-    Every matrix entry is a sum over the few basis elements nonzero there,
-    taken one term at a time in basis order. That is the summation order
-    of the dense contraction over all elements, so the sum is bit-for-bit
-    the same, at a fraction of the work.
+    One matrix product of the rows with the flattened elements. It agrees
+    with the dense sum over k, and a row inside a stack with the same row
+    alone, to within (d²-1) 2^-52 max Σ_k |C[..., k]|, but not bit for bit:
+    the product's summation order may depend on the stack.
     """
     C = np.asarray(C)
     if np.iscomplexobj(C):
         raise ValueError("Pauli coefficients must be real.")
-    out = np.empty(C.shape[:-1] + (basis.dim**2,), dtype=np.complex128)
-    for part, (idx, val) in zip((out.real, out.imag), basis.entry_terms):
-        acc = np.zeros(out.shape)
-        for k, v in zip(idx, val):
-            acc += C[..., k] * v
-        part[...] = acc
-    return out.reshape(C.shape[:-1] + (basis.dim, basis.dim))
+    k, d = len(basis.labels), basis.dim
+    if C.shape[-1:] != (k,):
+        raise ValueError(f"Expected rows of {k} coefficients at dim {d}, got shape {C.shape}.")
+    return (C @ basis.elements.reshape(k, d * d)).reshape(C.shape[:-1] + (d, d))
 
 
 def omega_norm_raw(A: np.ndarray, m: MetricSpec) -> float:
@@ -188,6 +147,6 @@ def omega_norm_raw(A: np.ndarray, m: MetricSpec) -> float:
     Complexity integrands use this raw norm together with one global
     1/sqrt(d²-1) factor; see the geodesic module.
     """
-    a = vectorize(A, m.basis).coefficients
+    a = vectorize(A, m.basis)
     return float(np.sqrt(np.sum(m.weights * a * a)))
 

@@ -4,8 +4,10 @@ Noise is piecewise constant over a correlation step, and each substep is
 the exponential of a Hermitian generator: closed form at d = 2, and above
 that a Taylor polynomial truncated below 2^-53, so every trajectory stays
 unitary to rounding and there is no integrator drift. Trajectories own
-independent RNG streams spawned from one seed, which makes single runs and
-batched ensembles agree trajectory for trajectory. An ensemble is
+independent RNG streams spawned from one seed, so single runs and batched
+ensembles draw the same noise; they agree to rounding, not bit for bit,
+because the Taylor degree and the Pauli sum's matrix product are chosen
+per stack of trajectories. An ensemble is
 integrated once: the mean, the per-trajectory statistics and, for
 norm-matched noise, the fluctuation checks all come from the same pass.
 """
@@ -53,6 +55,8 @@ class NoiseModel:
     coefficients of the current deterministic segment generator and l_j
     the supplied weights. The norm condition is realized as an equality;
     samples are on the bound, not merely under it.
+
+    Each kind reads only its own field and refuses the other one.
     """
 
     kind: str
@@ -63,9 +67,12 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian_pauli", "bounded_matched"):
             raise ArgumentError("kind", f"unknown noise kind {self.kind!r}")
-        need, floor = ("sigma", 0.0) if self.kind == "gaussian_pauli" else ("weights", 1.0)
+        gauss = self.kind == "gaussian_pauli"
+        need, floor, unread = ("sigma", 0.0, "weights") if gauss else ("weights", 1.0, "sigma")
         if getattr(self, need) is None:
             raise ArgumentError(need, f"missing; noise kind {self.kind!r} needs it")
+        if getattr(self, unread) is not None:
+            raise ArgumentError(unread, f"noise kind {self.kind!r} does not read it")
         object.__setattr__(self, need, np.atleast_1d(at_least(need, getattr(self, need), floor)))
         if self.dt_noise is not None and not self.dt_noise > 0:
             raise ArgumentError("dt_noise", f"expected a number > 0, got {self.dt_noise!r}")
@@ -217,7 +224,7 @@ def segment_plan(
                                 f"noise step {dt!r} does not divide segment duration {ds!r}")
         target = None
         if noise.kind == "bounded_matched":
-            h = vectorize(H, basis).coefficients
+            h = vectorize(H, basis)
             target = float(np.sqrt(np.sum(noise.weights * h * h)))
         plan.append((H, n_sub, ds / n_sub, target))
     return plan
@@ -292,18 +299,16 @@ def _ensemble(
     if noise.kind == "bounded_matched":
         G_free = float(log_norms(U_free))
         mean_to_free = distance_operator(V, U_free)
-        viol_distance = [
-            i for i in range(M) if distances[i] > integrals[i] + DISTANCE_BOUND_SLACK
-        ]
+        viol_distance = np.flatnonzero(distances > integrals + DISTANCE_BOUND_SLACK).tolist()
         viol_gap = []
         for lo in range(0, M, _CHUNK):
             chunk = endpoints[lo : lo + _CHUNK]
             gap = np.abs(G_free - log_norms(chunk))
             to_free = log_norms(U_free.conj().T @ chunk)
-            viol_gap += [lo + int(i) for i in np.flatnonzero(gap > to_free + TRIANGLE_SLACK)]
-        viol_triangle = [
-            i for i in range(M) if deviations[i] > distances[i] + mean_to_free + TRIANGLE_SLACK
-        ]
+            viol_gap += (lo + np.flatnonzero(gap > to_free + TRIANGLE_SLACK)).tolist()
+        viol_triangle = np.flatnonzero(
+            deviations > distances + mean_to_free + TRIANGLE_SLACK
+        ).tolist()
         matched_ok = bool(worst_dev <= MATCHED_NORM_TOL)
         fluctuations = {
             "n_trajectories": M,

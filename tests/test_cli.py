@@ -438,6 +438,13 @@ def _segments(*ds):
          {"metric": {"n": 6, "q": 2.0}}),
         (lambda: MetricSpec(basis=build_pauli_basis(1), weights=[1.0, 0.5, 1.0]), "metric.",
          "weights", "complexity", {"metric": {"n": 1, "weights": [1.0, 0.5, 1.0]}}),
+        # each noise kind refuses the field only the other kind reads
+        (lambda: NoiseModel(kind="gaussian_pauli", sigma=0.1, weights=[5.0, 5.0, 5.0]), "noise.",
+         "weights", "rode",
+         {"noise": {"kind": "gaussian_pauli", "sigma": 0.1, "weights": [5, 5, 5]}}),
+        (lambda: NoiseModel(kind="bounded_matched", weights=np.ones(3), sigma=7.0), "noise.",
+         "sigma", "rode",
+         {"noise": {"kind": "bounded_matched", "weights": [1, 1, 1], "sigma": 7.0}}),
     ],
 )
 def test_domain_rule_names_the_field_the_cli_blames(tmp_path, capsys, call, at, name, kind, fields):
@@ -1028,13 +1035,21 @@ def test_every_export_is_reached_by_the_cli(tmp_path, capsys):
     assert set(exported.values()) - ran == _UNREACHED
 
 
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str) -> types.ModuleType:
+    """perfbench/<name>.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_perfbench_tracer_names_exist():
     """perfbench/tracer.py wraps functions it looks up by name; deleting one
     would break `perfbench/run.py --trace 1`."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer")
     missing = [
         f"{layer}.{fn}"
         for layer, fns in tracer.LAYERS.items()
@@ -1042,3 +1057,19 @@ def test_perfbench_tracer_names_exist():
         if not callable(getattr(importlib.import_module(f"channelgeo.{layer}"), fn, None))
     ]
     assert missing == []
+
+
+def test_perfbench_rode_reports_pass_the_reference_gate(tmp_path):
+    """The benchmark compares the scalars of its reference seed with the
+    committed reference within oracle.REF_RTOL; the rode items, whose
+    trajectories are the most sensitive to rounding, must pass that gate."""
+    corpus, oracle = _perfbench_module("corpus"), _perfbench_module("oracle")
+    reference = json.loads((_PERFBENCH / "reference" / "ensemble.json").read_text(encoding="utf-8"))
+    groups = corpus.build_corpus("ensemble", reference["seed"])
+    items = [item for group in groups for item in group if item["kind"] == "rode"]
+    assert len(items) == 3
+    corpus.write_configs(items, tmp_path / "configs")
+    for item in items:
+        report = tmp_path / f"{item['id']}.json"
+        code = cli.main([item["kind"], "--config", item["config_path"], "--out", str(report)])
+        assert oracle.check(item, code, report, reference["reports"][item["id"]]) == []
