@@ -73,9 +73,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
+        if args.seed is not None:  # validate_config applies the seed rule
             cfg["seed"] = args.seed
         if args.command != "sweep":  # run_sweep validates the config and each swept one
             cfg = validate_config(cfg, args.command)

@@ -308,9 +308,9 @@ def verify_decohering_bound(
 
     holds compares the certified lower bound on the cohering power, so a
     failure would be a genuine counterexample; proved compares the upper
-    bound, so it settles the inequality for this H and t. Both normalizing
-    constants in circulation are reported: sqrt(2)*N is the one checked,
-    sqrt(2(N^2-1)) is logged.
+    bound, so it settles the inequality for this H and t. The constant
+    checked is sqrt(2)*N, which every report states under
+    reports.CONVENTIONS["decohering_constant"].
     """
     rhs = geometric_complexity_const(H, t, None)  # rejects a bad H or t before the search
     U = matrix_exp_unitary(H, t)
@@ -324,6 +324,4 @@ def verify_decohering_bound(
         "proved": bool(cp.upper / (np.sqrt(2.0) * N) <= rhs + DECOHERING_SLACK),
         "cohering_power": cp.value,
         "cohering_power_upper": cp.upper,
-        "constant": "sqrt(2)*N",
-        "lhs_variant_sqrt_2_dim_sq_minus_1": cp.value / np.sqrt(2.0 * (N**2 - 1)),
     }

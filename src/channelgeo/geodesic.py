@@ -2,9 +2,10 @@
 
 Closed form for constant generators, the length functional and endpoint
 map for piecewise-constant controls, the right-invariant control distance
-between two unitaries (exact principal-log geodesic for the flat metric,
-a multi-start upper-bound search over exactly closed paths for weighted
-metrics), and the l1-cost inequality chain.
+between two unitaries, and the l1-cost inequality chain. The flat distance
+is exact: the principal-log geodesic, whose length is log_distance. A
+weighted metric gets an upper bound instead, from a multi-start search over
+exactly closed paths (estimate_cc_distance).
 
 Normalization convention used throughout: integrands are raw weighted
 coefficient norms (no prefactor) and one global 1/sqrt(d^2-1) factor is
@@ -239,53 +240,37 @@ def _closed(
 def estimate_cc_distance(
     U: np.ndarray,
     V: np.ndarray,
-    m: MetricSpec | None = None,
+    m: MetricSpec,
     segments: int = 8,
     restarts: int = 16,
     seed: int = 0,
 ) -> GeodesicEstimate:
-    """Control distance from U to V, with a certificate path of `segments`
-    equal pieces.
+    """Upper bound on the weighted control distance from U to V, with a
+    certificate path of `segments` equal pieces. The flat distance is exact
+    and needs no search: log_distance.
 
     Right-invariance is used exactly: the path connects the identity to
-    V U†. Under the flat metric (m=None) the principal-log one-parameter
-    group is the geodesic, so the length is exact, log_norms(V U†); no search
-    runs, restarts_used is 0, and restarts and seed are ignored.
-
-    A MetricSpec runs a numerical search for an upper bound instead, over
-    the first K - 1 = segments - 1 segments (so segments must be at least
-    2); the last segment closes each path exactly on the target (_closed),
-    and the objective is the weighted length alone. Restart 0 starts from
-    the principal-log path, which the closure returns unchanged, so the
-    estimate is never above it; the remaining restarts are random. One
-    coordinate_search runs every restart in lockstep, and each ends where
-    it would alone. The shortest wins, the first in start order on a tie.
-    Deterministic for a fixed seed.
+    V U†. The search runs over the first K - 1 = segments - 1 segments (so
+    segments must be at least 2); the last segment closes each path exactly
+    on the target (_closed), and the objective is the weighted length
+    alone. Restart 0 starts from the principal-log path, which the closure
+    returns unchanged, so the estimate is never above it; the remaining
+    restarts are random. One coordinate_search runs every restart in
+    lockstep, and each ends where it would alone. The shortest wins, the
+    first in start order on a tie. Deterministic for a fixed seed.
     """
     U = unitary(U)
     V = unitary(V)
     if U.shape != V.shape:
         raise ValueError(f"Dimension mismatch: {U.shape} vs {V.shape}.")
-    if segments < 1 or restarts < 1:
-        raise ValueError("segments and restarts must both be >= 1.")
-    if m is not None and segments < 2:
-        raise ArgumentError(
-            "segments", f"expected at least 2 with a metric, got {segments}: the last one closes"
-        )
-    d = U.shape[0]
+    if segments < 2:
+        raise ArgumentError("segments", f"expected at least 2, got {segments}; the last closes")
+    if restarts < 1:
+        raise ArgumentError("restarts", f"expected at least 1, got {restarts}")
     target = V @ U.conj().T
-    G = principal_log_generator(target)
-    if m is None:
-        path = PiecewiseConstantPath(segments=((G, 1.0 / segments),) * segments)
-        return GeodesicEstimate(
-            length=float(log_norms(target)),
-            endpoint_error=hs_norm(path_endpoint(path) - target),
-            path=path,
-            restarts_used=0,
-        )
-    chart = _Chart(d, m)
+    chart = _Chart(U.shape[0], m)
     K = segments
-    g_coords = chart.coords(G)
+    g_coords = chart.coords(principal_log_generator(target))
     scale = max(float(np.linalg.norm(g_coords)), 0.5)
     x = np.empty((restarts, (K - 1) * chart.size))
     x[0] = np.tile(g_coords, K - 1)  # each free segment runs G for 1/K; the closure too

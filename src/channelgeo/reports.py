@@ -13,6 +13,7 @@ import errno
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -498,273 +499,206 @@ def _run_decompose(seed: int, U: np.ndarray, normalize_phase: bool):
 
 
 # ---------------------------------------------------------------------------
-# verify-all: a fast deterministic battery across every module.
+# verify-all: a fast deterministic battery across every module. Each
+# deviation below is one draw of one check, or of two that share draws.
 
 
-def _rand_spec(
-    rng: np.random.Generator, scale_S: float = 1.0, scale_IE: float = 1.0
-) -> channel.ChannelSpec:
+def _rand_spec(rng, scale_S: float = 1.0, scale_IE: float = 1.0) -> channel.ChannelSpec:
     p = rng.uniform(0.1, 1.0, size=2)
-    return channel.ChannelSpec(
-        d_S=2,
-        d_E=2,
-        H_S=random_hermitian(rng, 2, scale_S),
-        H_I=random_hermitian(rng, 4, scale_IE),
-        H_E=random_hermitian(rng, 2, scale_IE),
-        env_probs=p / p.sum(),
-    )
+    H_S = random_hermitian(rng, 2, scale_S)
+    H_I, H_E = random_hermitian(rng, 4, scale_IE), random_hermitian(rng, 2, scale_IE)
+    return channel.ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=H_I, H_E=H_E, env_probs=p / p.sum())
+
+
+def _worst(rng: np.random.Generator, draws: int, deviation, start=0.0):
+    """The running Python max of `start` and deviation(rng) over `draws`
+    calls, in draw order; entry by entry when `start` is a tuple."""
+    worst = start
+    for _ in range(draws):
+        dev = deviation(rng)
+        worst = tuple(map(max, worst, dev)) if isinstance(start, tuple) else max(worst, dev)
+    return worst
+
+
+def _closed_form_gaps(d: int, rng) -> tuple:
+    """Constant paths realize the closed form; spectrum signs do not matter."""
+    H = random_hermitian(rng, d, rng.uniform(0.2, 3.0))
+    t = rng.uniform(0.1, 2.0)
+    g = geodesic.geometric_complexity_const(H, t, None)
+    flat = geodesic.path_length(geodesic.constant_path(H, t))
+    return abs(g - flat), abs(g - geodesic.geometric_complexity_const(matrix_abs(H), t, None))
+
+
+def _product_excess(rng) -> float:
+    """Products are subadditive in complexity."""
+    A, B = random_hermitian(rng, 4), random_hermitian(rng, 4)
+    t = rng.uniform(0.1, 1.5)
+    lhs = geodesic.log_distance(np.eye(4), matrix_exp_unitary(A, t) @ matrix_exp_unitary(B, t))
+    g = geodesic.geometric_complexity_const
+    return lhs - (g(A, t, None) + g(B, t, None))
+
+
+def _channel_excess(rng) -> float:
+    """Channel complexity sits below the system complexity."""
+    split = channel.complexity_split(_rand_spec(rng), rng.uniform(0.2, 1.5))
+    return split["G_hs"] - split["G_noiseless"]
+
+
+def _limit_gaps(rng) -> tuple:
+    """Without coupling there is no noise; without a system, no complexity."""
+    z4, z2 = np.zeros((4, 4), dtype=np.complex128), np.zeros((2, 2), dtype=np.complex128)
+    free = channel.ChannelSpec(d_S=2, d_E=2, H_S=random_hermitian(rng, 2), H_I=z4, H_E=z2)
+    lonely = channel.ChannelSpec(d_S=2, d_E=2, H_S=z2, H_I=random_hermitian(rng, 4), H_E=z2)
+    free_noise = channel.complexity_split(free, 1.0)["N_hs"]
+    return free_noise, abs(channel.channel_complexity_const(lonely, 1.0))
+
+
+def _sandwich_excess(rng) -> float:
+    """Noise sandwich in the system-dominated regime."""
+    spec = _rand_spec(rng, scale_S=12.0, scale_IE=0.25)
+    n_hs = channel.complexity_split(spec, 1.0)["N_hs"]
+    rng.integers(2**31)  # unused draw: keeps the specs drawn after it unchanged
+    bounds = channel.noise_complexity_bounds(spec, 1.0)
+    return max(bounds["lower"] - n_hs, n_hs - bounds["upper"])
+
+
+def _norm_gap_excess(rng) -> float:
+    """Complexity differences against the square-root residual."""
+    A, B = random_hermitian(rng, 4), random_hermitian(rng, 4)
+    return abs(hs_norm(A) - hs_norm(B)) - hs_norm(sqrt_abs_diff(A, B))
+
+
+def _rate_fd_gap(pinch: dict, rng) -> float:
+    """Coherence rate: analytic derivative against a central difference."""
+    d = int(rng.choice([2, 3]))
+    H, rho, h = random_hermitian(rng, d), random_density(rng, d), 1e-5
+    Vs = [matrix_exp_unitary(H, s) for s in (h, -h)]
+    c_plus, c_minus = (coherence.rel_entropy_coherence(V @ rho @ V.conj().T, pinch[d]) for V in Vs)
+    return abs((c_plus - c_minus) / (2 * h) - coherence.coherence_rate_exact(H, rho, pinch[d]))
+
+
+def _rate_bound(pinch: dict, rng) -> float:
+    """The coherence rate's state-only bound, capped at sqrt(2)."""
+    d = int(rng.choice([2, 4]))
+    return coherence.coherence_rate_bound(random_density(rng, d), pinch[d])
+
+
+def _decohering_excess(E: coherence.DephasingChannel, rng) -> float:
+    """Decohering power stays below the scaled complexity."""
+    H = random_hermitian(rng, 2, rng.uniform(0.5, 2.0))
+    t = rng.uniform(0.2, 1.5)
+    seed = int(rng.integers(2**31))
+    out = coherence.verify_decohering_bound(H, t, E, restarts=4, seed=seed, pure_only=True)
+    return out["lhs"] - out["rhs"]
+
+
+def _cost_chain_fails(rng) -> bool:
+    """The cost chain on a random piecewise path."""
+    n = int(rng.integers(1, 4))
+    segs = tuple((random_hermitian(rng, 2), rng.uniform(0.1, 0.6)) for _ in range(n))
+    path = geodesic.PiecewiseConstantPath(segments=segs)
+    return not geodesic.check_cost_chain(path, build_pauli_basis(1))["bound_holds"]
+
+
+def _perturbative_checks() -> list:
+    """Perturbative weak-coupling example: error size and decay rate."""
+    pinned = dict(H_S=np.diag([1.0, 2.0]).astype(np.complex128), A_S=np.eye(2, dtype=np.complex128),
+                  env_energies=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]))
+    err_lo = channel.perturbative_example(eps=1e-4, **pinned)["error"]
+    err_hi = channel.perturbative_example(eps=1e-2, **pinned)["error"]
+    ratio = err_hi / err_lo if err_lo > 0 else np.inf
+    return [make_check("perturbative_error_small", err_lo, 1e-5),
+            make_check("perturbative_ratio_lower", 10.0, ratio),
+            make_check("perturbative_ratio_upper", ratio, 1e3)]
+
+
+def _rode_checks(rng_matched, rng_gauss) -> list:
+    """Matched random noise obeys the trajectory bounds, and a Gaussian
+    ensemble mean contracts, both on the matched generator's path."""
+    path = geodesic.constant_path(random_hermitian(rng_matched, 2), 1.0)
+    matched = rode.NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=1.0 / 64.0)
+    fluct = rode.fluctuation_report(path, matched, 10, int(rng_matched.integers(2**31)))
+    gauss = rode.NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=1.0 / 64.0)
+    res = rode.ensemble_mean(path, gauss, 30, int(rng_gauss.integers(2**31)))
+    norm = np.linalg.norm(res.mean_operator, 2)
+    checks = _fluctuation_checks(fluct, ("distance_bound", "complexity_gap"))
+    return [*checks, make_check("rode_mean_contraction", norm, 1.0 + 1e-9)]
+
+
+def _synthesis_checks(rng) -> list:
+    """Two-level synthesis: gate count bound and reconstruction."""
+    over = []
+    def error(N: int, rng) -> float:
+        U = algebra.random_special_unitary(N, rng)
+        circuit = algebra.decompose_two_level(U)
+        over.append(algebra.algebraic_complexity(circuit) > N * (N - 1) // 2)
+        return hs_norm(algebra.reconstruct(circuit, N) - U)
+    err = _worst(rng, 2, partial(error, 2))
+    err = _worst(rng, 2, partial(error, 4), err)
+    err = _worst(rng, 2, partial(error, 8), err)
+    count = make_check("decompose_count_violations", sum(over), 0)
+    return [count, make_check("decompose_reconstruction", err, 1e-9)]
+
+
+def _law_gap(rng) -> float:
+    """The law of a random observable sums to one."""
+    rv = algebra.RandomVariable(observable=random_hermitian(rng, 3), state=random_density(rng, 3))
+    return abs(sum(p for _, p in algebra.law(rv)) - 1.0)
+
+
+def _kraus_gaps(rng) -> tuple:
+    """Kraus route: completeness, and agreement with the joint-propagation oracle."""
+    spec = _rand_spec(rng)
+    t = rng.uniform(0.2, 1.2)
+    ks = channel.kraus_operators(spec, t).operators
+    gram = np.einsum("kba,kbc->ac", ks.conj(), ks)
+    rho = random_density(rng, spec.d_S)
+    gap = channel.apply_channel(spec, t, rho) - channel.apply_channel_via_joint(spec, t, rho)
+    return float(np.abs(gram - np.eye(spec.d_S)).max()), float(np.abs(gap).max())
+
+
+def _embedding_gap(rng) -> float:
+    """Adjoint compatibility of the system embedding."""
+    A = random_hermitian(rng, 2)
+    X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return abs(np.vdot(tensor(A, np.eye(2)), X) - np.vdot(A, partial_trace_env(X, 2, 2)))
 
 
 def verify_all_battery(seed: int) -> list[dict]:
-    """Deterministic cross-module checks, small enough to run in seconds."""
-    keys = np.random.SeedSequence(seed).spawn(20)
-    rngs = [np.random.default_rng(k) for k in keys]
-    checks = []
-
-    # Reference value: sigma_z for unit time.
-    sigma_z = np.diag([1.0, -1.0]).astype(np.complex128)
-    g_ref = geodesic.geometric_complexity_const(sigma_z, 1.0, None)
-    checks.append(
-        make_check("reference_value_sigma_z", abs(g_ref - np.sqrt(2.0 / 3.0)), 1e-12)
-    )
-
-    # Constant paths realize the closed form; spectrum signs do not matter.
-    rng = rngs[0]
-    worst_path = 0.0
-    worst_abs = 0.0
-    for d in (2, 4):
-        for _ in range(8):
-            H = random_hermitian(rng, d, rng.uniform(0.2, 3.0))
-            t = rng.uniform(0.1, 2.0)
-            g = geodesic.geometric_complexity_const(H, t, None)
-            worst_path = max(
-                worst_path, abs(g - geodesic.path_length(geodesic.constant_path(H, t)))
-            )
-            worst_abs = max(
-                worst_abs,
-                abs(g - geodesic.geometric_complexity_const(matrix_abs(H), t, None)),
-            )
-    checks.append(make_check("constant_path_closed_form", worst_path, 1e-10))
-    checks.append(make_check("abs_spectrum_invariance", worst_abs, 1e-12))
-
-    # Products are subadditive in complexity.
-    rng = rngs[1]
-    worst = 0.0
-    for _ in range(20):
-        d = 4
-        A = random_hermitian(rng, d)
-        B = random_hermitian(rng, d)
-        t = rng.uniform(0.1, 1.5)
-        lhs = geodesic.log_distance(
-            np.eye(d), matrix_exp_unitary(A, t) @ matrix_exp_unitary(B, t)
-        )
-        rhs = geodesic.geometric_complexity_const(
-            A, t, None
-        ) + geodesic.geometric_complexity_const(B, t, None)
-        worst = max(worst, lhs - rhs)
-    checks.append(make_check("product_subadditivity", worst, 1e-12))
-
-    # Channel complexity sits below the system complexity; limits close.
-    rng = rngs[2]
-    worst = 0.0
-    for _ in range(10):
-        spec = _rand_spec(rng)
-        t = rng.uniform(0.2, 1.5)
-        split = channel.complexity_split(spec, t)
-        worst = max(worst, split["G_hs"] - split["G_noiseless"])
-    checks.append(make_check("channel_below_system", worst, 1e-9))
-
-    rng = rngs[3]
-    H_S = random_hermitian(rng, 2)
-    zero4 = np.zeros((4, 4), dtype=np.complex128)
-    zero2 = np.zeros((2, 2), dtype=np.complex128)
-    free = channel.ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=zero4, H_E=zero2)
-    dev_free = channel.complexity_split(free, 1.0)["N_hs"]
-    checks.append(make_check("limit_noise_free", dev_free, 1e-10))
-    lonely = channel.ChannelSpec(
-        d_S=2, d_E=2, H_S=zero2, H_I=random_hermitian(rng, 4), H_E=zero2
-    )
-    checks.append(
-        make_check(
-            "limit_system_free", abs(channel.channel_complexity_const(lonely, 1.0)), 1e-10
-        )
-    )
-
-    # Noise sandwich in the system-dominated regime.
-    rng = rngs[4]
-    worst = 0.0
-    for _ in range(3):
-        spec = _rand_spec(rng, scale_S=12.0, scale_IE=0.25)
-        n_hs = channel.complexity_split(spec, 1.0)["N_hs"]
-        rng.integers(2**31)  # unused draw: keeps the specs drawn after it unchanged
-        bounds = channel.noise_complexity_bounds(spec, 1.0)
-        worst = max(worst, bounds["lower"] - n_hs, n_hs - bounds["upper"])
-    checks.append(make_check("noise_sandwich", worst, 1e-8))
-
-    # Norm gap bound: complexity differences against the square-root residual.
-    rng = rngs[5]
-    worst = 0.0
-    for _ in range(20):
-        A = random_hermitian(rng, 4)
-        B = random_hermitian(rng, 4)
-        lhs = abs(hs_norm(A) - hs_norm(B))
-        worst = max(worst, lhs - hs_norm(sqrt_abs_diff(A, B)))
-    checks.append(make_check("norm_gap_bound", worst, 1e-12))
-
-    # Coherence rate: analytic derivative vs finite difference, plus cap.
-    rng = rngs[6]
-    worst = 0.0
-    for _ in range(5):
-        d = int(rng.choice([2, 3]))
-        E = coherence.computational_dephasing(d)
-        H = random_hermitian(rng, d)
-        rho = random_density(rng, d)
-        h = 1e-5
-        c_plus = coherence.rel_entropy_coherence(
-            matrix_exp_unitary(H, h) @ rho @ matrix_exp_unitary(H, h).conj().T, E
-        )
-        c_minus = coherence.rel_entropy_coherence(
-            matrix_exp_unitary(H, -h) @ rho @ matrix_exp_unitary(H, -h).conj().T, E
-        )
-        fd = (c_plus - c_minus) / (2 * h)
-        worst = max(worst, abs(fd - coherence.coherence_rate_exact(H, rho, E)))
-    checks.append(make_check("coherence_rate_fd", worst, 1e-6))
-
-    rng = rngs[7]
-    worst = 0.0
-    for _ in range(20):
-        d = int(rng.choice([2, 4]))
-        E = coherence.computational_dephasing(d)
-        worst = max(worst, coherence.coherence_rate_bound(random_density(rng, d), E))
-    checks.append(make_check("coherence_rate_cap", worst, np.sqrt(2.0) + 1e-10))
-
-    # Decohering power stays below the scaled complexity.
-    rng = rngs[8]
-    worst = -np.inf
-    for _ in range(3):
-        H = random_hermitian(rng, 2, rng.uniform(0.5, 2.0))
-        t = rng.uniform(0.2, 1.5)
-        out = coherence.verify_decohering_bound(
-            H,
-            t,
-            coherence.computational_dephasing(2),
-            restarts=4,
-            seed=int(rng.integers(2**31)),
-            pure_only=True,
-        )
-        worst = max(worst, out["lhs"] - out["rhs"])
-    checks.append(make_check("decohering_margin", worst, 1e-9))
-
-    # Cost chain on random piecewise paths.
-    rng = rngs[9]
-    basis = build_pauli_basis(1)
-    violations = 0
-    for _ in range(20):
-        segs = tuple(
-            (random_hermitian(rng, 2), rng.uniform(0.1, 0.6))
-            for _ in range(int(rng.integers(1, 4)))
-        )
-        path = geodesic.PiecewiseConstantPath(segments=segs)
-        if not geodesic.check_cost_chain(path, basis)["bound_holds"]:
-            violations += 1
-    checks.append(make_check("cost_chain_violations", violations, 0))
-
-    # Perturbative weak-coupling example: error size and decay rate.
-    pinned = dict(
-        H_S=np.diag([1.0, 2.0]).astype(np.complex128),
-        A_S=np.eye(2, dtype=np.complex128),
-        env_energies=np.array([0.0, 1.0]),
-        weights=np.array([0.5, 0.5]),
-    )
-    err_lo = channel.perturbative_example(eps=1e-4, **pinned)["error"]
-    err_hi = channel.perturbative_example(eps=1e-2, **pinned)["error"]
-    checks.append(make_check("perturbative_error_small", err_lo, 1e-5))
-    ratio = err_hi / err_lo if err_lo > 0 else np.inf
-    checks.append(make_check("perturbative_ratio_lower", 10.0, ratio))
-    checks.append(make_check("perturbative_ratio_upper", ratio, 1e3))
-
-    # Matched random noise obeys the trajectory bounds.
-    rng = rngs[10]
-    H = random_hermitian(rng, 2)
-    path = geodesic.constant_path(H, 1.0)
-    noise = rode.NoiseModel(
-        kind="bounded_matched", weights=np.ones(3), dt_noise=1.0 / 64.0
-    )
-    fluct = rode.fluctuation_report(path, noise, 10, int(rng.integers(2**31)))
-    checks += _fluctuation_checks(fluct, ("distance_bound", "complexity_gap"))
-
-    rng = rngs[11]
-    gauss = rode.NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=1.0 / 64.0)
-    res = rode.ensemble_mean(path, gauss, 30, int(rng.integers(2**31)))
-    checks.append(
-        make_check(
-            "rode_mean_contraction",
-            float(np.linalg.norm(res.mean_operator, 2)),
-            1.0 + 1e-9,
-        )
-    )
-
-    # Two-level synthesis: count bound and reconstruction.
-    rng = rngs[12]
-    worst_err = 0.0
-    count_viol = 0
-    for N in (2, 4, 8):
-        for _ in range(2):
-            U = algebra.random_special_unitary(N, rng)
-            circuit = algebra.decompose_two_level(U)
-            if algebra.algebraic_complexity(circuit) > N * (N - 1) // 2:
-                count_viol += 1
-            worst_err = max(worst_err, hs_norm(algebra.reconstruct(circuit, N) - U))
-    checks.append(make_check("decompose_count_violations", count_viol, 0))
-    checks.append(make_check("decompose_reconstruction", worst_err, 1e-9))
-
-    rng = rngs[13]
-    worst = 0.0
-    for _ in range(10):
-        rv = algebra.RandomVariable(
-            observable=random_hermitian(rng, 3), state=random_density(rng, 3)
-        )
-        total = sum(p for _, p in algebra.law(rv))
-        worst = max(worst, abs(total - 1.0))
-    checks.append(make_check("law_normalization", worst, 1e-9))
-
-    # Kraus route agrees with the joint-propagation oracle.
-    rng = rngs[14]
-    worst_complete = 0.0
-    worst_agree = 0.0
-    for _ in range(10):
-        spec = _rand_spec(rng)
-        t = rng.uniform(0.2, 1.2)
-        ks = channel.kraus_operators(spec, t)
-        gram = np.einsum("kba,kbc->ac", ks.operators.conj(), ks.operators)
-        worst_complete = max(
-            worst_complete, float(np.abs(gram - np.eye(spec.d_S)).max())
-        )
-        rho = random_density(rng, spec.d_S)
-        worst_agree = max(
-            worst_agree,
-            float(
-                np.abs(
-                    channel.apply_channel(spec, t, rho)
-                    - channel.apply_channel_via_joint(spec, t, rho)
-                ).max()
-            ),
-        )
-    checks.append(make_check("kraus_completeness", worst_complete, 1e-9))
-    checks.append(make_check("kraus_vs_joint_oracle", worst_agree, 1e-9))
-
-    # Adjoint compatibility of the system embedding.
-    rng = rngs[15]
-    worst = 0.0
-    for _ in range(10):
-        A = random_hermitian(rng, 2)
-        X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = np.vdot(tensor(A, np.eye(2)), X)
-        rhs = np.vdot(A, partial_trace_env(X, 2, 2))
-        worst = max(worst, abs(lhs - rhs))
-    checks.append(make_check("embedding_adjoint", worst, 1e-12))
-
-    return checks
+    """Deterministic cross-module checks, small enough to run in seconds.
+    Each check draws from its own SeedSequence child of `seed`."""
+    rngs = [np.random.default_rng(k) for k in np.random.SeedSequence(seed).spawn(20)]
+    pinch = {d: coherence.computational_dephasing(d) for d in (2, 3, 4)}
+    g_ref = geodesic.geometric_complexity_const(np.diag([1.0, -1.0]) + 0j, 1.0, None)  # sigma_z
+    closed = _worst(rngs[0], 8, partial(_closed_form_gaps, 2), (0.0, 0.0))
+    closed = _worst(rngs[0], 8, partial(_closed_form_gaps, 4), closed)
+    limits = _limit_gaps(rngs[3])
+    rate_cap = _worst(rngs[7], 20, partial(_rate_bound, pinch))
+    margin = _worst(rngs[8], 3, partial(_decohering_excess, pinch[2]), -np.inf)
+    cost_fails = sum(_cost_chain_fails(rngs[9]) for _ in range(20))
+    kraus = _worst(rngs[14], 10, _kraus_gaps, (0.0, 0.0))
+    return [
+        make_check("reference_value_sigma_z", abs(g_ref - np.sqrt(2.0 / 3.0)), 1e-12),
+        make_check("constant_path_closed_form", closed[0], 1e-10),
+        make_check("abs_spectrum_invariance", closed[1], 1e-12),
+        make_check("product_subadditivity", _worst(rngs[1], 20, _product_excess), 1e-12),
+        make_check("channel_below_system", _worst(rngs[2], 10, _channel_excess), 1e-9),
+        make_check("limit_noise_free", limits[0], 1e-10),
+        make_check("limit_system_free", limits[1], 1e-10),
+        make_check("noise_sandwich", _worst(rngs[4], 3, _sandwich_excess), 1e-8),
+        make_check("norm_gap_bound", _worst(rngs[5], 20, _norm_gap_excess), 1e-12),
+        make_check("coherence_rate_fd", _worst(rngs[6], 5, partial(_rate_fd_gap, pinch)), 1e-6),
+        make_check("coherence_rate_cap", rate_cap, np.sqrt(2.0) + 1e-10),
+        make_check("decohering_margin", margin, 1e-9),
+        make_check("cost_chain_violations", cost_fails, 0),
+        *_perturbative_checks(),
+        *_rode_checks(rngs[10], rngs[11]),
+        *_synthesis_checks(rngs[12]),
+        make_check("law_normalization", _worst(rngs[13], 10, _law_gap), 1e-9),
+        make_check("kraus_completeness", kraus[0], 1e-9),
+        make_check("kraus_vs_joint_oracle", kraus[1], 1e-9),
+        make_check("embedding_adjoint", _worst(rngs[15], 10, _embedding_gap), 1e-12),
+    ]
 
 
 def _run_verify_all(seed: int):

@@ -354,9 +354,8 @@ def test_decohering_bound_holds(rng):
         rec = verify_decohering_bound(H, 0.8, E, restarts=4, seed=k, pure_only=True)
         assert rec["holds"]
         assert rec["lhs"] <= rec["rhs"] + 1e-9
-        assert rec["constant"] == "sqrt(2)*N"
-        # sqrt(2(N^2-1)) < sqrt(2)N, so the logged variant sits above lhs
-        assert rec["lhs_variant_sqrt_2_dim_sq_minus_1"] >= rec["lhs"] - 1e-12
+        # the constant checked is sqrt(2)*N
+        assert rec["lhs"] == rec["cohering_power"] / (np.sqrt(2.0) * 2)
 
 
 @pytest.mark.parametrize(

@@ -158,32 +158,16 @@ def test_log_distance_shape_mismatch():
         log_distance(np.eye(2), np.eye(3))
 
 
-def test_estimate_recovers_sigma_z_geodesic():
-    U = scipy.linalg.expm(-1j * SIGMA_Z)
-    est = estimate_cc_distance(np.eye(2), U, segments=4, restarts=2)
-    assert est.endpoint_error <= 1e-6
-    assert est.length <= np.sqrt(2.0 / 3.0) + 1e-6
-    assert est.length >= log_distance(np.eye(2), U) - 1e-9
-    assert len(est.path.segments) == 4
-    assert est.restarts_used == 0
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_flat_estimate_is_principal_log_path(d):
+    """The flat distance needs no search: the principal-log path from U to V
+    ends on V U† and its length is log_distance."""
     rng = np.random.default_rng(d)
     U = rand_unitary(rng, d)
     V = rand_unitary(rng, d)
-    est = estimate_cc_distance(U, V, segments=3)
-    assert abs(est.length - log_distance(U, V)) <= 1e-12
-    assert est.endpoint_error <= 1e-12
-    assert len(est.path.segments) == 3
-
-
-def test_estimate_dominates_log_distance(rng):
-    U = rand_unitary(rng, 2)
-    est = estimate_cc_distance(np.eye(2), U, segments=4, restarts=2)
-    assert est.endpoint_error <= 1e-6
-    assert est.length >= log_distance(np.eye(2), U) - 1e-9
+    path = constant_path(principal_log_generator(V @ U.conj().T), 1.0)
+    assert abs(path_length(path) - log_distance(U, V)) <= 1e-12
+    assert hs_norm(path_endpoint(path) - V @ U.conj().T) <= 1e-12
 
 
 def test_estimate_weighted_not_above_log_init(rng):
@@ -296,12 +280,13 @@ def test_weighted_estimate_needs_two_segments():
 
 
 def test_estimate_argument_guards():
+    m = _qubit_metric([1, 1, 4])
+    with pytest.raises(ValueError, match="segments"):
+        estimate_cc_distance(np.eye(2), np.eye(2), m=m, segments=0)
+    with pytest.raises(ValueError, match="restarts"):
+        estimate_cc_distance(np.eye(2), np.eye(2), m=m, restarts=0)
     with pytest.raises(ValueError):
-        estimate_cc_distance(np.eye(2), np.eye(2), segments=0)
-    with pytest.raises(ValueError):
-        estimate_cc_distance(np.eye(2), np.eye(2), restarts=0)
-    with pytest.raises(ValueError):
-        estimate_cc_distance(np.eye(2), np.eye(3))
+        estimate_cc_distance(np.eye(2), np.eye(3), m=m)
 
 
 def test_cost_l1_hand_example():
