@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -340,6 +341,55 @@ def test_noise_block_is_held_once(rng):
     finally:
         tracemalloc.stop()
     assert block < peak < 1.5 * block
+
+
+def _noise(kind, d, dt_noise):
+    if kind == "gaussian_pauli":
+        return NoiseModel(kind=kind, sigma=0.1, dt_noise=dt_noise)
+    return NoiseModel(kind=kind, weights=np.linspace(1.0, 2.0, d * d - 1), dt_noise=dt_noise)
+
+
+# Noise is drawn in pieces of max(1, 2**18 // (B * (d²-1))) substeps for a
+# chunk of B trajectories. The pins hold the whole-block draw's output, so
+# they prove that drawing in pieces changes no sample: at d = 2, M = 600
+# spans two chunks and its first chunk takes two pieces (170 + 86 substeps);
+# the d = 4 two-segment path takes pieces of 58 substeps, which divide
+# neither of its 128 and 64; d = 8 takes 65 + 63 and 41 + 23.
+@pytest.mark.parametrize(
+    "d, kind, M, durations, dt_noise, digest",
+    [
+        (2, "gaussian_pauli", 7, (1.0,), 1 / 64,
+         "2e953b82e765ad185f29487546541da565e88de56c870c60df2e4c8263dd5bc4"),
+        (2, "bounded_matched", 600, (1.0,), None,
+         "b61cd8f7985e8d149a92cb922a3c4bd119559b9430a27d4e9dbd09ae8da4d8bd"),
+        (4, "gaussian_pauli", 300, (0.5, 0.25), 1 / 256,
+         "69b2dd722ad75037e76d3e734c0812161c17aa684eee2ee4945f1fffa56698aa"),
+        (4, "bounded_matched", 100, (1.0,), None,
+         "892480fc84d37e4e03c4a31137570b3f3b1a9962eac2e0e56b2daec3bbeb5ed4"),
+        (8, "gaussian_pauli", 64, (1.0,), 1 / 128,
+         "6b9f8c28b8fdddebedece2bce805c0cc48c3fdd62908949867d81310fee48d91"),
+        (8, "bounded_matched", 100, (1.0,), 1 / 64,
+         "7d6ce8d170aa4b9bc1ff80bce295769ceb1dce822b3853381676fbf306cb82ca"),
+    ],
+)
+def test_trajectories_are_pinned(monkeypatch, d, kind, M, durations, dt_noise, digest):
+    rng = np.random.default_rng(d)
+    path = PiecewiseConstantPath(segments=tuple((rand_hermitian(rng, d), ds) for ds in durations))
+    endpoints = []
+    original = rode._run_trajectories
+
+    def capture(*args):
+        out = original(*args)
+        endpoints.append(out[0])
+        return out
+
+    monkeypatch.setattr(rode, "_run_trajectories", capture)
+    res = ensemble_mean(path, _noise(kind, d, dt_noise), M, seed=5)
+    h = hashlib.sha256()
+    for a in (endpoints[0], res.hr_integrals, res.distances, res.endpoint_deviations):
+        h.update(a.tobytes())
+    h.update(json.dumps(res.fluctuations, sort_keys=True).encode())
+    assert h.hexdigest() == digest
 
 
 def test_taylor_thresholds_bound_the_truncation():
