@@ -3,8 +3,9 @@
     channelgeo <kind> --config cfg.json [--out report.json] [--seed N]
     channelgeo sweep --config cfg.json --param name --values v1 v2 ... [--out dir]
 
-Exit codes: 0 when every bound check holds, 1 on a failed check or a
-numerical error, 2 on configuration problems or an unwritable --out.
+Exit codes: 0 when every bound check holds, 1 on a failed check, a
+numerical error or a run out of memory, 2 on configuration problems or an
+unwritable --out.
 Reports are byte-stable for a fixed config and seed; wall time goes to
 stderr, never into the report.
 """
@@ -104,8 +105,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"channelgeo: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"channelgeo: {cfg.get('kind', args.command)} failed: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        why = exc if isinstance(exc, ValueError) else "out of memory"
+        print(f"channelgeo: {cfg.get('kind', args.command)} failed: {why}", file=sys.stderr)
         return 1
     except OSError as exc:  # the report, a sidecar or the sweep directory
         print(f"channelgeo: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)

@@ -11,9 +11,11 @@ import contextlib
 import csv
 import errno
 import json
+import math
 import os
 import sys
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -380,9 +382,52 @@ def assemble_report(cfg: dict, scalars: dict, checks: list, extras: dict | None 
 
 
 def report_bytes(report: dict) -> bytes:
-    """Canonical JSON; a NaN or infinite number raises ValueError, so no
-    written report holds one."""
-    return (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    """Canonical JSON, byte-equal to json.dumps(report, indent=2,
+    sort_keys=True, allow_nan=False) plus a newline; a NaN or infinite
+    number raises ValueError, so no written report holds one.
+
+    json's indenting encoder holds one string per token until it joins
+    them, several times the report's size; this one joins each container
+    as soon as its items are encoded, and a list of floats (a vector, or a
+    matrix entry's [re, im] pair) in one join.
+    """
+    return (_encode(report, "\n") + "\n").encode("utf-8")
+
+
+def _encode(value, newline: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    writes it, where newline is a line break and the indent of value's line."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        return _floats((value,), "")
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else ("true" if value else "false")
+    if (kind is list or kind is dict and all(type(k) is str for k in value)) and value:
+        inner = newline + "  "
+        sep = "," + inner
+        if kind is dict:
+            body = sep.join(encode_basestring_ascii(k) + ": " + _encode(value[k], inner)
+                            for k in sorted(value))
+            return "".join(("{", inner, body, newline, "}"))
+        if all(type(x) is float for x in value):
+            body = _floats(value, sep)
+        else:
+            body = sep.join(_encode(x, inner) for x in value)
+        return "".join(("[", inner, body, newline, "]"))
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
+
+
+def _floats(values, sep: str) -> str:
+    """Finite floats joined by sep; a float's repr holds an n only for nan and inf."""
+    text = sep.join(map(float.__repr__, values))
+    if "n" in text:
+        bad = next(x for x in values if not math.isfinite(x))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ MAX_SUBSTEPS = 65536
 #: Most trajectories a run may ask for up to d = 8; see max_trajectories.
 MAX_TRAJECTORIES = 200_000
 _CHUNK = 512
+#: Most bytes of noise coefficients a chunk of trajectories holds at once.
+_PIECE_BYTES = 2**21
 #: Taylor degrees m of the d >= 3 substep exponential, each with the largest
 #: theta for which theta^(m+1)/(m+1)! e^theta <= 2^-53, a bound on the
 #: truncation error of exp(X) for ||X||_2 <= theta.
@@ -245,9 +247,19 @@ def _run_trajectories(
     plan: list, noise: NoiseModel, rngs: list
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Evolve one trajectory per RNG along a segment_plan; returns endpoints,
-    noise-norm integrals and the worst matched-norm deviation seen."""
+    noise-norm integrals and the worst matched-norm deviation seen.
+
+    Trajectories run in chunks of up to _CHUNK. Per chunk of B, besides its
+    (B, d, d) stacks, a segment holds its (B, n_sub) noise norms and at most
+    _PIECE_BYTES (2 MiB) of noise coefficients, or one substep's if that is
+    more: the coefficients are drawn piece by piece into one buffer. Each
+    trajectory draws from its own generator in substep order, so the pieces
+    hold the same samples as one whole-segment draw.
+    """
     d = len(plan[0][0])
     basis = build_pauli_basis(d.bit_length() - 1)
+    n = len(basis.labels)
+    longest = max(n_sub for _, n_sub, _, _ in plan)
     M = len(rngs)
     endpoints = np.empty((M, d, d), dtype=np.complex128)
     integrals = np.zeros(M)
@@ -259,21 +271,25 @@ def _run_trajectories(
         for lo in range(0, M, _CHUNK):
             hi = min(lo + _CHUNK, M)
             B = hi - lo
+            piece = min(longest, max(1, _PIECE_BYTES // (8 * B * n)))
+            C = np.empty((B, piece, n))
             U = np.broadcast_to(np.eye(d, dtype=np.complex128), (B, d, d)).copy()
             for H, n_sub, tau, target in plan:
-                # Filled row by row: a list of samples plus np.stack, or one norm
-                # over the whole block, would hold a second copy of C at once.
-                C = np.empty((B, n_sub, len(basis.labels)))
                 norms = np.empty((B, n_sub))
-                for i in range(B):
-                    C[i] = _sample_coeffs(noise, n_sub, len(basis.labels), target, rngs[lo + i])
-                    norms[i] = np.linalg.norm(C[i], axis=1)
+                for s0 in range(0, n_sub, piece):
+                    m = min(piece, n_sub - s0)
+                    # Filled row by row: a list of samples plus np.stack, or one
+                    # norm over the whole piece, would hold a second copy of it.
+                    for i in range(B):
+                        C[i, :m] = _sample_coeffs(noise, m, n, target, rngs[lo + i])
+                        norms[i, s0 : s0 + m] = np.linalg.norm(C[i, :m], axis=1)
+                    for s in range(m):
+                        A = H + devectorize_rows(C[:, s], basis)
+                        U = _expm_batch(A, tau) @ U
                 integrals[lo:hi] += tau * norms.sum(axis=1)
                 if target is not None:
                     worst_dev = max(worst_dev, float(np.max(np.abs(norms - target))))
-                for s in range(n_sub):
-                    A = H + devectorize_rows(C[:, s], basis)
-                    U = _expm_batch(A, tau) @ U
+            del C  # so that the next chunk's buffer is not allocated beside it
             endpoints[lo:hi] = U
             # np.maximum, unlike max(), keeps a NaN.
             dev = np.maximum(dev, np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(d)).max())

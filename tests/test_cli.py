@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import pairs
+from conftest import pairs, rand_unitary
 from conftest import rand_hermitian as herm
 
 import channelgeo
@@ -917,6 +918,20 @@ def test_nan_trajectories_exit_one_quietly_at_d4(tmp_path, capsys):
     assert err == "channelgeo: rode failed: Trajectory lost unitarity: max |U†U - I| = nan.\n"
 
 
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    """A run that cannot allocate exits 1 with one line, not a traceback."""
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(rode, "_run_trajectories", exhausted)
+    rode_cfg = {"schema_version": 1, "kind": "rode", "seed": 0, **_BASE["rode"]}
+    cfg = write_cfg(tmp_path, "oom.json", rode_cfg)
+    assert cli.main(["rode", "--config", cfg]) == 1
+    assert cli.main(["sweep", "--config", cfg, "--param", "M", "--values", "2"]) == 1
+    assert capsys.readouterr().err == "channelgeo: rode failed: out of memory\n" * 2
+
+
 def _field_names(schema) -> set:
     """Every field name in a KIND_FIELDS entry, nested ones included."""
     if isinstance(schema, tuple):
@@ -975,6 +990,62 @@ _JSON = st.recursive(
 )
 # Run sizes stay small: M and restarts get small integers or non-integers.
 _SMALL = st.integers(-2, 6) | st.floats(allow_nan=False) | st.text(max_size=2) | st.none()
+
+
+def _json_bytes(value) -> bytes:
+    """The writer's oracle: json's own indenting encoder."""
+    return (json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+_REPORT_VALUES = st.recursive(
+    _JSON
+    | st.lists(st.lists(st.floats(allow_nan=False), max_size=3), max_size=3)
+    | st.sampled_from([[], {}, [[]], {"": {}}, -0.0, 1e300, -1e300, 2**64, -(10**40)])
+    | st.text(st.characters(min_codepoint=0x80), max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=_REPORT_VALUES)
+def test_report_bytes_match_json(value):
+    try:
+        expected = _json_bytes(value)
+    except ValueError:  # an infinite float, in any position
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report_bytes(value)
+    else:
+        assert report_bytes(value) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "place",
+    [lambda x: {"value": x}, lambda x: {"vector": [0.5, x, 1.0]},
+     lambda x: {"U": [[[1.0, 0.0], [0.0, x]]]}],
+    ids=["scalar", "float-list", "pair"],
+)
+def test_report_bytes_refuse_non_finite(place, bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report_bytes(place(bad))
+
+
+def test_report_bytes_peak_memory():
+    """json's indenting encoder held 6.8 MB of tokens for this 1.25 MB report."""
+    import tracemalloc
+
+    U = rand_unitary(np.random.default_rng(3), 64)
+    cfg = {"schema_version": 1, "kind": "decompose", "seed": 0, "U": pairs(U)}
+    report = run_experiment(validate_config(cfg))
+    tracemalloc.start()
+    try:
+        data = report_bytes(report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 1.2e6
+    assert peak <= 4e6
 
 
 @st.composite
@@ -1101,3 +1172,5 @@ def test_perfbench_reports_pass_the_reference_gate(tmp_path, workload, count):
         report = tmp_path / f"{item['id']}.json"
         code = cli.main([item["kind"], "--config", item["config_path"], "--out", str(report)])
         assert oracle.check(item, code, report, reference["reports"][item["id"]]) == []
+        data = report.read_bytes()
+        assert data == _json_bytes(json.loads(data))
