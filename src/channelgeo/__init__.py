@@ -15,16 +15,14 @@ from .algebra import (
 )
 from .channel import (
     ChannelSpec,
-    KrausSet,
     TimeDependentSpec,
     apply_channel,
     apply_channel_via_joint,
     channel_complexity_const,
-    channel_complexity_td,
     complexity_split,
+    complexity_split_td,
     kraus_operators,
     noise_complexity_bounds,
-    noise_complexity_td,
     perturbative_example,
 )
 from .coherence import (

@@ -114,20 +114,13 @@ class ChannelSpec:
         return (B * self.env_probs) @ B.conj().T
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """Environment-indexed blocks of the joint propagator.
+def kraus_operators(spec: ChannelSpec, t: float) -> np.ndarray:
+    """The (d_E², d_S, d_S) Kraus stack at time t; completeness is enforced.
 
-    operators[j, i] = sqrt(p_i) <E_j| exp(-i t H_tot) |E_i>, flattened in
-    row-major (j, i) order.
+    M[j·d_E + i] = sqrt(p_i) <E_j| exp(-i t H_tot) |E_i>, the
+    environment-indexed blocks of the joint propagator in row-major (j, i)
+    order.
     """
-
-    operators: np.ndarray  # (d_E^2, d_S, d_S)
-    t: float
-
-
-def kraus_operators(spec: ChannelSpec, t: float) -> KrausSet:
-    """Extract the Kraus family at time t; completeness is enforced."""
     U = matrix_exp_unitary(spec.h_total(), t)
     R = U.reshape(spec.d_S, spec.d_E, spec.d_S, spec.d_E)
     B = spec.env_basis
@@ -138,10 +131,8 @@ def kraus_operators(spec: ChannelSpec, t: float) -> KrausSet:
     total = np.einsum("kba,kbc->ac", M.conj(), M)
     dev = float(np.max(np.abs(total - np.eye(spec.d_S))))
     if dev > KRAUS_COMPLETENESS_TOL:
-        raise ValueError(
-            f"Kraus completeness violated: max |sum M†M - I| = {dev:.3e}."
-        )
-    return KrausSet(operators=M, t=float(t))
+        raise ValueError(f"Kraus completeness violated: max |sum M†M - I| = {dev:.3e}.")
+    return M
 
 
 def apply_channel(spec: ChannelSpec, t: float, rho_S: np.ndarray) -> np.ndarray:
@@ -149,7 +140,7 @@ def apply_channel(spec: ChannelSpec, t: float, rho_S: np.ndarray) -> np.ndarray:
     rho_S = density(rho_S)
     if rho_S.shape[0] != spec.d_S:
         raise ValueError(f"State dim {rho_S.shape[0]} does not match d_S={spec.d_S}.")
-    M = kraus_operators(spec, t).operators
+    M = kraus_operators(spec, t)
     out = np.einsum("kab,bc,kdc->ad", M, rho_S, M.conj())
     return density(out)
 
@@ -165,44 +156,61 @@ def apply_channel_via_joint(spec: ChannelSpec, t: float, rho_S: np.ndarray) -> n
     return partial_trace_env(evolved, spec.d_S, spec.d_E)
 
 
+def _joint(spec: ChannelSpec, t: float) -> tuple[dict, tuple]:
+    """The one evaluation of a joint spec at time t that every constant-
+    generator quantity reads: complexity_split's dict, and (H_tot, H_Se,
+    resid, G_tot) for the sandwich bounds, where H_Se = H_S ⊗ I and resid
+    is the residual generator sqrt(|H_tot^2 - H_Se^2|)."""
+    H_tot = spec.h_total()
+    H_Se = spec.h_system_embedded()
+    resid = sqrt_abs_diff(H_tot, H_Se)
+    g_tot = geometric_complexity_const(H_tot, t, None)
+    g_channel = float(g_tot - geometric_complexity_const(resid, t, None))
+    g_free = float(geometric_complexity_const(H_Se, t, None))
+    split = {"G_hs": g_channel, "G_noiseless": g_free, "N_hs": abs(g_channel - g_free)}
+    return split, (H_tot, H_Se, resid, g_tot)
+
+
 def channel_complexity_const(spec: ChannelSpec, t: float) -> float:
     """Joint complexity minus the complexity of the residual generator
     sqrt(|H_tot^2 - (H_S ⊗ I)^2|)."""
-    H_tot = spec.h_total()
-    H_Se = spec.h_system_embedded()
-    G_tot = geometric_complexity_const(H_tot, t, None)
-    G_resid = geometric_complexity_const(sqrt_abs_diff(H_tot, H_Se), t, None)
-    return G_tot - G_resid
+    return _joint(spec, t)[0]["G_hs"]
 
 
 def complexity_split(spec: ChannelSpec, t: float) -> dict:
     """G_hs, the channel complexity; G_noiseless, the complexity of the
     embedded system generator alone; and N_hs, the noise complexity, the
     absolute gap between the two."""
-    g_channel = float(channel_complexity_const(spec, t))
-    g_free = float(geometric_complexity_const(spec.h_system_embedded(), t, None))
-    return {"G_hs": g_channel, "G_noiseless": g_free, "N_hs": abs(g_channel - g_free)}
+    return _joint(spec, t)[0]
 
 
 def noise_complexity_bounds(spec: ChannelSpec, t: float) -> dict:
-    """Lower and upper envelope for the noise complexity.
+    """complexity_split's G_hs, G_noiseless and N_hs, with a lower and an
+    upper envelope for N_hs, all from one evaluation of the joint spec.
 
     lower: complexity of exp(-it(sqrt(|H_tot^2 - H_Se^2|) + |H_Se|))
-    minus the joint complexity. upper: noiseless complexity minus the
-    flat geodesic distance between the joint propagator and the
+    minus the joint complexity. upper: G_noiseless minus distance_estimate,
+    the flat geodesic distance between the joint propagator and the
     residual propagator. That distance is log_distance, the principal-log
     closed form, so it is exact and upper is always a number.
+
+    When the upper bound holds. Write G_0 for G_noiseless and D for
+    distance_estimate, so upper = G_0 - D.
+      1. If G_hs <= G_0 (the channel_below_system check), then
+         N_hs = |G_hs - G_0| = G_0 - G_hs.
+      2. So N_hs - upper = (G_0 - G_hs) - (G_0 - D) = D - G_hs.
+      3. So N_hs <= upper holds iff G_hs >= D, that is iff
+         G_tot - G_resid >= d_flat(U_tot, U_resid).
+    G_tot and G_resid are lengths of constant paths, not distances, so
+    nothing forces step 3: on a spec where G_hs < D the upper bound fails,
+    by exactly D - G_hs.
     """
-    H_tot = spec.h_total()
-    H_Se = spec.h_system_embedded()
-    resid = sqrt_abs_diff(H_tot, H_Se)
-    lower = geometric_complexity_const(resid + matrix_abs(H_Se), t, None) - (
-        geometric_complexity_const(H_tot, t, None)
-    )
-    distance = log_distance(matrix_exp_unitary(H_tot, t), matrix_exp_unitary(resid, t))
-    return {
-        "lower": lower,
-        "upper": geometric_complexity_const(H_Se, t, None) - distance,
+    split, (H_tot, H_Se, resid, g_tot) = _joint(spec, t)
+    lower = geometric_complexity_const(resid + matrix_abs(H_Se), t, None) - g_tot
+    distance = float(log_distance(matrix_exp_unitary(H_tot, t), matrix_exp_unitary(resid, t)))
+    return split | {
+        "lower": float(lower),
+        "upper": split["G_noiseless"] - distance,
         "distance_estimate": distance,
     }
 
@@ -230,34 +238,28 @@ class TimeDependentSpec:
         object.__setattr__(self, "segments", tuple(checked))
 
 
-def channel_complexity_td(spec: TimeDependentSpec) -> float:
-    """Integrated |a - sqrt(|a^2 - b^2|)| where a is the metric norm of the
-    joint generator and b the norm of the embedded system generator.
+def complexity_split_td(spec: TimeDependentSpec) -> dict:
+    """The time-dependent split, in one pass over the segments: G_td, the
+    integrated |a - sqrt(|a^2 - b^2|)| where a is the metric norm of the
+    joint generator and b that of the embedded system generator;
+    G_noiseless_td, the integrated b (the noiseless system path length);
+    and N_td = |G_td - G_noiseless_td|.
 
     The squared-norm symbol in the defining integrand is read as the
     square of the generator norm; with that reading a single flat
     segment whose residual H_tot^2 - H_Se^2 is sign-definite reproduces
-    channel_complexity_const exactly.
+    complexity_split exactly.
     """
     d = len(spec.segments[0][0].H_I)
     m = spec.metric
-    total = 0.0
+    total = noiseless = 0.0
     for seg, ds in spec.segments:
         a = generator_norm(seg.h_total(), m)
         b = generator_norm(seg.h_system_embedded(), m)
         total += ds * abs(a - np.sqrt(abs(a * a - b * b)))
-    return total / np.sqrt(d**2 - 1)
-
-
-def noise_complexity_td(spec: TimeDependentSpec) -> float:
-    """Absolute gap between the time-dependent channel complexity and the
-    noiseless system path length (embedded-system convention)."""
-    d = len(spec.segments[0][0].H_I)
-    m = spec.metric
-    noiseless = sum(
-        ds * generator_norm(seg.h_system_embedded(), m) for seg, ds in spec.segments
-    ) / np.sqrt(d**2 - 1)
-    return abs(channel_complexity_td(spec) - noiseless)
+        noiseless += ds * b
+    g_td, g_free = total / np.sqrt(d**2 - 1), noiseless / np.sqrt(d**2 - 1)
+    return {"G_td": float(g_td), "G_noiseless_td": float(g_free), "N_td": float(abs(g_td - g_free))}
 
 
 def check_perturbative(
@@ -337,7 +339,7 @@ def perturbative_values(
     perturbative = (t / np.sqrt(d**2 - 1)) * h * (1.0 - se * omega * (1.0 - se * omega / 2.0))
     return {
         "exact": exact,
-        "perturbative": perturbative,
+        "perturbative": float(perturbative),
         "omega_coupling": float(omega),
-        "error": abs(exact - perturbative),
+        "error": float(abs(exact - perturbative)),
     }

@@ -56,9 +56,7 @@ class PiecewiseConstantPath:
             if dim is None:
                 dim = H.shape[0]
             elif H.shape[0] != dim:
-                raise ValueError(
-                    f"Segment {k} dimension {H.shape[0]} differs from {dim}."
-                )
+                raise ArgumentError(f"segments[{k}].H", f"dimension {H.shape[0]}, not {dim}")
             checked.append((H, ds))
         object.__setattr__(self, "segments", tuple(checked))
 

@@ -298,7 +298,7 @@ def test_criterion_13_kraus_completeness_and_oracle():
             env_basis=rand_unitary(rng, d_E),
         )
         t = float(rng.uniform(0.1, 1.5))
-        M = kraus_operators(spec, t).operators
+        M = kraus_operators(spec, t)
         gram = np.einsum("kba,kbc->ac", M.conj(), M)
         assert np.abs(gram - np.eye(d_S)).max() <= 1e-9
         rho = rand_density(rng, d_S)

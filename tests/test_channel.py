@@ -9,17 +9,17 @@ from channelgeo.channel import (
     apply_channel,
     apply_channel_via_joint,
     channel_complexity_const,
-    channel_complexity_td,
     check_perturbative,
     complexity_split,
+    complexity_split_td,
     kraus_operators,
     noise_complexity_bounds,
-    noise_complexity_td,
     perturbative_example,
 )
 from channelgeo.geodesic import PiecewiseConstantPath
 from channelgeo.operators import ArgumentError, hs_norm, matrix_abs, sqrt_abs_diff
 from channelgeo.pauli import build_penalty_metric
+from channelgeo.reports import _rand_spec, verify_all_battery
 
 
 def make_spec(rng, d_S=2, d_E=2, scale_S=1.0, scale_IE=1.0, uniform_env=True):
@@ -63,8 +63,8 @@ def test_kraus_count_and_completeness(rng):
     for d_S, d_E in ((2, 2), (2, 3), (3, 2)):
         spec = make_spec(rng, d_S, d_E, uniform_env=False)
         ks = kraus_operators(spec, 0.8)
-        assert ks.operators.shape == (d_E**2, d_S, d_S)
-        total = np.einsum("kba,kbc->ac", ks.operators.conj(), ks.operators)
+        assert ks.shape == (d_E**2, d_S, d_S)
+        total = np.einsum("kba,kbc->ac", ks.conj(), ks)
         assert np.abs(total - np.eye(d_S)).max() < 1e-9
 
 
@@ -138,6 +138,38 @@ def test_noise_sandwich_system_dominated(rng):
         assert n <= rec["upper"] + 1e-8
 
 
+@pytest.mark.parametrize("scale_S", [0.1, 1.0, 12.0])
+def test_noise_sandwich_identity(scale_S):
+    """N_hs - upper = distance_estimate - G_hs wherever G_hs <= G_noiseless,
+    which holds on every draw; so the upper bound holds iff G_hs >= distance_estimate."""
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        rec = noise_complexity_bounds(_rand_spec(rng, scale_S=scale_S), 1.0)
+        assert rec["G_hs"] <= rec["G_noiseless"]
+        excess = rec["N_hs"] - rec["upper"]
+        assert abs(excess - (rec["distance_estimate"] - rec["G_hs"])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "seed, margin",
+    [(48, 0.0949288949589111), (77, 0.5511910997870678), (265, 0.15627239478665078),
+     (305, 0.03929340731708475)],
+)
+def test_verify_all_sandwich_failures_are_the_identity(seed, margin):
+    """The noise_sandwich draws that fail verify-all fail by distance_estimate - G_hs."""
+    check = next(c for c in verify_all_battery(seed) if c["name"] == "noise_sandwich")
+    assert not check["holds"]
+    assert check["lhs"] == margin
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(20)[4])  # the battery's draws
+    gaps = []
+    for _ in range(3):
+        spec = _rand_spec(rng, scale_S=12.0, scale_IE=0.25)
+        rng.integers(2**31)
+        rec = noise_complexity_bounds(spec, 1.0)
+        gaps.append(rec["distance_estimate"] - rec["G_hs"])
+    assert abs(max(gaps) - margin) <= 1e-12
+
+
 def test_td_single_segment_commuting_matches_const():
     # diagonal commuting family with sign-definite residual
     H_S = np.diag([1.0, 2.0])
@@ -146,8 +178,8 @@ def test_td_single_segment_commuting_matches_const():
     spec = ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=H_I, H_E=H_E)
     t = 1.4
     td = TimeDependentSpec(segments=((spec, t),))
-    assert abs(channel_complexity_td(td) - channel_complexity_const(spec, t)) < 1e-12
-    assert abs(noise_complexity_td(td) - complexity_split(spec, t)["N_hs"]) < 1e-12
+    assert abs(complexity_split_td(td)["G_td"] - channel_complexity_const(spec, t)) < 1e-12
+    assert abs(complexity_split_td(td)["N_td"] - complexity_split(spec, t)["N_hs"]) < 1e-12
 
 
 def test_td_segment_additivity(rng):
@@ -156,7 +188,7 @@ def test_td_segment_additivity(rng):
     spec = ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=H_I, H_E=np.zeros((2, 2)))
     one = TimeDependentSpec(segments=((spec, 1.0),))
     two = TimeDependentSpec(segments=((spec, 0.4), (spec, 0.6)))
-    assert abs(channel_complexity_td(one) - channel_complexity_td(two)) < 1e-12
+    assert abs(complexity_split_td(one)["G_td"] - complexity_split_td(two)["G_td"]) < 1e-12
 
 
 def test_td_validation():
@@ -181,7 +213,7 @@ def test_td_refuses_a_metric_on_another_dimension():
         TimeDependentSpec(segments=((spec, 1.0),), metric=build_penalty_metric(1, 2.0))
     assert info.value.name == "metric"
     td = TimeDependentSpec(segments=((spec, 1.0),), metric=build_penalty_metric(2, 2.0))
-    assert channel_complexity_td(td) >= 0.0
+    assert complexity_split_td(td)["G_td"] >= 0.0
 
 
 @pytest.mark.parametrize("ds", [float("nan"), float("inf"), 0.0, -1.0])

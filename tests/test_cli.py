@@ -350,6 +350,10 @@ _ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1
          "'perturbative.A_S'"),
         ("channel", {"perturbative": {**_PERTURBATIVE, "H_S": SIGMA_Z}}, "'perturbative.H_S'"),
         ("channel", {"perturbative": {**_PERTURBATIVE, "A_S": pairs(-np.eye(2))}}, "'perturbative.A_S'"),
+        # a segment of another dimension
+        ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.5},
+                                        {"H": pairs(np.eye(4)), "ds": 0.5}]}},
+         "'path.segments[1].H'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):
@@ -932,6 +936,30 @@ def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "channelgeo: rode failed: out of memory\n" * 2
 
 
+def test_non_finite_value_exits_one_and_names_it(tmp_path, capsys):
+    """An overflowing H gives an infinite G_hs: a run and a sweep each exit 1
+    with one line naming it, print nothing to stdout and warn nothing."""
+    big = pairs(np.diag([1e200, -1e200]))
+    cfg = write_cfg(tmp_path, "big.json",
+                    {"schema_version": 1, "kind": "complexity", "seed": 0, "H": big, "t": 1.0})
+    line = "channelgeo: complexity failed: scalar 'G_hs' is inf\n"
+    for argv in (["complexity", "--config", cfg],
+                 ["sweep", "--config", cfg, "--param", "t", "--values", "1.0", "2.0"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", line)
+
+
+def test_noise_run_evaluates_the_joint_spec_once(tmp_path, monkeypatch):
+    """The split and the sandwich of a noise report share one residual."""
+    calls = []
+    real = channel.sqrt_abs_diff
+    monkeypatch.setattr(channel, "sqrt_abs_diff", lambda *a: calls.append(1) or real(*a))
+    cfg = write_cfg(tmp_path, "n.json", {"schema_version": 1, "kind": "noise", "seed": 0,
+                                         **_BASE["noise"]})
+    assert cli.main(["noise", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
 def _field_names(schema) -> set:
     """Every field name in a KIND_FIELDS entry, nested ones included."""
     if isinstance(schema, tuple):
@@ -1094,8 +1122,7 @@ _UNREACHED = {
     "distance_unitaries",
     # The time-dependent form of channel and noise complexity: a paper quantity
     # that no config routes yet.
-    "channel_complexity_td",
-    "noise_complexity_td",
+    "complexity_split_td",
 }
 
 
