@@ -51,21 +51,7 @@ from .geodesic import (
     path_length,
     principal_log_generator,
 )
-from .operators import (
-    ArgumentError,
-    commutator,
-    density,
-    embed_system,
-    hermitian,
-    hermitian_eig,
-    hs_norm,
-    matrix_abs,
-    matrix_exp_unitary,
-    partial_trace_env,
-    sqrt_abs_diff,
-    tensor,
-    unitary,
-)
+from .operators import ArgumentError, density, hermitian, unitary
 from .pauli import (
     MetricSpec,
     PauliBasis,

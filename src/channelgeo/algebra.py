@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import as_square, density, hermitian, hermitian_eig, projector_family, unitary
+from .operators import density, hermitian, projector_family, unitary
 
 PROB_FLOOR = -1e-10
 PROB_SUM_TOL = 1e-9
@@ -70,8 +70,7 @@ def spectral_events(A: np.ndarray, tol: float = DEGENERACY_TOL_DEFAULT) -> Spect
     measured relative to the spectral range."""
     if tol <= 0:
         raise ValueError(f"Clustering tolerance must be positive, got {tol!r}.")
-    A = hermitian(A)
-    w, V = hermitian_eig(A)
+    w, V = np.linalg.eigh(hermitian(A))
     spread = float(w[-1] - w[0])
     gap = tol * spread
     outcomes = []
@@ -271,4 +270,4 @@ def random_special_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     """Haar sample normalized to det 1."""
     Q = random_unitary(rng, N)
     det = np.linalg.det(Q)
-    return as_square(Q * det ** (-1.0 / N))
+    return Q * det ** (-1.0 / N)

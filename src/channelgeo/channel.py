@@ -29,7 +29,6 @@ from .operators import (
     ArgumentError,
     at_least,
     density,
-    embed_system,
     hermitian,
     hs_norm,
     matrix_abs,
@@ -100,7 +99,7 @@ class ChannelSpec:
         object.__setattr__(self, "env_basis", B)
 
     def h_system_embedded(self) -> np.ndarray:
-        return embed_system(self.H_S, self.d_E)
+        return np.kron(self.H_S, np.eye(self.d_E))
 
     def h_total(self) -> np.ndarray:
         return (

@@ -280,7 +280,7 @@ def coherence_rate_exact(H: np.ndarray, rho_t: np.ndarray, E: DephasingChannel) 
     tolerance signals inconsistent inputs and raises.
     """
     H = hermitian(H)
-    rho_t = np.asarray(rho_t, dtype=np.complex128)
+    rho_t = density(rho_t)
     raw = 2j * np.trace(commutator(rho_t, dephase(rho_t, E)) @ H)
     if abs(raw.imag) > RATE_IMAG_TOL:
         raise ValueError(
@@ -292,7 +292,7 @@ def coherence_rate_exact(H: np.ndarray, rho_t: np.ndarray, E: DephasingChannel) 
 
 def coherence_rate_bound(rho_t: np.ndarray, E: DephasingChannel) -> float:
     """HS norm of [rho, dephase(rho)]; never exceeds sqrt(2)."""
-    rho_t = np.asarray(rho_t, dtype=np.complex128)
+    rho_t = density(rho_t)
     return hs_norm(commutator(rho_t, dephase(rho_t, E)))
 
 

@@ -1,10 +1,12 @@
-"""Dense complex-matrix substrate.
+"""Dense complex-matrix substrate: validators and the kernels they guard.
 
-Hermitian spectral decomposition, spectrally defined matrix functions,
-Hilbert-Schmidt geometry, tensor products, and the environment partial
-trace. Every matrix function routes through one eigendecomposition code
-path so that exp, abs, and sqrt stay numerically consistent with each
-other.
+Validators check, kernels assume. ``hermitian``, ``unitary``, ``density``
+and ``projector_family`` check a matrix where it enters the program: in a
+config reader, a domain type, or a quantity-level entry point that takes a
+raw matrix. The kernels below them (spectrally defined matrix functions,
+Hilbert-Schmidt geometry, tensor products, the environment partial trace)
+check nothing: they take square complex128 matrices that a validator has
+passed, and a mismatch of shapes surfaces as numpy's own ValueError.
 """
 from __future__ import annotations
 
@@ -133,24 +135,15 @@ def projector_family(projectors) -> np.ndarray:
     return stack
 
 
-def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    try:
-        w, V = npl.eigh(hermitian(H))
-    except npl.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise ValueError(f"Hermitian eigendecomposition did not converge: {exc}") from exc
-    return w, V
-
-
 def matrix_exp_unitary(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, via the spectral decomposition."""
-    w, V = hermitian_eig(H)
+    w, V = npl.eigh(H)
     return (V * np.exp(-1j * t * w)) @ V.conj().T
 
 
 def matrix_abs(H: np.ndarray) -> np.ndarray:
     """|H| = V |diag(w)| V†; positive semidefinite, same eigenvectors."""
-    w, V = hermitian_eig(H)
+    w, V = npl.eigh(H)
     return (V * np.abs(w)) @ V.conj().T
 
 
@@ -160,10 +153,6 @@ def sqrt_abs_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Eigenvalues within EIG_CLAMP of zero are clamped to zero before the
     square root.
     """
-    A = hermitian(A)
-    B = hermitian(B)
-    if A.shape != B.shape:
-        raise ValueError(f"Dimension mismatch: {A.shape} vs {B.shape}.")
     D = A @ A - B @ B
     # A² and B² are Hermitian exactly; only rounding noise is folded back.
     D = (D + D.conj().T) / 2
@@ -192,24 +181,12 @@ def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(A, dtype=np.complex128), np.asarray(B, dtype=np.complex128))
 
 
-def embed_system(H_S: np.ndarray, d_E: int) -> np.ndarray:
-    """H_S ⊗ I on a system+environment space with environment dimension d_E."""
-    if d_E < 1:
-        raise ValueError(f"Environment dimension must be positive, got {d_E}.")
-    return np.kron(np.asarray(H_S, dtype=np.complex128), np.eye(d_E))
-
-
 def partial_trace_env(rho: np.ndarray, d_S: int, d_E: int) -> np.ndarray:
     """Trace out the environment factor of an operator on a d_S*d_E space.
 
     Index convention: the joint basis is |s⟩⊗|e⟩ with the environment
     index fastest, matching ``numpy.kron``.
     """
-    rho = as_square(rho)
-    if rho.shape[0] != d_S * d_E:
-        raise ValueError(
-            f"Operator dimension {rho.shape[0]} does not factor as {d_S}*{d_E}."
-        )
     R = rho.reshape(d_S, d_E, d_S, d_E)
     return np.einsum("iaja->ij", R)
 

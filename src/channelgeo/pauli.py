@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ArgumentError, at_least, hermitian
+from .operators import ArgumentError, at_least
 
 _SIGMA = {
     "I": np.eye(2, dtype=np.complex128),
@@ -109,16 +109,18 @@ def vectorize(A: np.ndarray, basis: PauliBasis) -> np.ndarray:
     """Real coefficients Tr{E_k A} over the basis, shape (d²-1,).
 
     The identity component tr(A)/d is not among them: A equals
-    devectorize_rows(vectorize(A, basis), basis) + tr(A)/d I.
+    devectorize_rows(vectorize(A, basis), basis) + tr(A)/d I. The
+    coefficients are real exactly when that traceless part is Hermitian,
+    so an imaginary residue above COEFF_IMAG_TOL is refused.
     """
-    A = hermitian(A)
+    A = np.asarray(A)
     if A.shape[0] != basis.dim:
         raise ValueError(f"Operator dim {A.shape[0]} does not match basis dim {basis.dim}.")
     coeffs = np.einsum("kab,ba->k", basis.elements, A)
     resid = float(np.max(np.abs(coeffs.imag))) if coeffs.size else 0.0
     if resid > COEFF_IMAG_TOL:
         raise ValueError(
-            f"Hermitian input produced complex coefficients (residue {resid:.3e})."
+            f"Traceless part is not Hermitian: coefficient residue {resid:.3e}."
         )
     return coeffs.real.copy()
 

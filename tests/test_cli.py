@@ -21,7 +21,7 @@ from conftest import pairs, rand_unitary
 from conftest import rand_hermitian as herm
 
 import channelgeo
-from channelgeo import channel, cli, coherence, reports, rode
+from channelgeo import channel, cli, coherence, operators, reports, rode
 from channelgeo.geodesic import PiecewiseConstantPath, constant_path, geometric_complexity_const
 from channelgeo.operators import ArgumentError
 from channelgeo.pauli import MetricSpec, build_pauli_basis, build_penalty_metric
@@ -1167,6 +1167,47 @@ def _perfbench_module(name: str) -> types.ModuleType:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("kind, fields, count", [_VALID[0] + (4,), _VALID[3] + (7,)],
+                         ids=["weighted-complexity", "noise"])
+def test_cli_run_checks_each_matrix_where_it_enters(tmp_path, capsys, kind, fields, count):
+    """The operators kernels check nothing, so a run calls operators.hermitian
+    only where a matrix enters: a weighted complexity run in its reader and in
+    three geometric_complexity_const calls; a noise run in ChannelSpec's H_S,
+    H_I and H_E and in four geometric_complexity_const calls. Counted on the
+    code object, since the readers' closures bind hermitian at import."""
+    cfg = write_cfg(tmp_path, "c.json", {"schema_version": 1, "kind": kind, "seed": 0, **fields})
+    code, calls = operators.hermitian.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_back.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        exit_code = cli.main([kind, "--config", cfg, "--out", str(tmp_path / "out.json")])
+    finally:
+        sys.setprofile(previous)
+    assert exit_code == 0, capsys.readouterr().err
+    assert len(calls) == count, calls
+
+
+def test_eigh_failure_ends_a_run_with_one_line_and_no_report(tmp_path, capsys, monkeypatch):
+    """numpy.linalg.LinAlgError is a ValueError, so a LAPACK failure inside a
+    kernel ends a run as any numerical error does."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    cfg = write_cfg(tmp_path, "n.json", {"schema_version": 1, "kind": "noise", "seed": 0,
+                                         **_BASE["noise"]})
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = cli.main(["noise", "--config", cfg, "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "channelgeo: noise failed: Eigenvalues did not converge\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n.json"]
 
 
 def test_perfbench_tracer_names_exist():

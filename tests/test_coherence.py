@@ -338,6 +338,17 @@ def test_rate_bound_formula_and_cap(rng):
         assert b <= np.sqrt(2.0) + 1e-10
 
 
+def test_rates_refuse_a_matrix_that_is_not_a_state(rng):
+    # Unchecked, a scaled state broke the sqrt(2) cap of coherence_rate_bound.
+    E = computational_dephasing(2)
+    H, rho = rand_hermitian(rng, 2), rand_pure(rng, 2)
+    for bad in (5.0 * rho, rho + 1j * np.triu(np.ones((2, 2)), 1)):
+        with pytest.raises(ValueError, match="Density trace|not Hermitian"):
+            coherence_rate_bound(bad, E)
+        with pytest.raises(ValueError, match="Density trace|not Hermitian"):
+            coherence_rate_exact(H, bad, E)
+
+
 def test_rate_cauchy_schwarz(rng):
     E = computational_dephasing(3)
     for _ in range(10):
@@ -374,7 +385,7 @@ def test_decohering_bound_rejects_bad_input_before_search(monkeypatch, H, t):
         verify_decohering_bound(H, t, computational_dephasing(2))
 
 
-def test_decohering_bound_validates_generator_twice(monkeypatch):
+def test_decohering_bound_validates_generator_once(monkeypatch):
     calls = []
     check = operators.hermitian
 
@@ -386,4 +397,4 @@ def test_decohering_bound_validates_generator_twice(monkeypatch):
         monkeypatch.setattr(module, "hermitian", counted)
     H = np.diag([0.5, -0.5]).astype(np.complex128)
     verify_decohering_bound(H, 0.8, computational_dephasing(2), restarts=0, pure_only=True)
-    assert sum(M is H for M in calls) == 2
+    assert sum(M is H for M in calls) == 1

@@ -5,9 +5,7 @@ from conftest import rand_density, rand_hermitian, rand_unitary
 from channelgeo.operators import (
     commutator,
     density,
-    embed_system,
     hermitian,
-    hermitian_eig,
     hs_norm,
     matrix_abs,
     matrix_exp_unitary,
@@ -66,13 +64,6 @@ def test_density_checks_trace_and_positivity(rng):
         density(bad)
 
 
-def test_hermitian_eig_sorted_and_reconstructs(rng):
-    H = rand_hermitian(rng, 5)
-    w, V = hermitian_eig(H)
-    assert np.all(np.diff(w) >= 0)
-    assert np.abs((V * w) @ V.conj().T - H).max() < 1e-12
-
-
 def test_matrix_exp_against_series(rng):
     for d in (2, 3, 4):
         H = rand_hermitian(rng, d)
@@ -110,7 +101,7 @@ def test_hs_inner_and_norm_match_trace_formula(rng):
 
 def test_tensor_and_embedding():
     sz = np.diag([1.0, -1.0]).astype(np.complex128)
-    assert np.array_equal(embed_system(sz, 2), np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(np.kron(sz, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0]))
     A = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     assert np.array_equal(tensor(A, np.eye(2)), np.kron(A, np.eye(2)))
 
@@ -118,7 +109,7 @@ def test_tensor_and_embedding():
 def test_embedding_scales_hs_norm(rng):
     H = rand_hermitian(rng, 3)
     for d_E in (2, 3, 4):
-        assert abs(hs_norm(embed_system(H, d_E)) - np.sqrt(d_E) * hs_norm(H)) < 1e-12
+        assert abs(hs_norm(np.kron(H, np.eye(d_E))) - np.sqrt(d_E) * hs_norm(H)) < 1e-12
 
 
 def partial_trace_loop(rho, d_S, d_E):
@@ -148,7 +139,7 @@ def test_embedding_adjoint_identity(rng):
     # <A (x) I, X> = <A, Tr_E X> for all X
     A = rand_hermitian(rng, 2)
     X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    lhs = np.vdot(embed_system(A, 3), X)
+    lhs = np.vdot(np.kron(A, np.eye(3)), X)
     rhs = np.vdot(A, partial_trace_env(X, 2, 3))
     assert abs(lhs - rhs) < 1e-12
 
