@@ -65,7 +65,6 @@ from .pauli import (
 from .rode import (
     EnsembleResult,
     NoiseModel,
-    distance_operator,
     distance_unitaries,
     ensemble_mean,
     fluctuation_report,

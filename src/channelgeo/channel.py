@@ -10,8 +10,6 @@ Conventions (also emitted in every CLI report):
   H_S ⊗ I on the joint space, and all complexities use d = d_S * d_E.
 - The joint propagator is exp(-i t H_tot) wherever it appears,
   including inside the Kraus sandwich.
-- For time-dependent generators, the squared-norm symbol is read as the
-  square of the metric norm of H(s), not a norm of H(s)^2.
 """
 from __future__ import annotations
 
@@ -19,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesic import (
-    generator_norm,
-    geometric_complexity_const,
-    log_distance,
-    segment_duration,
-)
+from .geodesic import geometric_complexity_const, log_distance, segment_duration
 from .operators import (
     ArgumentError,
     at_least,
@@ -134,11 +127,17 @@ def kraus_operators(spec: ChannelSpec, t: float) -> np.ndarray:
     return M
 
 
-def apply_channel(spec: ChannelSpec, t: float, rho_S: np.ndarray) -> np.ndarray:
-    """Reduced dynamics via the Kraus sum."""
+def _system_state(spec: ChannelSpec, rho_S: np.ndarray) -> np.ndarray:
+    """rho_S checked as a density matrix on the system of spec."""
     rho_S = density(rho_S)
     if rho_S.shape[0] != spec.d_S:
         raise ValueError(f"State dim {rho_S.shape[0]} does not match d_S={spec.d_S}.")
+    return rho_S
+
+
+def apply_channel(spec: ChannelSpec, t: float, rho_S: np.ndarray) -> np.ndarray:
+    """Reduced dynamics via the Kraus sum."""
+    rho_S = _system_state(spec, rho_S)
     M = kraus_operators(spec, t)
     out = np.einsum("kab,bc,kdc->ad", M, rho_S, M.conj())
     return density(out)
@@ -148,24 +147,25 @@ def apply_channel_via_joint(spec: ChannelSpec, t: float, rho_S: np.ndarray) -> n
     """Independent route: evolve the joint product state, trace out the
     environment. Kept separate from the Kraus route on purpose so the
     two stay cross-checkable."""
-    rho_S = density(rho_S)
+    rho_S = _system_state(spec, rho_S)
     joint = tensor(rho_S, spec.env_state())
     U = matrix_exp_unitary(spec.h_total(), t)
     evolved = U @ joint @ U.conj().T
     return partial_trace_env(evolved, spec.d_S, spec.d_E)
 
 
-def _joint(spec: ChannelSpec, t: float) -> tuple[dict, tuple]:
+def _joint(spec: ChannelSpec, t: float, m: MetricSpec | None = None) -> tuple[dict, tuple]:
     """The one evaluation of a joint spec at time t that every constant-
-    generator quantity reads: complexity_split's dict, and (H_tot, H_Se,
-    resid, G_tot) for the sandwich bounds, where H_Se = H_S ⊗ I and resid
-    is the residual generator sqrt(|H_tot^2 - H_Se^2|)."""
+    generator quantity reads: complexity_split's dict under metric m (flat
+    when None), and (H_tot, H_Se, resid, G_tot) for the sandwich bounds,
+    where H_Se = H_S ⊗ I and resid is the residual generator
+    sqrt(|H_tot^2 - H_Se^2|)."""
     H_tot = spec.h_total()
     H_Se = spec.h_system_embedded()
     resid = sqrt_abs_diff(H_tot, H_Se)
-    g_tot = geometric_complexity_const(H_tot, t, None)
-    g_channel = float(g_tot - geometric_complexity_const(resid, t, None))
-    g_free = float(geometric_complexity_const(H_Se, t, None))
+    g_tot = geometric_complexity_const(H_tot, t, m)
+    g_channel = float(g_tot - geometric_complexity_const(resid, t, m))
+    g_free = float(geometric_complexity_const(H_Se, t, m))
     split = {"G_hs": g_channel, "G_noiseless": g_free, "N_hs": abs(g_channel - g_free)}
     return split, (H_tot, H_Se, resid, g_tot)
 
@@ -238,27 +238,21 @@ class TimeDependentSpec:
 
 
 def complexity_split_td(spec: TimeDependentSpec) -> dict:
-    """The time-dependent split, in one pass over the segments: G_td, the
-    integrated |a - sqrt(|a^2 - b^2|)| where a is the metric norm of the
-    joint generator and b that of the embedded system generator;
-    G_noiseless_td, the integrated b (the noiseless system path length);
-    and N_td = |G_td - G_noiseless_td|.
+    """The time-dependent split: complexity_split on each segment, under
+    spec.metric, summed in segment order.
 
-    The squared-norm symbol in the defining integrand is read as the
-    square of the generator norm; with that reading a single flat
-    segment whose residual H_tot^2 - H_Se^2 is sign-definite reproduces
-    complexity_split exactly.
+    G_td is the sum of the segments' G_hs and G_noiseless_td the sum of
+    their G_noiseless, so a path length adds up segment by segment and a
+    single flat segment reproduces complexity_split exactly. Like G_hs,
+    G_td may be negative. N_td = |G_td - G_noiseless_td| is taken once,
+    on the sums, not per segment.
     """
-    d = len(spec.segments[0][0].H_I)
-    m = spec.metric
-    total = noiseless = 0.0
+    g_td = g_free = 0.0
     for seg, ds in spec.segments:
-        a = generator_norm(seg.h_total(), m)
-        b = generator_norm(seg.h_system_embedded(), m)
-        total += ds * abs(a - np.sqrt(abs(a * a - b * b)))
-        noiseless += ds * b
-    g_td, g_free = total / np.sqrt(d**2 - 1), noiseless / np.sqrt(d**2 - 1)
-    return {"G_td": float(g_td), "G_noiseless_td": float(g_free), "N_td": float(abs(g_td - g_free))}
+        split = _joint(seg, ds, spec.metric)[0]
+        g_td += split["G_hs"]
+        g_free += split["G_noiseless"]
+    return {"G_td": g_td, "G_noiseless_td": g_free, "N_td": abs(g_td - g_free)}
 
 
 def check_perturbative(

@@ -46,10 +46,6 @@ CONVENTIONS = {
         "Hilbert-Schmidt norm of the generator"
     ),
     "kraus_sign": "propagator exp(-i t H); Kraus blocks inherit this sign",
-    "td_norm_squared_reading": (
-        "time-dependent residual integrand is sqrt(|n(H_tot)^2 - n(H_S)^2|) "
-        "with n the metric norm of the generator, i.e. the squared-norm gap"
-    ),
     "perturbative_omega": (
         "omega = sqrt(2 Tr(A_S H_S) <E>) / hs_norm(H_S) with <E> the mean "
         "environment energy; the epsilon-order term carries omega/2"
@@ -496,7 +492,7 @@ def _run_rode(seed: int, path: geodesic.PiecewiseConstantPath, noise: rode.Noise
     result = rode.ensemble_mean(path, noise, M, seed)
     U_free = geodesic.path_endpoint(path)
     scalars = {
-        "distance": rode.distance_operator(result.mean_operator, U_free),
+        "distance": hs_norm(result.mean_operator - U_free),
         "mean_trajectory_distance": float(result.distances.mean()),
         "max_trajectory_distance": float(result.distances.max()),
         "mean_endpoint_deviation": float(result.endpoint_deviations.mean()),

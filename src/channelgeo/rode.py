@@ -314,7 +314,7 @@ def _ensemble(
     fluctuations = None
     if noise.kind == "bounded_matched":
         G_free = float(log_norms(U_free))
-        mean_to_free = distance_operator(V, U_free)
+        mean_to_free = hs_norm(V - U_free)
         viol_distance = np.flatnonzero(distances > integrals + DISTANCE_BOUND_SLACK).tolist()
         viol_gap = []
         for lo in range(0, M, _CHUNK):
@@ -360,16 +360,6 @@ def ensemble_mean(
 def distance_unitaries(U: np.ndarray, W: np.ndarray) -> float:
     """Geodesic distance (1/sqrt(d^2-1)) ||principal log(U†W)||_HS: log_distance."""
     return log_distance(U, W)
-
-
-def distance_operator(U: np.ndarray, V: np.ndarray) -> float:
-    """Ambient HS distance ||U - V||, used whenever an argument may be
-    non-unitary (ensemble means are contractions, not unitaries)."""
-    U = np.asarray(U)
-    V = np.asarray(V)
-    if U.shape != V.shape:
-        raise ValueError(f"Dimension mismatch: {U.shape} vs {V.shape}.")
-    return hs_norm(U - V)
 
 
 def fluctuation_report(

@@ -52,7 +52,6 @@ from channelgeo.operators import (
 from channelgeo.pauli import build_pauli_basis
 from channelgeo.rode import (
     NoiseModel,
-    distance_operator,
     ensemble_mean,
     fluctuation_report,
 )
@@ -262,8 +261,8 @@ def test_criterion_11_rode_bounds_and_gaussian_shrink():
     U_free = path_endpoint(path)
     small = ensemble_mean(path, gauss, M=100, seed=123)
     large = ensemble_mean(path, gauss, M=10_000, seed=123)
-    d_small = distance_operator(small.mean_operator, U_free)
-    d_large = distance_operator(large.mean_operator, U_free)
+    d_small = hs_norm(small.mean_operator - U_free)
+    d_large = hs_norm(large.mean_operator - U_free)
     factor = d_small / d_large
     assert 3.0 <= factor <= 30.0
 

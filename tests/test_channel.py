@@ -16,7 +16,7 @@ from channelgeo.channel import (
     noise_complexity_bounds,
     perturbative_example,
 )
-from channelgeo.geodesic import PiecewiseConstantPath
+from channelgeo.geodesic import PiecewiseConstantPath, geometric_complexity_const
 from channelgeo.operators import ArgumentError, hs_norm, matrix_abs, sqrt_abs_diff
 from channelgeo.pauli import build_penalty_metric
 from channelgeo.reports import _rand_spec, verify_all_battery
@@ -77,6 +77,16 @@ def test_kraus_route_matches_joint_route(rng):
         out_k = apply_channel(spec, t, rho)
         out_j = apply_channel_via_joint(spec, t, rho)
         assert np.abs(out_k - out_j).max() < 1e-12
+
+
+def test_both_routes_refuse_a_state_of_another_dimension(rng):
+    spec = make_spec(rng, 2, 2)
+    rho = rand_density(rng, 3)
+    with pytest.raises(ValueError) as kraus:
+        apply_channel(spec, 1.0, rho)
+    with pytest.raises(ValueError) as joint:
+        apply_channel_via_joint(spec, 1.0, rho)
+    assert str(kraus.value) == str(joint.value) == "State dim 3 does not match d_S=2."
 
 
 def test_channel_output_is_density(rng):
@@ -170,16 +180,23 @@ def test_verify_all_sandwich_failures_are_the_identity(seed, margin):
     assert abs(max(gaps) - margin) <= 1e-12
 
 
-def test_td_single_segment_commuting_matches_const():
-    # diagonal commuting family with sign-definite residual
-    H_S = np.diag([1.0, 2.0])
-    H_I = 0.3 * np.diag([0.0, 1.0, 0.0, 1.0])
-    H_E = np.zeros((2, 2))
-    spec = ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=H_I, H_E=H_E)
-    t = 1.4
-    td = TimeDependentSpec(segments=((spec, t),))
-    assert abs(complexity_split_td(td)["G_td"] - channel_complexity_const(spec, t)) < 1e-12
-    assert abs(complexity_split_td(td)["N_td"] - complexity_split(spec, t)["N_hs"]) < 1e-12
+@pytest.mark.parametrize("scale_S", [0.1, 1.0, 12.0])
+def test_td_single_segment_matches_const(scale_S):
+    # One segment is complexity_split itself, flat or under a metric, bit for bit.
+    rng = np.random.default_rng(7)
+    m = build_penalty_metric(2, 2.0)
+    for _ in range(300):
+        spec, t = _rand_spec(rng, scale_S=scale_S), float(rng.uniform(0.2, 1.5))
+        split = complexity_split(spec, t)
+        td = complexity_split_td(TimeDependentSpec(segments=((spec, t),)))
+        assert td == {"G_td": split["G_hs"], "G_noiseless_td": split["G_noiseless"],
+                      "N_td": split["N_hs"]}
+        H_tot, H_Se = spec.h_total(), spec.h_system_embedded()
+        g_tot = geometric_complexity_const(H_tot, t, m)
+        g_hs = float(g_tot - geometric_complexity_const(sqrt_abs_diff(H_tot, H_Se), t, m))
+        g_free = float(geometric_complexity_const(H_Se, t, m))
+        weighted = complexity_split_td(TimeDependentSpec(segments=((spec, t),), metric=m))
+        assert weighted == {"G_td": g_hs, "G_noiseless_td": g_free, "N_td": abs(g_hs - g_free)}
 
 
 def test_td_segment_additivity(rng):
@@ -189,6 +206,15 @@ def test_td_segment_additivity(rng):
     one = TimeDependentSpec(segments=((spec, 1.0),))
     two = TimeDependentSpec(segments=((spec, 0.4), (spec, 0.6)))
     assert abs(complexity_split_td(one)["G_td"] - complexity_split_td(two)["G_td"]) < 1e-12
+    # Distinct segments: the split is the in-order sum of the per-segment splits.
+    segments = tuple((_rand_spec(rng), float(rng.uniform(0.2, 1.5))) for _ in range(3))
+    g_hs = g_free = 0.0
+    for seg, ds in segments:
+        split = complexity_split(seg, ds)
+        g_hs += split["G_hs"]
+        g_free += split["G_noiseless"]
+    td = complexity_split_td(TimeDependentSpec(segments=segments))
+    assert td == {"G_td": g_hs, "G_noiseless_td": g_free, "N_td": abs(g_hs - g_free)}
 
 
 def test_td_validation():

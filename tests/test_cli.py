@@ -196,9 +196,9 @@ def test_verify_all_byte_stable(tmp_path):
 @pytest.mark.parametrize(
     "seed, code, sha256",
     [
-        (0, 0, "54e0ef3ff77920c8ee5019aff6bcaa44c9ead4bfbcc1d8270b6039ca01accc98"),
-        (1, 0, "996c503f19332683e3fcefb0c807ba259d9e513776e65fb7777664469edc9767"),
-        (48, 1, "940bf498c03ccbd4f63b13f9da4bf4f9b56d19b3f13509a4d62d29c057f872dc"),
+        (0, 0, "ffe7a4a6f8715e8cfd206b791453895ccd8c66727f8c48429bafc01faf59f700"),
+        (1, 0, "59e2394bc8320311fc5176765bc5a804c09985c19dba80d61a8868cc3a0a0054"),
+        (48, 1, "32b50c9218bfde5a3990ed7f6e87a517d21e35ebc00d22b9c6cf346a4a92a99b"),
     ],
     ids=["seed0", "seed1", "seed48"],
 )

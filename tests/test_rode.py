@@ -19,7 +19,6 @@ from channelgeo.operators import ArgumentError, hs_norm, matrix_exp_unitary
 from channelgeo.pauli import MetricSpec, build_pauli_basis, omega_norm_raw
 from channelgeo.rode import (
     NoiseModel,
-    distance_operator,
     distance_unitaries,
     ensemble_mean,
     fluctuation_report,
@@ -242,10 +241,6 @@ def test_distance_functions(rng):
     U = rand_unitary(rng, 2)
     W = rand_unitary(rng, 2)
     assert abs(distance_unitaries(U, W) - log_distance(U, W)) < 1e-15
-    assert distance_operator(U, U) == 0.0
-    assert abs(distance_operator(U, W) - hs_norm(U - W)) < 1e-15
-    with pytest.raises(ValueError):
-        distance_operator(U, np.eye(3))
 
 
 def test_write_ensemble_round_trip(tmp_path, rng):
