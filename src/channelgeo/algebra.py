@@ -5,6 +5,13 @@ its spectral projectors are the events, the induced trace weights are
 the law. Unitaries factor into two-level special unitaries by Givens
 elimination, giving a constructive gate dictionary with at most
 N(N-1)/2 factors.
+
+A column's cascade of rotations is computed at once. A rotation takes the
+pivot row P (entry p) and row R_b (entry a_b) to (conj(p) P + conj(a_b) R_b)/r,
+r = sqrt(|p|^2 + |a_b|^2), and leaves the pivot entry r real. So the alphas
+telescope: after rows N-1 down to b the pivot row is
+(conj(a_c) R_c + sum_{j>=b} conj(a_j) R_j) / r_b, with r_b the reverse
+cumulative norm of the column.
 """
 from __future__ import annotations
 
@@ -148,11 +155,14 @@ class TwoLevelCircuit:
     gates: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        reduced: list[TwoLevelGate] = []
         for g in self.gates:
             if not isinstance(g, TwoLevelGate):
                 raise TypeError(f"Expected TwoLevelGate, got {type(g).__name__}.")
-            if _is_identity_block(g.block):
+        blocks = np.array([g.block for g in self.gates], dtype=np.complex128).reshape(-1, 2, 2)
+        identity = np.abs(blocks - np.eye(2)).max(axis=(1, 2)) <= GATE_IDENTITY_TOL
+        reduced: list[TwoLevelGate] = []
+        for g, skip in zip(self.gates, identity.tolist()):
+            if skip:
                 continue
             if reduced and (reduced[-1].a, reduced[-1].b) == (g.a, g.b):
                 if _is_identity_block(g.block @ reduced[-1].block):
@@ -198,20 +208,26 @@ def decompose_two_level(U: np.ndarray) -> TwoLevelCircuit:
             f"Determinant is {det!r}; normalize the global phase to det 1 first."
         )
     A = U.copy()
-    applied: list[tuple[int, int, np.ndarray]] = []
+    # (a, b) and the adjoint block of each gate, in the order they are applied.
+    pairs: list[tuple[int, int]] = []
+    adjoints = [np.empty((0, 2, 2), dtype=np.complex128)]
     for c in range(N - 1):
-        for b in range(N - 1, c, -1):
-            if abs(A[b, c]) <= ELIMINATION_SKIP_TOL:
-                A[b, c] = 0.0
-                continue
-            r = float(np.hypot(abs(A[c, c]), abs(A[b, c])))
-            alpha = A[c, c].conj() / r
-            beta = A[b, c].conj() / r
-            G = np.array([[alpha, beta], [-beta.conj(), alpha.conj()]])
-            rows = A[[c, b], :]
-            A[[c, b], :] = G @ rows
-            A[b, c] = 0.0
-            applied.append((c, b, G))
+        rows = c + 1 + np.flatnonzero(np.abs(A[c + 1 :, c]) > ELIMINATION_SKIP_TOL)[::-1]
+        if not rows.size:
+            continue
+        a_c, a = A[c, c], A[rows, c]
+        R = A[rows, c:]
+        r = np.sqrt(abs(a_c) ** 2 + np.cumsum(np.abs(a) ** 2))
+        T = a_c.conj() * A[c, c:] + np.cumsum(a.conj()[:, None] * R, axis=0)
+        # The pivot entry and row that each rotation meets: U's own before the
+        # first, then the real r and the row T / r that the last one left.
+        p = np.concatenate(([a_c], r[:-1]))
+        P = np.vstack((A[c, c:], T[:-1] / r[:-1, None]))
+        A[rows, c:] = (p[:, None] * R - a[:, None] * P) / r[:, None]
+        A[c, c:] = T[-1] / r[-1]
+        alpha, beta = p.conj() / r, a.conj() / r
+        pairs += [(c, b) for b in rows.tolist()]
+        adjoints.append(np.stack([alpha.conj(), -beta, beta.conj(), alpha], -1).reshape(-1, 2, 2))
     # A is now diagonal with unit-modulus entries multiplying to det(U).
     for k in range(N - 1):
         d_k = A[k, k]
@@ -219,30 +235,22 @@ def decompose_two_level(U: np.ndarray) -> TwoLevelCircuit:
         phase = d_k / mag if mag > 0 else 1.0
         if abs(phase - 1.0) <= GATE_IDENTITY_TOL:
             continue
-        C = np.diag([phase.conj(), phase]).astype(np.complex128)
-        applied.append((k, k + 1, C))
+        pairs.append((k, k + 1))
+        adjoints.append(np.array([[[phase, 0.0], [0.0, phase.conj()]]], dtype=np.complex128))
         A[k + 1, k + 1] = A[k + 1, k + 1] * phase
         A[k, k] = 1.0
     # U was validated above, so every Givens and phase block is special
     # unitary by construction: build the adjoint gates unchecked.
-    gates = [_unchecked_gate(a, b, B.conj().T) for a, b, B in reversed(applied)]
+    blocks = np.concatenate(adjoints)[::-1]
+    gates = [_unchecked_gate(a, b, B) for (a, b), B in zip(pairs[::-1], blocks)]
     return TwoLevelCircuit(gates=tuple(gates))
 
 
 def circuit_records(circuit: TwoLevelCircuit) -> list[dict]:
     """Serialize as ordered {a, b, block} records with [re, im] entries."""
-    records = []
-    for g in circuit.gates:
-        records.append(
-            {
-                "a": g.a,
-                "b": g.b,
-                "block": [
-                    [[float(x.real), float(x.imag)] for x in row] for row in g.block
-                ],
-            }
-        )
-    return records
+    blocks = np.array([g.block for g in circuit.gates], dtype=np.complex128)
+    entries = blocks.view(np.float64).reshape(-1, 2, 2, 2).tolist()
+    return [{"a": g.a, "b": g.b, "block": e} for g, e in zip(circuit.gates, entries)]
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:

@@ -128,10 +128,11 @@ def vectorize(A: np.ndarray, basis: PauliBasis) -> np.ndarray:
 def devectorize_rows(C: np.ndarray, basis: PauliBasis) -> np.ndarray:
     """sum_k C[..., k] E_k for every row of real coefficients, (..., d, d).
 
-    One matrix product of the rows with the flattened elements. It agrees
-    with the dense sum over k, and a row inside a stack with the same row
-    alone, to within (d²-1) 2^-52 max Σ_k |C[..., k]|, but not bit for bit:
-    the product's summation order may depend on the stack.
+    One real matrix product of the rows with the real and imaginary parts
+    of the flattened elements, side by side. It agrees with the dense sum
+    over k, and a row inside a stack with the same row alone, to within
+    (d²-1) 2^-52 max Σ_k |C[..., k]|, but not bit for bit: the product's
+    summation order may depend on the stack.
     """
     C = np.asarray(C)
     if np.iscomplexobj(C):
@@ -139,7 +140,8 @@ def devectorize_rows(C: np.ndarray, basis: PauliBasis) -> np.ndarray:
     k, d = len(basis.labels), basis.dim
     if C.shape[-1:] != (k,):
         raise ValueError(f"Expected rows of {k} coefficients at dim {d}, got shape {C.shape}.")
-    return (C @ basis.elements.reshape(k, d * d)).reshape(C.shape[:-1] + (d, d))
+    parts = basis.elements.reshape(k, d * d).view(np.float64)
+    return (C @ parts).view(np.complex128).reshape(C.shape[:-1] + (d, d))
 
 
 def omega_norm_raw(A: np.ndarray, m: MetricSpec) -> float:

@@ -4,6 +4,8 @@ import pytest
 from conftest import rand_density, rand_pure
 
 from channelgeo.algebra import (
+    ELIMINATION_SKIP_TOL,
+    GATE_IDENTITY_TOL,
     RandomVariable,
     SpectralEvents,
     TwoLevelCircuit,
@@ -16,6 +18,7 @@ from channelgeo.algebra import (
     reconstruct,
     spectral_events,
 )
+from channelgeo.operators import hs_norm
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
@@ -287,3 +290,96 @@ def test_decompose_validates_each_block_once(rng, monkeypatch):
         same = TwoLevelGate(g.a, g.b, g.block)
         assert np.array_equal(same.block, g.block)
     assert np.abs(reconstruct(circ, 6) - U).max() < 1e-9
+
+
+def _sequential_decompose(U: np.ndarray) -> TwoLevelCircuit:
+    """Reference: Givens elimination one rotation at a time, as decompose_two_level
+    computed it before it took a column's cascade at once."""
+    N = U.shape[0]
+    A = np.array(U, dtype=np.complex128)
+    applied = []
+    for c in range(N - 1):
+        for b in range(N - 1, c, -1):
+            if abs(A[b, c]) <= ELIMINATION_SKIP_TOL:
+                A[b, c] = 0.0
+                continue
+            r = float(np.hypot(abs(A[c, c]), abs(A[b, c])))
+            alpha = A[c, c].conj() / r
+            beta = A[b, c].conj() / r
+            G = np.array([[alpha, beta], [-beta.conj(), alpha.conj()]])
+            A[[c, b], :] = G @ A[[c, b], :]
+            A[b, c] = 0.0
+            applied.append((c, b, G))
+    for k in range(N - 1):
+        mag = abs(A[k, k])
+        phase = A[k, k] / mag if mag > 0 else 1.0
+        if abs(phase - 1.0) <= GATE_IDENTITY_TOL:
+            continue
+        applied.append((k, k + 1, np.diag([phase.conj(), phase]).astype(np.complex128)))
+        A[k + 1, k + 1] = A[k + 1, k + 1] * phase
+        A[k, k] = 1.0
+    return TwoLevelCircuit(gates=tuple(TwoLevelGate(a, b, B.conj().T) for a, b, B in reversed(applied)))
+
+
+def _block_diag(*blocks):
+    N = sum(len(b) for b in blocks)
+    out = np.zeros((N, N), dtype=np.complex128)
+    i = 0
+    for b in blocks:
+        out[i : i + len(b), i : i + len(b)] = b
+        i += len(b)
+    return out
+
+
+def _small_rotation(N, x, rng):
+    """A rotation by x in rows (0, 3) after a Haar SU(N-1) on rows 1..N-1, so
+    that column 0 holds cos x and sin x and nothing else."""
+    G = np.eye(N, dtype=np.complex128)
+    G[[0, 0, 3, 3], [0, 3, 0, 3]] = np.cos(x), -np.sin(x), np.sin(x), np.cos(x)
+    return G @ _block_diag(np.eye(1), random_special_unitary(N - 1, rng))
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(2027)
+    cases = [(f"haar-{N}-{k}", random_special_unitary(N, rng))
+             for N in (2, 3, 4, 8, 16, 64) for k in range(1 if N == 64 else 3)]
+    shift = np.roll(np.eye(5, dtype=np.complex128), 1, axis=0)  # every pivot a_c = 0
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 5))
+    phases[-1] /= np.prod(phases) * np.linalg.det(shift)
+    cases.append(("permutation", shift * phases))
+    diag = np.exp(1j * np.array([0.7, -0.2, 1.1, 0.4, -0.3, 0.2]))
+    cases.append(("diagonal", np.diag(diag / np.prod(diag) ** (1 / 6))))
+    blocks = [random_special_unitary(n, rng) for n in (3, 2, 3)]
+    cases.append(("block-sparse", _block_diag(*blocks)))
+    for scale in (0.5, 2.0):
+        cases.append((f"skip-tol-x{scale}", _small_rotation(6, scale * ELIMINATION_SKIP_TOL, rng)))
+    return cases
+
+
+_ORACLE = _oracle_inputs()
+
+
+@pytest.mark.parametrize("U", [u for _, u in _ORACLE], ids=[name for name, _ in _ORACLE])
+def test_decompose_matches_the_sequential_elimination(U):
+    got, want = decompose_two_level(U), _sequential_decompose(U)
+    assert [(g.a, g.b) for g in got.gates] == [(g.a, g.b) for g in want.gates]
+    for g, w in zip(got.gates, want.gates):
+        assert np.abs(g.block - w.block).max() <= 1e-13
+    assert hs_norm(reconstruct(got, len(U)) - U) <= 1e-12
+
+
+def test_oracle_inputs_reach_the_skip_rule(monkeypatch):
+    # Below the skip tolerance column 0 takes no rotation; above it, one,
+    # which the circuit then drops as an identity block.
+    from channelgeo import algebra
+
+    made = []
+    make = algebra._unchecked_gate
+    monkeypatch.setattr(algebra, "_unchecked_gate", lambda a, b, B: made.append((a, b)) or make(a, b, B))
+    for scale, rotated in ((0.5, False), (2.0, True)):
+        U = dict(_ORACLE)[f"skip-tol-x{scale}"]
+        assert abs(U[3, 0]) == scale * ELIMINATION_SKIP_TOL
+        made.clear()
+        circuit = decompose_two_level(U)
+        assert ((0, 3) in made) == rotated
+        assert (0, 3) not in [(g.a, g.b) for g in circuit.gates]

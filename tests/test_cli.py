@@ -196,9 +196,9 @@ def test_verify_all_byte_stable(tmp_path):
 @pytest.mark.parametrize(
     "seed, code, sha256",
     [
-        (0, 0, "ffe7a4a6f8715e8cfd206b791453895ccd8c66727f8c48429bafc01faf59f700"),
-        (1, 0, "59e2394bc8320311fc5176765bc5a804c09985c19dba80d61a8868cc3a0a0054"),
-        (48, 1, "32b50c9218bfde5a3990ed7f6e87a517d21e35ebc00d22b9c6cf346a4a92a99b"),
+        (0, 0, "a0a6b1a6543d19ee2242cddfc0d6662031ff81f877b2054cf4f88ba34a15b002"),
+        (1, 0, "def8e9c1336796bfbbd02c963582158792a1419eefdf41ef7636e464ebc861c7"),
+        (48, 1, "00fc062c3c2e089b9ce77f157d5cbd9ba576d5ae58ecf1554de6b8c84ff126e7"),
     ],
     ids=["seed0", "seed1", "seed48"],
 )

@@ -63,7 +63,7 @@ def test_step_must_divide_segment(rng):
 def test_nan_trajectory_fails_unitarity(rng):
     path = constant_path(rand_hermitian(rng, 2), 1.0)
     noise = NoiseModel(kind="gaussian_pauli", sigma=1e308, dt_noise=0.25)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="lost unitarity"):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="Trajectory lost unitarity"):
         integrate_rode(path, noise, 0)
 
 
@@ -346,48 +346,117 @@ def _noise(kind, d, dt_noise):
 
 
 # Noise is drawn in pieces of max(1, 2**18 // (B * (d²-1))) substeps for a
-# chunk of B trajectories. The pins hold the whole-block draw's output, so
-# they prove that drawing in pieces changes no sample: at d = 2, M = 600
-# spans two chunks and its first chunk takes two pieces (170 + 86 substeps);
-# the d = 4 two-segment path takes pieces of 58 substeps, which divide
-# neither of its 128 and 64; d = 8 takes 65 + 63 and 41 + 23.
-@pytest.mark.parametrize(
-    "d, kind, M, durations, dt_noise, digest",
-    [
-        (2, "gaussian_pauli", 7, (1.0,), 1 / 64,
-         "2e953b82e765ad185f29487546541da565e88de56c870c60df2e4c8263dd5bc4"),
-        (2, "bounded_matched", 600, (1.0,), None,
-         "b61cd8f7985e8d149a92cb922a3c4bd119559b9430a27d4e9dbd09ae8da4d8bd"),
-        (4, "gaussian_pauli", 300, (0.5, 0.25), 1 / 256,
-         "69b2dd722ad75037e76d3e734c0812161c17aa684eee2ee4945f1fffa56698aa"),
-        (4, "bounded_matched", 100, (1.0,), None,
-         "892480fc84d37e4e03c4a31137570b3f3b1a9962eac2e0e56b2daec3bbeb5ed4"),
-        (8, "gaussian_pauli", 64, (1.0,), 1 / 128,
-         "6b9f8c28b8fdddebedece2bce805c0cc48c3fdd62908949867d81310fee48d91"),
-        (8, "bounded_matched", 100, (1.0,), 1 / 64,
-         "7d6ce8d170aa4b9bc1ff80bce295769ceb1dce822b3853381676fbf306cb82ca"),
-    ],
-    ids=["d2-gaussian", "d2-matched-two-chunks", "d4-gaussian-two-segments", "d4-matched",
-         "d8-gaussian", "d8-matched"],
-)
-def test_trajectories_are_pinned(monkeypatch, d, kind, M, durations, dt_noise, digest):
+# chunk of B trajectories: at d = 2, M = 600 spans two chunks and its first
+# chunk takes two pieces (170 + 86 substeps); the d = 4 two-segment path
+# takes pieces of 58 substeps, which divide neither of its 128 and 64; d = 8
+# takes 65 + 63 and 41 + 23. Each case is (d, kind, M, durations, dt_noise).
+_PIN_CASES = {
+    "d2-gaussian": (2, "gaussian_pauli", 7, (1.0,), 1 / 64),
+    "d2-matched-two-chunks": (2, "bounded_matched", 600, (1.0,), None),
+    "d4-gaussian-two-segments": (4, "gaussian_pauli", 300, (0.5, 0.25), 1 / 256),
+    "d4-matched": (4, "bounded_matched", 100, (1.0,), None),
+    "d8-gaussian": (8, "gaussian_pauli", 64, (1.0,), 1 / 128),
+    "d8-matched": (8, "bounded_matched", 100, (1.0,), 1 / 64),
+}
+
+
+def _pinned_run(monkeypatch, case):
+    """Run a pinned case; returns its result, its endpoints and, per
+    trajectory in index order, the noise rows it drew, piece after piece."""
+    d, kind, M, durations, dt_noise = _PIN_CASES[case]
     rng = np.random.default_rng(d)
     path = PiecewiseConstantPath(segments=tuple((rand_hermitian(rng, d), ds) for ds in durations))
-    endpoints = []
-    original = rode._run_trajectories
+    endpoints, rows = [], {}
+    run, sample = rode._run_trajectories, rode._sample_coeffs
 
     def capture(*args):
-        out = original(*args)
+        out = run(*args)
         endpoints.append(out[0])
         return out
 
+    def record(noise, out, target, stream):
+        sample(noise, out, target, stream)
+        rows.setdefault(id(stream), []).append(out.copy())
+
     monkeypatch.setattr(rode, "_run_trajectories", capture)
+    monkeypatch.setattr(rode, "_sample_coeffs", record)
     res = ensemble_mean(path, _noise(kind, d, dt_noise), M, seed=5)
+    return res, endpoints[0], [np.concatenate(r) for r in rows.values()]
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("d2-gaussian", "3a9f0ea1940d7776a97b5fffd1f4dbb01ab1c91c312e52e1c83de854f4a555d6"),
+        ("d2-matched-two-chunks", "673047efdb379b871308fe1212464517d46b6718f533e337761e15e2ccedf21f"),
+        ("d4-gaussian-two-segments", "3d105597b48d8c36597f6d7cfda3e343aa858fba275fe1e3fc2571067c417c4b"),
+        ("d4-matched", "bdc2a3442e3c48d60d164ddaf858bd23d379856de0c3df88c5a59c986e8fa929"),
+        ("d8-gaussian", "a0c767ec4ff4595ea98276d4e19662cb423446f325d1a32e7c94f98e97a865b1"),
+        ("d8-matched", "efacc8ea0a1fdde8ca400553ecc1a5e45e64039af879f6ce317a94d9720ed206"),
+    ],
+    ids=list(_PIN_CASES),
+)
+def test_trajectories_are_pinned(monkeypatch, case, digest):
+    res, endpoints, _ = _pinned_run(monkeypatch, case)
     h = hashlib.sha256()
-    for a in (endpoints[0], res.hr_integrals, res.distances, res.endpoint_deviations):
+    for a in (endpoints, res.hr_integrals, res.distances, res.endpoint_deviations):
         h.update(a.tobytes())
     h.update(json.dumps(res.fluctuations, sort_keys=True).encode())
     assert h.hexdigest() == digest
+
+
+# sha256 of every drawn noise row, trajectory after trajectory. The digests
+# were taken from the kernels as they were before each trajectory drew in
+# place into the piece buffer, and they still hold: no sample moved.
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("d2-gaussian", "e0846e23cd0fcccc2999b54e6ed3b446f1f7be104af9b209aebfed403d5fc555"),
+        ("d2-matched-two-chunks", "3bbe94644b9a7026ab46a6416f94c98b4f31385a321424317400f3e272ae2f74"),
+        ("d4-gaussian-two-segments", "0dc183d3ce7be12bbb46c85a353cce095588f8be4215f20da5debe8bfb36011f"),
+        ("d4-matched", "147a882a14334c0eb16491cfd207e2b27d262bffc3de45e215cd96d3a49f1271"),
+        ("d8-gaussian", "e59ce578469f588401e5d258c13cd2fd4cbfe32108871590bebdc3570125fb58"),
+        ("d8-matched", "d97f45e51543fad567fdddd82c8cfb7435023ad12b0bab276ba72e129b08de1f"),
+    ],
+    ids=list(_PIN_CASES),
+)
+def test_noise_draws_are_pinned(monkeypatch, case, digest):
+    # Drawing in pieces changes no sample: each trajectory's rows equal one
+    # whole-segment draw from its own stream, and their digest is pinned.
+    d, kind, M, durations, dt_noise = _PIN_CASES[case]
+    res, _, rows = _pinned_run(monkeypatch, case)
+    noise = _noise(kind, d, dt_noise)
+    h = hashlib.sha256()
+    for child, drawn in zip(np.random.SeedSequence(5).spawn(M), rows, strict=True):
+        stream, whole = np.random.default_rng(child), []
+        n_subs = [round(ds / (dt_noise or sum(durations) / 256)) for ds in durations]
+        for n_sub, target in zip(n_subs, res.fluctuations["segment_targets"]
+                                 if res.fluctuations else [None] * len(n_subs)):
+            g = stream.normal(size=(n_sub, d * d - 1))
+            if target is None:
+                whole.append(g * noise.sigma)
+            else:
+                whole.append(g / np.linalg.norm(g, axis=1, keepdims=True) * target)
+        assert np.array_equal(drawn, np.concatenate(whole))
+        h.update(drawn.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_noise_norms_are_held_per_piece():
+    # The norms of a chunk's noise are summed piece by piece, so a long run
+    # holds no (M, substeps) array: 512 trajectories of 16384 substeps each.
+    import tracemalloc
+
+    H = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.3]])
+    noise = NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=2**-14)
+    tracemalloc.start()
+    try:
+        res = ensemble_mean(constant_path(H, 1.0), noise, M=512, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.fluctuations["matched_norm_ok"]
+    assert peak < 10e6, peak
 
 
 def test_taylor_thresholds_bound_the_truncation():
@@ -414,19 +483,44 @@ def _check_exponentials(A, tau, got):
         assert np.abs(g.conj().T @ g - np.eye(d)).max() <= 1e-14
 
 
-_T8, _T12, _T16, _T25 = (theta for _, theta in rode.TAYLOR_DEGREES)
 _BELOW, _ABOVE = 1 - 1e-6, 1 + 1e-6
-# (tau, the Taylor degree used), with theta = tau: each threshold from just
-# below and just above; above the top one (and at tau = 3) the top degree
-# runs on X / 2, and one squaring follows.
+_DEGREES = [m for m, _ in rode.TAYLOR_DEGREES]
+# (tau, the Taylor degree used), with theta = tau: the default substep of a
+# unit-time path, then each threshold from just below and just above; above
+# the top one (and at tau = 3) the top degree runs on X / 2, and one squaring
+# follows.
 _TAUS = [
-    (1 / 256, 8),
-    (_T8 * _BELOW, 8), (_T8 * _ABOVE, 12),
-    (_T12 * _BELOW, 12), (_T12 * _ABOVE, 16),
-    (_T16 * _BELOW, 16), (_T16 * _ABOVE, 25),
-    (_T25 * _BELOW, 25), (_T25 * _ABOVE, 25),
-    (3.0, 25),
+    (1 / 256, min(m for m, theta in rode.TAYLOR_DEGREES if 1 / 256 <= theta)),
+    *(
+        pair
+        for k, (m, theta) in enumerate(rode.TAYLOR_DEGREES)
+        for pair in ((theta * _BELOW, m), (theta * _ABOVE, _DEGREES[min(k + 1, len(_DEGREES) - 1)]))
+    ),
+    (3.0, _DEGREES[-1]),
 ]
+
+
+def _taylor_products(m):
+    """Matrix products that _taylor takes for degree m."""
+    count = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            count.append(1)
+            return np.matmul(np.asarray(self), np.asarray(other)).view(Counted)
+
+    rode._taylor(np.zeros((1, 3, 3), dtype=np.complex128).view(Counted), m)
+    return len(count)
+
+
+def test_taylor_degrees_are_the_cheapest_at_their_product_count():
+    # Paterson–Stockmeyer evaluation costs the same for a run of degrees; the
+    # table takes the top of each run, which has the largest theta.
+    counts = [_taylor_products(m) for m in range(1, _DEGREES[-1] + 2)]
+    assert counts == sorted(counts)
+    assert [counts[m - 1] for m in _DEGREES] == [3, 4, 5, 6, 8]
+    for m in _DEGREES:
+        assert counts[m] > counts[m - 1], m
 
 
 @pytest.mark.parametrize("d", [3, 4, 8, 16])
@@ -446,6 +540,13 @@ def test_expm_batch_taylor_kernel(monkeypatch, rng, d, tau, degree):
     assert m == degree
     assert theta <= dict(rode.TAYLOR_DEGREES)[m]
     _check_exponentials(A, tau, got)
+
+
+@pytest.mark.parametrize("B", [1, 7, 512])
+def test_d2_product_matches_matmul(rng, B):
+    E, U = (rode._expm_batch(np.stack([rand_hermitian(rng, 2) for _ in range(B)]), 0.7)
+            for _ in range(2))
+    assert np.abs(rode._product(E, U) - E @ U).max() <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("d", [3, 16])
