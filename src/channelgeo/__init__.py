@@ -5,7 +5,6 @@ from .algebra import (
     RandomVariable,
     SpectralEvents,
     TwoLevelCircuit,
-    TwoLevelGate,
     algebraic_complexity,
     decompose_two_level,
     law,

@@ -4,7 +4,8 @@ An observable paired with a state is a noncommutative random variable:
 its spectral projectors are the events, the induced trace weights are
 the law. Unitaries factor into two-level special unitaries by Givens
 elimination, giving a constructive gate dictionary with at most
-N(N-1)/2 factors.
+N(N-1)/2 factors. A gate word is two arrays, the (G, 2) index pairs and
+the (G, 2, 2) blocks, checked once when the circuit is built.
 
 A column's cascade of rotations is computed at once. A rotation takes the
 pivot row P (entry p) and row R_b (entry a_b) to (conj(p) P + conj(a_b) R_b)/r,
@@ -15,11 +16,11 @@ cumulative norm of the column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import density, hermitian, projector_family, unitary
+from .operators import UNITARY_TOL, density, hermitian, projector_family, unitary
 
 PROB_FLOOR = -1e-10
 PROB_SUM_TOL = 1e-9
@@ -110,66 +111,60 @@ def law(rv: RandomVariable, tol: float = DEGENERACY_TOL_DEFAULT) -> list[tuple[f
     return probs
 
 
-@dataclass(frozen=True)
-class TwoLevelGate:
-    """Special-unitary 2x2 block acting on basis indices a < b."""
-
-    a: int
-    b: int
-    block: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.a < self.b):
-            raise ValueError(f"Need 0 <= a < b, got ({self.a}, {self.b}).")
-        B = unitary(self.block)
-        if B.shape != (2, 2):
-            raise ValueError(f"Gate block must be 2x2, got {B.shape}.")
-        det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-        if abs(det - 1.0) > BLOCK_DET_TOL:
-            raise ValueError(f"Gate block determinant {det!r} is not 1.")
-        object.__setattr__(self, "block", B)
-
-
-def _unchecked_gate(a: int, b: int, block: np.ndarray) -> TwoLevelGate:
-    """TwoLevelGate(a, b, block) without its checks; for complex128 blocks
-    that are special unitary by construction."""
-    gate = object.__new__(TwoLevelGate)
-    object.__setattr__(gate, "a", a)
-    object.__setattr__(gate, "b", b)
-    object.__setattr__(gate, "block", block)
-    return gate
-
-
 def _is_identity_block(B: np.ndarray) -> bool:
     return bool(np.abs(B - np.eye(2)).max() <= GATE_IDENTITY_TOL)
 
 
 @dataclass(frozen=True)
 class TwoLevelCircuit:
-    """Ordered gate word; gates[0] acts first.
+    """Ordered gate word as two arrays: pairs, an integer (G, 2) array of
+    basis indices a < b, and gates, the complex (G, 2, 2) stack of their
+    special-unitary blocks; gate 0 acts first.
 
-    Construction drops identity blocks and cancels adjacent
-    inverse pairs, so no neighbouring product is the identity.
+    Construction checks every gate at once and names the first bad one,
+    then drops identity blocks and cancels adjacent inverse pairs, so no
+    neighbouring product is the identity.
     """
 
-    gates: tuple = field(default_factory=tuple)
+    pairs: np.ndarray
+    gates: np.ndarray
 
     def __post_init__(self) -> None:
-        for g in self.gates:
-            if not isinstance(g, TwoLevelGate):
-                raise TypeError(f"Expected TwoLevelGate, got {type(g).__name__}.")
-        blocks = np.array([g.block for g in self.gates], dtype=np.complex128).reshape(-1, 2, 2)
-        identity = np.abs(blocks - np.eye(2)).max(axis=(1, 2)) <= GATE_IDENTITY_TOL
-        reduced: list[TwoLevelGate] = []
-        for g, skip in zip(self.gates, identity.tolist()):
-            if skip:
+        P = np.asarray(self.pairs, dtype=object)
+        B = np.asarray(self.gates, dtype=np.complex128)
+        if not P.size and not B.size:
+            P, B = P.reshape(0, 2), B.reshape(0, 2, 2)
+        if P.ndim != 2 or P.shape[1] != 2 or B.shape != (len(P), 2, 2):
+            raise ValueError(f"Need (G, 2) pairs and (G, 2, 2) gates, got {P.shape} and {B.shape}.")
+
+        def refuse(bad: np.ndarray, why: str) -> None:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"Gate {i} on {tuple(P[i].tolist())}: {why}.")
+
+        whole = [isinstance(x, (int, np.integer)) and not isinstance(x, bool) and abs(x) < 2**63
+                 for x in P.flat]
+        refuse(~np.reshape(whole, P.shape).all(axis=1), "indices must be 64-bit integers")
+        P = P.astype(np.int64)
+        refuse(~((0 <= P[:, 0]) & (P[:, 0] < P[:, 1])), "need 0 <= a < b")
+        refuse(~np.isfinite(B).all(axis=(1, 2)), "block entries must be finite")
+        dev = np.abs(B.conj().transpose(0, 2, 1) @ B - np.eye(2)).max(axis=(1, 2))
+        refuse(dev > UNITARY_TOL, f"block is not unitary within {UNITARY_TOL:.1e}")
+        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+        refuse(np.abs(det - 1.0) > BLOCK_DET_TOL, "block determinant is not 1")
+
+        identity = np.abs(B - np.eye(2)).max(axis=(1, 2)) <= GATE_IDENTITY_TOL
+        rows = P.tolist()
+        kept: list[int] = []
+        for i in np.flatnonzero(~identity).tolist():
+            if kept and rows[kept[-1]] == rows[i] and _is_identity_block(B[i] @ B[kept[-1]]):
+                kept.pop()
                 continue
-            if reduced and (reduced[-1].a, reduced[-1].b) == (g.a, g.b):
-                if _is_identity_block(g.block @ reduced[-1].block):
-                    reduced.pop()
-                    continue
-            reduced.append(g)
-        object.__setattr__(self, "gates", tuple(reduced))
+            kept.append(i)
+        pairs, gates = P[kept], B[kept]
+        pairs.flags.writeable = gates.flags.writeable = False  # checked once, then frozen
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "gates", gates)
 
 
 def reconstruct(circuit: TwoLevelCircuit, N: int) -> np.ndarray:
@@ -178,12 +173,13 @@ def reconstruct(circuit: TwoLevelCircuit, N: int) -> np.ndarray:
     A two-level gate only mixes rows a and b, so each one is applied as
     a 2 x N row update rather than a dense N x N product.
     """
+    if len(circuit.pairs) and circuit.pairs[:, 1].max() >= N:
+        raise ValueError(
+            f"Gate touches index {circuit.pairs[:, 1].max()}, matrix has dimension {N}."
+        )
     out = np.eye(N, dtype=np.complex128)
-    for g in circuit.gates:
-        if g.b >= N:
-            raise ValueError(f"Gate touches index {g.b}, matrix has dimension {N}.")
-        rows = [g.a, g.b]
-        out[rows] = g.block @ out[rows]
+    for rows, B in zip(circuit.pairs.tolist(), circuit.gates):
+        out[rows] = B @ out[rows]
     return out
 
 
@@ -239,18 +235,13 @@ def decompose_two_level(U: np.ndarray) -> TwoLevelCircuit:
         adjoints.append(np.array([[[phase, 0.0], [0.0, phase.conj()]]], dtype=np.complex128))
         A[k + 1, k + 1] = A[k + 1, k + 1] * phase
         A[k, k] = 1.0
-    # U was validated above, so every Givens and phase block is special
-    # unitary by construction: build the adjoint gates unchecked.
-    blocks = np.concatenate(adjoints)[::-1]
-    gates = [_unchecked_gate(a, b, B) for (a, b), B in zip(pairs[::-1], blocks)]
-    return TwoLevelCircuit(gates=tuple(gates))
+    return TwoLevelCircuit(pairs[::-1], np.concatenate(adjoints)[::-1])
 
 
 def circuit_records(circuit: TwoLevelCircuit) -> list[dict]:
     """Serialize as ordered {a, b, block} records with [re, im] entries."""
-    blocks = np.array([g.block for g in circuit.gates], dtype=np.complex128)
-    entries = blocks.view(np.float64).reshape(-1, 2, 2, 2).tolist()
-    return [{"a": g.a, "b": g.b, "block": e} for g, e in zip(circuit.gates, entries)]
+    entries = circuit.gates.view(np.float64).reshape(-1, 2, 2, 2).tolist()
+    return [{"a": a, "b": b, "block": e} for (a, b), e in zip(circuit.pairs.tolist(), entries)]
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:

@@ -215,8 +215,11 @@ def cohering_power(
 
     Purity is unitarily invariant, so the gap is |<X, M X>| with
     X = rho - I/d and the Hermitian d²×d² operator M = S - W†SW, where S is
-    the pinch and W = U ⊗ Ū. M(I) = 0 and ||X||² <= 1 - 1/d, so
-    upper = (1 - 1/d) max|eig M|.
+    the pinch and W = U ⊗ Ū. M(I) = 0 and ||X||² <= 1 - 1/d, so the gap is
+    at most (1 - 1/d) max|eig M|. It is also at most 1 - 1/k for k
+    projectors: C(rho) = ||rho - S(rho)||²_HS is convex, so it peaks on pure
+    states, where it is 1 - sum_i <P_i>² <= 1 - 1/k; a gap of two values in
+    [0, 1 - 1/k] is at most that. upper is the smaller of the two.
 
     The starts are the d basis states, the extreme eigenvectors of the
     Hermitian matrices behind M's two lowest and two highest eigenvectors,
@@ -240,7 +243,7 @@ def cohering_power(
     M = _gap_operator(U, E)
     w, V = np.linalg.eigh(M)
     scale = float(np.abs(w).max())
-    upper = (1.0 - 1.0 / d) * scale
+    upper = min((1.0 - 1.0 / d) * scale, 1.0 - 1.0 / len(E.projectors))
 
     children = np.random.SeedSequence(seed).spawn(restarts)
     x = np.array([np.random.default_rng(c).normal(size=2 * d) for c in children])

@@ -322,7 +322,7 @@ def validate_config(cfg: dict, kind: str | None = None) -> dict:
     """The config with its kind filled in, after the schema, kind and seed
     checks; read_config reads the kind's own fields."""
     version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if _integer()(version, "schema_version") != SCHEMA_VERSION:
         raise _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
     cfg_kind = cfg.get("kind")
     if cfg_kind is None and kind is None:
@@ -473,7 +473,6 @@ def _run_cohering_power(
     seed: int, dephasing, restarts: int, pure_only: bool, U=None, generator=None, t=None
 ):
     options = {"restarts": restarts, "seed": seed, "pure_only": pure_only}
-    d = len(U if U is not None else generator)
     if U is not None:
         cp = coherence.cohering_power(U, dephasing, **options)
         scalars, upper, checks = {"C_power": cp.value}, cp.upper, []
@@ -483,7 +482,8 @@ def _run_cohering_power(
         upper = out["cohering_power_upper"]
         slack = coherence.DECOHERING_SLACK
         checks = [make_check("decohering_bound", out["lhs"], out["rhs"] + slack)]
-    cap = make_check("coherence_cap", scalars["C_power"], (1.0 - 1.0 / d) + 1e-12)
+    k = len(dephasing.projectors)
+    cap = make_check("coherence_cap", scalars["C_power"], (1.0 - 1.0 / k) + 1e-12)
     bracket = make_check("coherence_bracket", scalars["C_power"], upper + 1e-12)
     return scalars, [cap, bracket, *checks], None
 

@@ -9,7 +9,6 @@ from channelgeo.algebra import (
     RandomVariable,
     SpectralEvents,
     TwoLevelCircuit,
-    TwoLevelGate,
     algebraic_complexity,
     circuit_records,
     decompose_two_level,
@@ -23,25 +22,28 @@ from channelgeo.operators import hs_norm
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
 
-def embed_gate(gate: TwoLevelGate, N: int) -> np.ndarray:
+def embed_gate(a: int, b: int, block: np.ndarray, N: int) -> np.ndarray:
     """Dense oracle: the 2x2 block at rows/columns (a, b) of an N x N identity."""
-    if gate.b >= N:
-        raise ValueError(f"Gate touches index {gate.b}, matrix has dimension {N}.")
+    if b >= N:
+        raise ValueError(f"Gate touches index {b}, matrix has dimension {N}.")
     out = np.eye(N, dtype=np.complex128)
-    out[gate.a, gate.a] = gate.block[0, 0]
-    out[gate.a, gate.b] = gate.block[0, 1]
-    out[gate.b, gate.a] = gate.block[1, 0]
-    out[gate.b, gate.b] = gate.block[1, 1]
+    out[a, a] = block[0, 0]
+    out[a, b] = block[0, 1]
+    out[b, a] = block[1, 0]
+    out[b, b] = block[1, 1]
     return out
 
 
 def circuit_from_records(records: list[dict]) -> TwoLevelCircuit:
-    """Inverse of circuit_records, through the checked TwoLevelGate."""
-    gates = []
-    for rec in records:
-        block = np.array([[complex(re, im) for re, im in row] for row in rec["block"]])
-        gates.append(TwoLevelGate(int(rec["a"]), int(rec["b"]), block))
-    return TwoLevelCircuit(gates=tuple(gates))
+    """Inverse of circuit_records, through the checked TwoLevelCircuit."""
+    pairs = [(rec["a"], rec["b"]) for rec in records]
+    blocks = [[[complex(re, im) for re, im in row] for row in rec["block"]] for rec in records]
+    return TwoLevelCircuit(pairs, blocks)
+
+
+def circuit(*gates) -> TwoLevelCircuit:
+    """A circuit from (a, b, block) gates, in application order."""
+    return TwoLevelCircuit([(a, b) for a, b, _ in gates], [B for _, _, B in gates])
 
 
 def test_spectral_events_sigma_z():
@@ -132,23 +134,42 @@ def test_random_variable_dim_mismatch(rng):
         RandomVariable(observable=SIGMA_Z, state=rand_density(rng, 3))
 
 
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)  # det = -1
+
+
 def test_gate_validation():
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)  # det = -1
-    with pytest.raises(ValueError):
-        TwoLevelGate(0, 1, h)
-    with pytest.raises(ValueError):
-        TwoLevelGate(1, 1, np.eye(2))
-    with pytest.raises(ValueError):
-        TwoLevelGate(0, 1, np.ones((2, 2)))
-    g = TwoLevelGate(0, 1, 1j * h)  # det = +1
-    inverse = TwoLevelGate(0, 1, g.block.conj().T)  # the adjoint is special unitary too
-    assert np.abs(inverse.block - (1j * h).conj().T).max() < 1e-15
+    # Two good gates first, so each message must name the bad one's index.
+    good_pairs, good_blocks = [(0, 1), (1, 2)], [1j * _H, 1j * _H]
+    for pair, block, why in [
+        ((0.5, 1), 1j * _H, "indices must be 64-bit integers"),
+        ((True, 2), 1j * _H, "indices must be 64-bit integers"),
+        ((0, 2**63), 1j * _H, "indices must be 64-bit integers"),
+        ((1, 1), np.eye(2), "need 0 <= a < b"),
+        ((-1, 1), np.eye(2), "need 0 <= a < b"),
+        ((0, 1), np.diag([np.nan, 1.0]), "block entries must be finite"),
+        ((0, 1), np.ones((2, 2)), "block is not unitary"),
+        ((0, 1), _H, "block determinant is not 1"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^Gate 2 on \({pair[0]!r}, {pair[1]!r}\): {why}"):
+            TwoLevelCircuit(good_pairs + [pair], good_blocks + [block])
+
+
+def test_circuit_shapes_and_adjoint():
+    with pytest.raises(ValueError, match="Need"):
+        TwoLevelCircuit([(0, 1), (0, 2)], [1j * _H])
+    with pytest.raises(ValueError, match="Need"):
+        TwoLevelCircuit([0, 1], [1j * _H])
+    g = TwoLevelCircuit([(0, 1)], [1j * _H])  # det = +1
+    inverse = TwoLevelCircuit(g.pairs, g.gates.conj().transpose(0, 2, 1))  # special unitary too
+    assert np.abs(inverse.gates[0] - (1j * _H).conj().T).max() < 1e-15
+    assert g.pairs.dtype == np.int64 and g.gates.dtype == np.complex128
+    with pytest.raises(ValueError):  # checked once, then read-only
+        g.gates[0, 0, 0] = 0.0
 
 
 def test_embed_gate_oracle():
     block = np.array([[0, 1j], [1j, 0]], dtype=np.complex128)
-    g = TwoLevelGate(0, 2, block)
-    E = embed_gate(g, 4)
+    E = embed_gate(0, 2, block, 4)
     expect = np.eye(4, dtype=np.complex128)
     expect[0, 0] = 0.0
     expect[2, 2] = 0.0
@@ -156,35 +177,32 @@ def test_embed_gate_oracle():
     expect[2, 0] = 1j
     assert np.array_equal(E, expect)
     with pytest.raises(ValueError):
-        embed_gate(g, 2)
+        embed_gate(0, 2, block, 2)
 
 
 def test_embed_gate_adjoint_commutes(rng):
-    g = TwoLevelGate(1, 3, random_special_unitary(2, rng))
-    inverse = TwoLevelGate(1, 3, g.block.conj().T)
-    assert np.abs(embed_gate(inverse, 4) - embed_gate(g, 4).conj().T).max() < 1e-12
+    B = random_special_unitary(2, rng)
+    assert np.abs(embed_gate(1, 3, B.conj().T, 4) - embed_gate(1, 3, B, 4).conj().T).max() < 1e-12
 
 
 def test_circuit_reduction(rng):
-    g = TwoLevelGate(0, 1, random_special_unitary(2, rng))
-    circ = TwoLevelCircuit(gates=(g, TwoLevelGate(0, 1, g.block.conj().T)))
+    B = random_special_unitary(2, rng)
+    circ = circuit((0, 1, B), (0, 1, B.conj().T))
     assert algebraic_complexity(circ) == 0
-    circ2 = TwoLevelCircuit(gates=(TwoLevelGate(0, 1, np.eye(2)), g))
+    circ2 = circuit((0, 1, np.eye(2)), (0, 1, B))
     assert algebraic_complexity(circ2) == 1
     # different index pairs do not cancel
-    g2 = TwoLevelGate(0, 2, g.block.conj().T)
-    assert algebraic_complexity(TwoLevelCircuit(gates=(g, g2))) == 2
+    assert algebraic_complexity(circuit((0, 1, B), (0, 2, B.conj().T))) == 2
 
 
 def test_reconstruct_empty_is_identity():
-    assert np.array_equal(reconstruct(TwoLevelCircuit(gates=()), 3), np.eye(3))
+    assert np.array_equal(reconstruct(TwoLevelCircuit([], []), 3), np.eye(3))
 
 
 def test_reconstruct_order(rng):
-    g1 = TwoLevelGate(0, 1, random_special_unitary(2, rng))
-    g2 = TwoLevelGate(1, 2, random_special_unitary(2, rng))
-    circ = TwoLevelCircuit(gates=(g1, g2))
-    expect = embed_gate(g2, 3) @ embed_gate(g1, 3)
+    B1, B2 = random_special_unitary(2, rng), random_special_unitary(2, rng)
+    circ = circuit((0, 1, B1), (1, 2, B2))
+    expect = embed_gate(1, 2, B2, 3) @ embed_gate(0, 1, B1, 3)
     assert np.abs(reconstruct(circ, 3) - expect).max() < 1e-14
 
 
@@ -193,14 +211,14 @@ def test_reconstruct_matches_embedded_product(rng):
     gates = []
     for _ in range(40):
         a, b = sorted(int(i) for i in rng.choice(N, size=2, replace=False))
-        gates.append(TwoLevelGate(a, b, random_special_unitary(2, rng)))
-    circ = TwoLevelCircuit(gates=tuple(gates))
+        gates.append((a, b, random_special_unitary(2, rng)))
+    circ = circuit(*gates)
     expect = np.eye(N, dtype=np.complex128)
-    for g in circ.gates:
-        expect = embed_gate(g, N) @ expect
+    for (a, b), B in zip(circ.pairs.tolist(), circ.gates):
+        expect = embed_gate(a, b, B, N) @ expect
     assert np.abs(reconstruct(circ, N) - expect).max() < 1e-14
     with pytest.raises(ValueError):
-        reconstruct(circ, max(g.b for g in circ.gates))
+        reconstruct(circ, int(circ.pairs[:, 1].max()))
 
 
 def test_decompose_identity_is_empty():
@@ -284,11 +302,10 @@ def test_decompose_validates_each_block_once(rng, monkeypatch):
     monkeypatch.setattr(algebra, "unitary", counting)
     U = random_special_unitary(6, rng)
     circ = decompose_two_level(U)
-    # the input once; the Givens and phase blocks and their adjoints are not re-checked
+    # the input once; the circuit checks the Givens and phase blocks as one stack
     assert len(calls) == 1
-    for g in circ.gates:
-        same = TwoLevelGate(g.a, g.b, g.block)
-        assert np.array_equal(same.block, g.block)
+    same = TwoLevelCircuit(circ.pairs, circ.gates)
+    assert np.array_equal(same.pairs, circ.pairs) and np.array_equal(same.gates, circ.gates)
     assert np.abs(reconstruct(circ, 6) - U).max() < 1e-9
 
 
@@ -318,7 +335,7 @@ def _sequential_decompose(U: np.ndarray) -> TwoLevelCircuit:
         applied.append((k, k + 1, np.diag([phase.conj(), phase]).astype(np.complex128)))
         A[k + 1, k + 1] = A[k + 1, k + 1] * phase
         A[k, k] = 1.0
-    return TwoLevelCircuit(gates=tuple(TwoLevelGate(a, b, B.conj().T) for a, b, B in reversed(applied)))
+    return circuit(*((a, b, B.conj().T) for a, b, B in reversed(applied)))
 
 
 def _block_diag(*blocks):
@@ -362,9 +379,9 @@ _ORACLE = _oracle_inputs()
 @pytest.mark.parametrize("U", [u for _, u in _ORACLE], ids=[name for name, _ in _ORACLE])
 def test_decompose_matches_the_sequential_elimination(U):
     got, want = decompose_two_level(U), _sequential_decompose(U)
-    assert [(g.a, g.b) for g in got.gates] == [(g.a, g.b) for g in want.gates]
+    assert np.array_equal(got.pairs, want.pairs)
     for g, w in zip(got.gates, want.gates):
-        assert np.abs(g.block - w.block).max() <= 1e-13
+        assert np.abs(g - w).max() <= 1e-13
     assert hs_norm(reconstruct(got, len(U)) - U) <= 1e-12
 
 
@@ -374,12 +391,13 @@ def test_oracle_inputs_reach_the_skip_rule(monkeypatch):
     from channelgeo import algebra
 
     made = []
-    make = algebra._unchecked_gate
-    monkeypatch.setattr(algebra, "_unchecked_gate", lambda a, b, B: made.append((a, b)) or make(a, b, B))
+    make = algebra.TwoLevelCircuit
+    monkeypatch.setattr(algebra, "TwoLevelCircuit",
+                        lambda pairs, gates: made.extend(pairs) or make(pairs, gates))
     for scale, rotated in ((0.5, False), (2.0, True)):
         U = dict(_ORACLE)[f"skip-tol-x{scale}"]
         assert abs(U[3, 0]) == scale * ELIMINATION_SKIP_TOL
         made.clear()
-        circuit = decompose_two_level(U)
+        word = decompose_two_level(U)
         assert ((0, 3) in made) == rotated
-        assert (0, 3) not in [(g.a, g.b) for g in circuit.gates]
+        assert [0, 3] not in word.pairs.tolist()

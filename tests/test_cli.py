@@ -354,6 +354,9 @@ _ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1
         ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.5},
                                         {"H": pairs(np.eye(4)), "ds": 0.5}]}},
          "'path.segments[1].H'"),
+        # the schema version is a JSON integer, not a flag or a float equal to 1
+        ("complexity", {"schema_version": True}, "'schema_version'"),
+        ("complexity", {"schema_version": 1.0}, "'schema_version'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):
@@ -1221,6 +1224,55 @@ def test_perfbench_tracer_names_exist():
         if not callable(getattr(importlib.import_module(f"channelgeo.{layer}"), fn, None))
     ]
     assert missing == []
+
+
+def test_perfbench_tracer_observers_read_the_result_types():
+    """Each _OBSERVERS counter of perfbench/tracer.py reads a result field by
+    name; renaming one would pass the name test above and break every traced
+    run. Each function runs once on a tiny input under its own Tracer."""
+    tracer = _perfbench_module("tracer")
+    from channelgeo import algebra, geodesic, optimize
+
+    U = rand_unitary(np.random.default_rng(3), 2)
+    path = constant_path(np.diag([1.0, -1.0]), 1.0)
+    matched = NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=0.25)
+    spec = channel.ChannelSpec(d_S=2, d_E=2, H_S=np.diag([1.0, -1.0]),
+                               H_I=herm(np.random.default_rng(4), 4), H_E=np.zeros((2, 2)))
+    kinked = lambda X: np.sum((X - 0.3) ** 2 + np.abs(X), axis=1)  # noqa: E731
+    calls = {
+        "optimize.coordinate_search": lambda: optimize.coordinate_search(kinked, np.zeros((2, 3))),
+        "geodesic.estimate_cc_distance": lambda: geodesic.estimate_cc_distance(
+            np.eye(2), U, MetricSpec(build_pauli_basis(1), np.ones(3)), segments=2, restarts=1),
+        "channel.noise_complexity_bounds": lambda: channel.noise_complexity_bounds(spec, 1.0),
+        "coherence.cohering_power": lambda: coherence.cohering_power(
+            U, coherence.computational_dephasing(2), restarts=1),
+        "rode.ensemble_mean": lambda: rode.ensemble_mean(path, matched, 3, 0),
+        "rode.fluctuation_report": lambda: rode.fluctuation_report(path, matched, M=5, seed=0),
+        "algebra.decompose_two_level": lambda: algebra.decompose_two_level(
+            algebra.random_special_unitary(4, np.random.default_rng(5))),
+    }
+    own = {
+        "optimize.coordinate_search": lambda r: {
+            "optimize.evals": r.evals, "optimize.sweeps": r.sweeps,
+            "optimize.converged_ratio": float(r.converged)},
+        "geodesic.estimate_cc_distance": lambda r: {
+            "geodesic.restarts": r.restarts_used, "geodesic.endpoint_error_max": r.endpoint_error},
+        "channel.noise_complexity_bounds": lambda r: {
+            "channel.upper_skipped": float(r["upper"] is None)},
+        "coherence.cohering_power": lambda r: {
+            "coherence.starts": r.restarts, "coherence.converged_ratio": float(r.converged)},
+        "rode.ensemble_mean": lambda r: {"rode.trajectories": r.trajectories_used},
+        "rode.fluctuation_report": lambda r: {"rode.trajectories": r["n_trajectories"]},
+        "algebra.decompose_two_level": lambda r: {"algebra.gates": len(r.gates)},
+    }
+    assert sorted(calls) == sorted(tracer._OBSERVERS)
+    for name, call in calls.items():
+        with tracer.Tracer() as trace:
+            result = call()
+        metrics = trace.derive()
+        assert metrics[f"{name}.calls"] == 1
+        expected = own[name](result)
+        assert expected and {k: metrics[k] for k in expected} == expected, name
 
 
 @pytest.mark.parametrize(

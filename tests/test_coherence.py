@@ -188,7 +188,8 @@ def test_identity_has_no_cohering_power():
 # `floor` is the value the coordinate search over the L L† chart pinned
 # before; the climb may not fall below it by more than rounding. Each id
 # keeps the case's name from then: its parameters, that old value and the
-# SHA-1 of that search's argmax state.
+# SHA-1 of that search's argmax state. The two block cases have k = 2
+# projectors, so their climbs stop within BRACKET_TOL of the cap 1 - 1/k.
 @pytest.mark.parametrize(
     "d, family, pure_only, restarts, seed, floor, value, state_sha1",
     [
@@ -223,13 +224,13 @@ def test_identity_has_no_cohering_power():
             id="4-computational-True-4-6-0x1.7ddbfaa3fa86bp-1-"
                "49236083f574330f2a9809a3dbc290344416908b"),
         pytest.param(
-            4, "blocks", False, 2, 7, "0x1.fffffffffffe8p-2", "0x1.ffffffffffffcp-2",
-            "b4ffa0b16bbe9eab02abe43eff3d63f9d1b8d2c6",
+            4, "blocks", False, 2, 7, "0x1.fffffffffffe8p-2", "0x1.fffffffffbcc6p-2",
+            "b628e63b6e80e83284884e4294f06a2843202196",
             id="4-blocks-False-2-7-0x1.fffffffffffe8p-2-"
                "b345dd81b00913e568f58a7122de7c2385ab767b"),
         pytest.param(
-            4, "blocks", True, 3, 8, "0x1.0000000000003p-1", "0x1.fffffffffffb8p-2",
-            "47f3c18839d81d355af5240b6c998fe63d807607",
+            4, "blocks", True, 3, 8, "0x1.0000000000003p-1", "0x1.fffffffffbe9ep-2",
+            "cf7589b57dda0ca76a7faaed5003eb9b01da5952",
             id="4-blocks-True-3-8-0x1.0000000000003p-1-"
                "7feb37635bfe65f0dbbe310fb23b52a93d512f9a"),
     ],
@@ -270,6 +271,22 @@ def test_cohering_power_bracket_holds(monkeypatch):
         if d == 2:  # the extreme eigenvector's state attains upper, with no step
             assert abs(res.value - res.upper) <= 1e-12
             assert res.steps == 0 and res.converged
+
+
+def test_projector_count_cap_closes_block_brackets():
+    # Rank-2 block families have k < d projectors, and their gaps peak
+    # near 1 - 1/k; the spectral bound alone sat 14-50% above the value.
+    rng = np.random.default_rng(2028)
+    for d, draws in ((4, 8), (5, 8), (6, 6), (7, 3), (8, 5)):
+        ratios = []
+        for k in range(draws):
+            E = dephasing_families(rng, d)[2]
+            res = cohering_power(rand_unitary(rng, d), E, restarts=2, seed=k)
+            assert res.value <= res.upper + 1e-12
+            assert res.upper <= 1.0 - 1.0 / len(E.projectors)
+            ratios.append(res.upper / res.value)
+        if d in (5, 6, 8):
+            assert np.median(ratios) < 1.01, (d, ratios)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

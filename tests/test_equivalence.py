@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,33 @@ def test_csv_columns_and_other_differences_are_reported(tmp_path, capsys):
 def test_compare_refuses_a_missing_directory(tmp_path):
     with pytest.raises(SystemExit):
         equivalence.main(["compare", str(tmp_path), str(tmp_path / "missing")])
+
+
+def test_base_removes_its_worktree_when_a_run_raises(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "marker.py").write_text("")
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                              capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    git("add", "-A")
+    git("-c", "user.name=test", "-c", "user.email=test@example.com", "commit", "-qm", "one")
+    before = git("worktree", "list")
+    runs = []
+
+    def raising(src, configs, out):
+        runs.append(src)
+        assert (src / "marker.py").is_file()  # the checked-out revision
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(equivalence, "ROOT", repo)
+    monkeypatch.setattr(equivalence, "_write_configs", lambda configs: None)
+    monkeypatch.setattr(equivalence, "_run_tree", raising)
+    with pytest.raises(RuntimeError, match="run failed"):
+        equivalence.main(["base", "HEAD"])
+    assert len(runs) == 1
+    assert git("worktree", "list") == before
+    assert not runs[0].parent.parent.exists()  # the temporary directory is gone too

@@ -54,7 +54,7 @@ def _serial_cohering_power(U, E, restarts, seed, pure_only):
     M = _gap_operator(U, E)
     w, V = np.linalg.eigh(M)
     scale = float(np.abs(w).max())
-    upper = (1.0 - 1.0 / d) * scale
+    upper = min((1.0 - 1.0 / d) * scale, 1.0 - 1.0 / len(E.projectors))
     starts = list(np.eye(d, dtype=np.complex128)) + list(_eigen_states(V[:, [0, 1, -2, -1]], d))
     for child in np.random.SeedSequence(seed).spawn(restarts):
         x = np.random.default_rng(child).normal(size=(1, 2 * d))

@@ -1,11 +1,24 @@
 """Compare two output trees of channelgeo runs, file by file.
 
     python tools/equivalence.py compare DIR_A DIR_B
+    python tools/equivalence.py base REV
 
 DIR_A and DIR_B hold the reports, sidecars and any other files written by
 the same set of runs in two checkouts (for example a parent commit and a
-change, run on one host). The tool prints the count of byte-equal files and,
-over the files that moved:
+change, run on one host).
+
+``base REV`` builds both trees itself. It checks REV out with ``git worktree
+add --detach`` into a temporary directory and runs the fixed set in that
+tree and then in the working tree, each in its own subprocess with
+PYTHONPATH set to that tree's ``src``. The fixed set is both benchmark
+corpora at seeds 0 and 1 (every group), drawn by the working tree's
+``perfbench/corpus.py`` for both sides, plus ``verify-all`` at seeds 0-10,
+48, 77, 265 and 305. Each side writes its reports and sidecars, an
+exit-code list and the stderr lines less the wall-time line; the two trees
+are then compared as below, and the worktree is removed whatever happened.
+
+The comparison prints the count of byte-equal files and, over the files
+that moved:
 
 - for JSON files, the largest relative and absolute drift of each number,
   grouped by kind and scalar. The kind is a report's ``kind`` field, or
@@ -23,10 +36,22 @@ file is byte-equal and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import importlib.util
+import io
 import json
+import os
+import re
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_SEEDS = (0, 1)
+VERIFY_SEEDS = (*range(11), 48, 77, 265, 305)
+_WALL_TIME = re.compile(r"channelgeo: \S+ finished in [0-9.]+s$")
 
 
 def _leaves(node, path=()):
@@ -134,13 +159,83 @@ def compare(dir_a: Path, dir_b: Path) -> int:
     return 0 if equal == len(files_a | files_b) else 1
 
 
+def _write_configs(configs: Path) -> None:
+    """The fixed set's configs, one directory per corpus and seed."""
+    spec = importlib.util.spec_from_file_location("corpus", ROOT / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    for workload in corpus.GROUPS:
+        for seed in CORPUS_SEEDS:
+            items = [item for group in corpus.build_corpus(workload, seed) for item in group]
+            corpus.write_configs(items, configs / f"{workload}-s{seed}")
+    (configs / "verify-all").mkdir()
+    for seed in VERIFY_SEEDS:
+        cfg = {"schema_version": 1, "kind": "verify-all", "seed": seed}
+        (configs / "verify-all" / f"s{seed:03d}.json").write_text(json.dumps(cfg))
+
+
+def run_set(src: str, configs: str, out: str) -> None:
+    """Run every config under configs through channelgeo.cli in this process,
+    which must import channelgeo from src; write reports and sidecars under
+    out, then exit_codes.txt and stderr.txt."""
+    from channelgeo import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise RuntimeError(f"channelgeo came from {cli.__file__}, not from {src}")
+    configs, out = Path(configs), Path(out)
+    codes, errors = [], []
+    for path in sorted(configs.rglob("*.json")):
+        rel = path.relative_to(configs).with_suffix("")
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        kind = json.loads(path.read_text())["kind"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main([kind, "--config", str(path), "--out", str(out / f"{rel}.json")])
+        codes.append(f"{rel} {code}\n")
+        errors += [f"{rel}: {line}\n" for line in stderr.getvalue().splitlines()
+                   if not _WALL_TIME.match(line)]
+    (out / "exit_codes.txt").write_text("".join(codes))
+    (out / "stderr.txt").write_text("".join(errors))
+
+
+def _run_tree(src: Path, configs: Path, out: Path) -> None:
+    """run_set in a fresh interpreter that sees only src and this tool."""
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    code = "import sys, equivalence; equivalence.run_set(*sys.argv[1:])"
+    subprocess.run([sys.executable, "-c", code, str(src), str(configs), str(out)],
+                   env=env, cwd=out, check=True)
+
+
+def base(rev: str) -> int:
+    """Run the fixed set at rev and in the working tree, then compare."""
+    with tempfile.TemporaryDirectory(prefix="equivalence-") as tmp:
+        tmp = Path(tmp)
+        tree = tmp / "base"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
+                        str(tree), rev], check=True)
+        try:
+            _write_configs(tmp / "configs")
+            _run_tree(tree / "src", tmp / "configs", tmp / "out" / "base")
+            _run_tree(ROOT / "src", tmp / "configs", tmp / "out" / "work")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+        print(f"base {rev} against the working tree")
+        return compare(tmp / "out" / "base", tmp / "out" / "work")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     cmp = sub.add_parser("compare", help="compare two output trees")
     cmp.add_argument("dir_a", type=Path)
     cmp.add_argument("dir_b", type=Path)
+    at_rev = sub.add_parser("base", help="run the fixed set at REV and here, then compare")
+    at_rev.add_argument("rev")
     args = parser.parse_args(argv)
+    if args.command == "base":
+        return base(args.rev)
     for d in (args.dir_a, args.dir_b):
         if not d.is_dir():
             parser.error(f"{d} is not a directory")
