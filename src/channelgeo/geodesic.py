@@ -225,8 +225,7 @@ def _closed(
     """
     d = chart.d
     segs = X.reshape(len(X), K - 1, chart.size)
-    w, V = np.linalg.eigh(chart.to_matrices(segs))
-    exps = (V * np.exp(-1j * (1.0 / K) * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    exps = matrix_exp_unitary(chart.to_matrices(segs), 1.0 / K)
     P = np.eye(d, dtype=np.complex128)
     for k in range(K - 1):
         P = exps[:, k] @ P

@@ -136,9 +136,10 @@ def projector_family(projectors) -> np.ndarray:
 
 
 def matrix_exp_unitary(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) for Hermitian H, via the spectral decomposition."""
+    """exp(-i t H) for Hermitian H, or each of a (..., d, d) stack of them,
+    via the spectral decomposition."""
     w, V = npl.eigh(H)
-    return (V * np.exp(-1j * t * w)) @ V.conj().T
+    return (V * np.exp(-1j * t * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def matrix_abs(H: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ out of the payload (the CLI prints wall time to stderr instead).
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import errno
 import json
@@ -183,6 +184,7 @@ def _read(val, at: str, schema, note):
     prefix = f"{at}." if at else ""
     for name in val:
         if name not in schema.fields:
+            _finite(val[name], prefix + name)
             note(prefix + name)
     values = {}
     for name, sub in schema.fields.items():
@@ -198,6 +200,18 @@ def _read(val, at: str, schema, note):
         raise _fail(prefix + exc.name, exc.message) from None
     except ValueError as exc:  # a domain constructor refused this object's values
         raise _fail(at, str(exc)) from None
+
+
+def _finite(val, at: str) -> None:
+    """Refuse a NaN or inf anywhere in val, an unread field the report echoes."""
+    if isinstance(val, float) and not math.isfinite(val):
+        raise _fail(at, f"expected a finite number, got {val!r}")
+    if isinstance(val, dict):
+        for key, sub in val.items():
+            _finite(sub, f"{at}.{key}")
+    elif isinstance(val, list):
+        for i, sub in enumerate(val):
+            _finite(sub, f"{at}[{i}]")
 
 
 # Builds: the domain objects the runners take. A domain rule that refuses a
@@ -280,24 +294,6 @@ _NOISE = _Form(
     lambda v: rode.NoiseModel(**v),
 )
 
-#: The one table of the fields each kind reads besides schema_version, kind
-#: and seed: a form, or two of which the first is read when its first field
-#: is given. KINDS, the unread-field notes and README's field list follow it.
-KIND_FIELDS = {
-    "complexity": _Form(
-        {"H": _HERMITIAN, "t": _TIME, "metric": _METRIC}, {"metric": None}, _complexity
-    ),
-    "channel": (_Form({"perturbative": _PERTURBATIVE}), _JOINT_SPEC),
-    "noise": _JOINT_SPEC,
-    "cohering-power": (
-        _Form({"U": _UNITARY, **_POWER}, _POWER_DEFAULTS, _dephasing),
-        _Form({"generator": _HERMITIAN, "t": _TIME, **_POWER}, _POWER_DEFAULTS, _dephasing),
-    ),
-    "rode": _Form({"path": _PATH, "noise": _NOISE, "M": _integer()}, {"M": 100}, _rode),
-    "decompose": _Form({"U": _UNITARY, "normalize_phase": _flag}, {"normalize_phase": True}),
-    "verify-all": _Form({}),
-}
-KINDS = tuple(KIND_FIELDS)
 _HEADER = ("schema_version", "kind", "seed")
 
 
@@ -341,7 +337,7 @@ def validate_config(cfg: dict, kind: str | None = None) -> dict:
 
 def read_config(cfg: dict, noted: set | None = None) -> dict:
     """The checked values of a validated config's fields, read through
-    KIND_FIELDS. Each field the kind does not read gets a note on stderr,
+    KINDS. Each field the kind does not read gets a note on stderr,
     unless the note is already in `noted`; printed notes are added to it."""
     noted = set() if noted is None else noted
 
@@ -351,7 +347,7 @@ def read_config(cfg: dict, noted: set | None = None) -> dict:
             print(msg, file=sys.stderr)
             noted.add(msg)
 
-    return _read(cfg, "", KIND_FIELDS[cfg["kind"]], note)
+    return _read(cfg, "", KINDS[cfg["kind"]][1], note)
 
 
 def make_check(name: str, lhs: float, rhs: float) -> dict:
@@ -490,13 +486,12 @@ def _run_cohering_power(
 
 def _run_rode(seed: int, path: geodesic.PiecewiseConstantPath, noise: rode.NoiseModel, M: int):
     result = rode.ensemble_mean(path, noise, M, seed)
-    U_free = geodesic.path_endpoint(path)
     scalars = {
-        "distance": hs_norm(result.mean_operator - U_free),
+        "distance": result.mean_to_free,
         "mean_trajectory_distance": float(result.distances.mean()),
         "max_trajectory_distance": float(result.distances.max()),
         "mean_endpoint_deviation": float(result.endpoint_deviations.mean()),
-        "mean_operator_norm": float(np.linalg.norm(result.mean_operator, 2)),
+        "mean_operator_norm": result.mean_operator_norm,
     }
     checks = [
         make_check("mean_contraction", scalars["mean_operator_norm"], 1.0 + 1e-9)
@@ -657,9 +652,8 @@ def _rode_checks(rng_matched, rng_gauss) -> list:
     fluct = rode.fluctuation_report(path, matched, 10, int(rng_matched.integers(2**31)))
     gauss = rode.NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=1.0 / 64.0)
     res = rode.ensemble_mean(path, gauss, 30, int(rng_gauss.integers(2**31)))
-    norm = np.linalg.norm(res.mean_operator, 2)
     checks = _fluctuation_checks(fluct, ("distance_bound", "complexity_gap"))
-    return [*checks, make_check("rode_mean_contraction", norm, 1.0 + 1e-9)]
+    return [*checks, make_check("rode_mean_contraction", res.mean_operator_norm, 1.0 + 1e-9)]
 
 
 def _synthesis_checks(rng) -> list:
@@ -745,14 +739,23 @@ def _run_verify_all(seed: int):
     return scalars, checks, None
 
 
-_RUNNERS = {
-    "complexity": _run_complexity,
-    "channel": _run_channel,
-    "noise": _run_noise,
-    "cohering-power": _run_cohering_power,
-    "rode": _run_rode,
-    "decompose": _run_decompose,
-    "verify-all": _run_verify_all,
+#: The one table of kinds: each kind's runner, and the fields it reads besides
+#: schema_version, kind and seed (a form, or two of which the first is read when
+#: its first field is given). cli's subcommands and README's field list follow it.
+KINDS = {
+    "complexity": (_run_complexity, _Form({"H": _HERMITIAN, "t": _TIME, "metric": _METRIC},
+                                          {"metric": None}, _complexity)),
+    "channel": (_run_channel, (_Form({"perturbative": _PERTURBATIVE}), _JOINT_SPEC)),
+    "noise": (_run_noise, _JOINT_SPEC),
+    "cohering-power": (_run_cohering_power, (
+        _Form({"U": _UNITARY, **_POWER}, _POWER_DEFAULTS, _dephasing),
+        _Form({"generator": _HERMITIAN, "t": _TIME, **_POWER}, _POWER_DEFAULTS, _dephasing),
+    )),
+    "rode": (_run_rode, _Form({"path": _PATH, "noise": _NOISE, "M": _integer()}, {"M": 100},
+                              _rode)),
+    "decompose": (_run_decompose, _Form({"U": _UNITARY, "normalize_phase": _flag},
+                                        {"normalize_phase": True})),
+    "verify-all": (_run_verify_all, _Form({})),
 }
 
 
@@ -760,7 +763,7 @@ def _report(cfg: dict, values: dict) -> dict:
     # An overflow shows as a non-finite value, which assemble_report names;
     # numpy's warnings on the way there would only clutter stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = _RUNNERS[cfg["kind"]](cfg["seed"], **values)
+        result = KINDS[cfg["kind"]][0](cfg["seed"], **values)
     return assemble_report(cfg, *result)
 
 
@@ -799,9 +802,10 @@ def staging():
 
 
 def write_report(report: dict, out: str | None, stage=None) -> None:
-    """Serialize to out (or stdout); rode ensembles get sidecar CSVs. The
-    report and its sidecars are staged together, under a caller's stage (a
-    sweep's) or a staging of their own, so they land together or not at all."""
+    """Serialize to out (or stdout); a rode ensemble also gets its two
+    sidecars, <stem>_trajectories.csv and .json, named here. The report and
+    its sidecars are staged together, under a caller's stage (a sweep's) or
+    a staging of their own, so they land together or not at all."""
     ensemble = report.pop("_ensemble", None)
     data = report_bytes(report)
     if out is None:
@@ -813,29 +817,19 @@ def write_report(report: dict, out: str | None, stage=None) -> None:
         stage(path).write_bytes(data)
         if ensemble is not None:
             stem = path.name.removesuffix(".json") + "_trajectories"
-            csv_tmp = stage(path.with_name(stem + ".csv"))
-            stage(path.with_name(stem + ".json"))
-            # Staging only prefixes a name, so the two temporaries share a stem.
-            rode.write_ensemble(ensemble, str(csv_tmp.with_suffix("")))
-
-
-def _config_path_get(cfg: dict, dotted: str):
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"sweep parameter {dotted!r} not found in config")
-        node = node[part]
-    return node
+            rode.write_ensemble(ensemble, stage(path.with_name(stem + ".csv")),
+                                stage(path.with_name(stem + ".json")))
 
 
 def _config_path_set(cfg: dict, dotted: str, value) -> dict:
-    import copy
-
+    """A copy of cfg with the field at a dotted path set to value; a path
+    that is not in cfg is refused."""
     out = copy.deepcopy(cfg)
-    node = out
-    parts = dotted.split(".")
+    node, parts = out, dotted.split(".")
     for part in parts[:-1]:
-        node = node[part]
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or parts[-1] not in node:
+        raise ConfigError(f"sweep parameter {dotted!r} not found in config")
     node[parts[-1]] = value
     return out
 
@@ -847,7 +841,6 @@ def run_sweep(cfg: dict, param: str, values: list) -> tuple[list, list]:
     unread-field note is printed once per sweep.
     """
     cfg = validate_config(cfg)
-    _config_path_get(cfg, param)  # existence check
     configs = [validate_config(_config_path_set(cfg, param, v)) for v in values]
     noted: set = set()
     read = [read_config(c, noted) for c in configs]

@@ -17,13 +17,13 @@ fluctuation checks all come from the same pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geodesic import PiecewiseConstantPath, log_distance, log_norms, path_endpoint
 from .operators import ArgumentError, at_least, hs_norm
-from .pauli import build_pauli_basis, devectorize_rows, vectorize
+from .pauli import MetricSpec, build_pauli_basis, devectorize_rows, omega_norm_raw
 
 TRAJECTORY_UNITARITY_TOL = 1e-9
 MEAN_OP_NORM_TOL = 1e-9
@@ -90,7 +90,9 @@ class EnsembleResult:
     """Arithmetic mean of trajectory endpoints plus per-trajectory stats.
 
     distances are ambient HS distances from each endpoint to the mean;
-    endpoint_deviations are distances to the noiseless endpoint.
+    endpoint_deviations are distances to the noiseless endpoint, and
+    mean_to_free is the mean's. mean_operator_norm, the mean's operator
+    2-norm, is computed and checked on construction.
     fluctuations holds the fluctuation_report checks of the same
     trajectories for bounded_matched noise, and is None otherwise.
     """
@@ -99,9 +101,11 @@ class EnsembleResult:
     trajectories_used: int
     distances: np.ndarray
     endpoint_deviations: np.ndarray
+    mean_to_free: float
     hr_integrals: np.ndarray
     seed: int
     fluctuations: dict | None = None
+    mean_operator_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         op = float(np.linalg.norm(self.mean_operator, 2))
@@ -110,6 +114,7 @@ class EnsembleResult:
                 f"Mean of unitaries has operator norm {op!r} above 1; "
                 "trajectories were inconsistent."
             )
+        object.__setattr__(self, "mean_operator_norm", op)
 
 
 def max_trajectories(d: int) -> int:
@@ -224,16 +229,14 @@ def segment_plan(
         raise ArgumentError(step, f"a noise step of {dt!r} gives more than {MAX_SUBSTEPS} "
                                   f"substeps over total time {path.total_time!r}")
     basis = build_pauli_basis(d.bit_length() - 1)
+    metric = MetricSpec(basis, noise.weights) if noise.kind == "bounded_matched" else None
     plan = []
     for k, (H, ds) in enumerate(path.segments):
         n_sub = int(round(ds / dt))
         if n_sub < 1 or abs(n_sub * dt - ds) > 1e-9 * max(1.0, ds):
             raise ArgumentError(f"path.segments[{k}].ds" if step == "path" else step,
                                 f"noise step {dt!r} does not divide segment duration {ds!r}")
-        target = None
-        if noise.kind == "bounded_matched":
-            h = vectorize(H, basis)
-            target = float(np.sqrt(np.sum(noise.weights * h * h)))
+        target = None if metric is None else omega_norm_raw(H, metric)
         plan.append((H, n_sub, ds / n_sub, target))
     return plan
 
@@ -329,10 +332,10 @@ def _ensemble(
     U_free = path_endpoint(path)
     distances = np.linalg.norm(endpoints - V, axis=(1, 2))
     deviations = np.linalg.norm(endpoints - U_free, axis=(1, 2))
+    mean_to_free = hs_norm(V - U_free)
     fluctuations = None
     if noise.kind == "bounded_matched":
         G_free = float(log_norms(U_free))
-        mean_to_free = hs_norm(V - U_free)
         viol_distance = np.flatnonzero(distances > integrals + DISTANCE_BOUND_SLACK).tolist()
         viol_gap = []
         for lo in range(0, M, _CHUNK):
@@ -361,6 +364,7 @@ def _ensemble(
         trajectories_used=M,
         distances=distances,
         endpoint_deviations=deviations,
+        mean_to_free=mean_to_free,
         hr_integrals=integrals,
         seed=seed,
         fluctuations=fluctuations,
@@ -397,12 +401,10 @@ def fluctuation_report(
     return _ensemble(path, noise, M, seed).fluctuations
 
 
-def write_ensemble(result: EnsembleResult, stem: str) -> tuple[str, str]:
-    """Persist per-trajectory rows to <stem>.csv and a summary to <stem>.json."""
+def write_ensemble(result: EnsembleResult, csv_path, json_path) -> None:
+    """Persist per-trajectory rows to csv_path and a summary to json_path."""
     import json
 
-    csv_path = f"{stem}.csv"
-    json_path = f"{stem}.json"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("index,distance_to_mean,endpoint_deviation,noise_integral\n")
         for i in range(result.trajectories_used):
@@ -414,7 +416,7 @@ def write_ensemble(result: EnsembleResult, stem: str) -> tuple[str, str]:
     summary = {
         "trajectories_used": result.trajectories_used,
         "seed": result.seed,
-        "mean_operator_norm": float(np.linalg.norm(result.mean_operator, 2)),
+        "mean_operator_norm": result.mean_operator_norm,
         "mean_distance": float(result.distances.mean()),
         "max_distance": float(result.distances.max()),
         "mean_endpoint_deviation": float(result.endpoint_deviations.mean()),
@@ -422,4 +424,3 @@ def write_ensemble(result: EnsembleResult, stem: str) -> tuple[str, str]:
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return csv_path, json_path

@@ -27,7 +27,6 @@ from channelgeo.operators import ArgumentError
 from channelgeo.pauli import MetricSpec, build_pauli_basis, build_penalty_metric
 from channelgeo.reports import (
     CONVENTIONS,
-    KIND_FIELDS,
     KINDS,
     ConfigError,
     assemble_report,
@@ -357,6 +356,11 @@ _ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1
         # the schema version is a JSON integer, not a flag or a float equal to 1
         ("complexity", {"schema_version": True}, "'schema_version'"),
         ("complexity", {"schema_version": 1.0}, "'schema_version'"),
+        # a non-finite number in a field the kind does not read
+        ("complexity", {"junk": float("nan")}, "'junk'"),
+        ("complexity", {"junk": "INF"}, "'junk'"),
+        ("complexity", {"extra": {"a": float("inf")}}, "'extra.a'"),
+        ("complexity", {"x": [1, 2, float("-inf")]}, "'x[2]'"),
     ],
 )
 def test_bad_field_exits_two_and_names_it(tmp_path, capsys, kind, fields, name):
@@ -632,14 +636,18 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command, out):
         ("cohering-power", "seed", ["1", "x"], "'seed'"),
         ("cohering-power", "restarts", ["1", "1", "-1"], "'restarts'"),
         ("rode", "noise.dt_noise", ["0.25", "0.5", "0.3"], "'noise.dt_noise'"),
+        ("complexity", "label", ["1", "NaN"], "'label': expected"),
     ],
 )
 def test_sweep_validates_every_config_first(
     tmp_path, capsys, monkeypatch, kind, param, values, name
 ):
     ran = []
-    monkeypatch.setitem(reports._RUNNERS, kind, lambda *args, **kwargs: ran.append(args))
-    cfg = write_cfg(tmp_path, "s.json", {"schema_version": 1, "kind": kind, "seed": 0, **_BASE[kind]})
+    fields = reports.KINDS[kind][1]
+    monkeypatch.setitem(reports.KINDS, kind, (lambda *args, **kwargs: ran.append(args), fields))
+    # label is read by no kind: a sweep of it is refused only for a value no report can hold
+    cfg = write_cfg(tmp_path, "s.json", {"schema_version": 1, "kind": kind, "seed": 0,
+                                         "label": "base", **_BASE[kind]})
     out_dir = tmp_path / "out"
     argv = ["sweep", "--config", cfg, "--param", param, "--values", *values, "--out", str(out_dir)]
     assert cli.main(argv) == 2
@@ -694,6 +702,21 @@ def test_rode_trajectory_sidecars(tmp_path):
     for ext in ("csv", "json"):
         swept = (out_dir / f"report_000_trajectories.{ext}").read_bytes()
         assert swept == (tmp_path / f"rode_report_trajectories.{ext}").read_bytes()
+
+
+def test_rode_sidecars_go_where_the_stage_puts_them(tmp_path):
+    cfg = validate_config({"schema_version": 1, "kind": "rode", "seed": 0, **_BASE["rode"]})
+    staged = []
+
+    def stage(dest):
+        staged.append(dest.with_name(dest.name + ".tmp"))
+        return staged[-1]
+
+    reports.write_report(run_experiment(cfg), str(tmp_path / "r.json"), stage)
+    assert [p.name for p in staged] == [
+        "r.json.tmp", "r_trajectories.csv.tmp", "r_trajectories.json.tmp"
+    ]
+    assert sorted(tmp_path.iterdir()) == staged
 
 
 def test_decompose_kind(tmp_path):
@@ -964,7 +987,7 @@ def test_noise_run_evaluates_the_joint_spec_once(tmp_path, monkeypatch):
 
 
 def _field_names(schema) -> set:
-    """Every field name in a KIND_FIELDS entry, nested ones included."""
+    """Every field name in the fields of a KINDS entry, nested ones included."""
     if isinstance(schema, tuple):
         return set().union(*map(_field_names, schema))
     if isinstance(schema, list):
@@ -979,13 +1002,13 @@ def test_readme_lists_the_fields_of_each_kind():
     section = readme.split("### Config fields per kind")[1].split("\n### ")[0]
     bullets = re.findall(r"^- \*\*([\w-]+)\*\*:(.*?)(?=^- \*\*|\Z)", section, re.M | re.S)
     assert [kind for kind, _ in bullets] == list(KINDS)
-    every_field = set().union(*map(_field_names, KIND_FIELDS.values()))
+    every_field = set().union(*(_field_names(fields) for _, fields in KINDS.values()))
     for kind, text in bullets:
         named = set()
         for span in re.findall(r"`([^`]*)`", text):
             keys = re.findall(r'"(\w+)"\s*:', span)
             named |= set(keys) if keys else set(re.split(r"[.\[\]]", span))
-        fields = _field_names(KIND_FIELDS[kind])
+        fields = _field_names(KINDS[kind][1])
         assert fields <= named, f"{kind}: README omits {sorted(fields - named)}"
         assert named & every_field <= fields, f"{kind}: README names {sorted(named & every_field - fields)}"
 

@@ -73,8 +73,9 @@ def test_compare_refuses_a_missing_directory(tmp_path):
         equivalence.main(["compare", str(tmp_path), str(tmp_path / "missing")])
 
 
-def test_base_removes_its_worktree_when_a_run_raises(tmp_path, monkeypatch):
-    repo = tmp_path / "repo"
+def _one_commit_repo(repo: Path):
+    """A git repository at repo whose one commit holds src/marker.py; returns
+    a function that runs git there and returns its output."""
     (repo / "src").mkdir(parents=True)
     (repo / "src" / "marker.py").write_text("")
 
@@ -85,6 +86,12 @@ def test_base_removes_its_worktree_when_a_run_raises(tmp_path, monkeypatch):
     git("init", "-q")
     git("add", "-A")
     git("-c", "user.name=test", "-c", "user.email=test@example.com", "commit", "-qm", "one")
+    return git
+
+
+def test_base_removes_its_worktree_when_a_run_raises(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    git = _one_commit_repo(repo)
     before = git("worktree", "list")
     runs = []
 
@@ -101,3 +108,16 @@ def test_base_removes_its_worktree_when_a_run_raises(tmp_path, monkeypatch):
     assert len(runs) == 1
     assert git("worktree", "list") == before
     assert not runs[0].parent.parent.exists()  # the temporary directory is gone too
+
+
+def test_base_refuses_an_unknown_revision_in_one_line(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    git = _one_commit_repo(repo)
+    before = git("worktree", "list")
+    monkeypatch.setattr(equivalence, "ROOT", repo)
+    monkeypatch.setattr(equivalence, "_run_tree", lambda *args: pytest.fail("a tree ran"))
+    assert equivalence.main(["base", "no-such-rev"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "equivalence: unknown revision 'no-such-rev'\n"
+    assert git("worktree", "list") == before

@@ -73,6 +73,15 @@ def test_matrix_exp_against_series(rng):
         assert np.abs(U @ U.conj().T - np.eye(d)).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_matrix_exp_of_a_stack_matches_each_matrix_bit_for_bit(rng, d):
+    H = np.stack([np.stack([rand_hermitian(rng, d) for _ in range(3)]) for _ in range(5)])
+    U = matrix_exp_unitary(H, 0.37)
+    assert U.shape == (5, 3, d, d)
+    for i, j in np.ndindex(5, 3):
+        assert np.array_equal(U[i, j], matrix_exp_unitary(H[i, j], 0.37))
+
+
 def test_matrix_abs_squares_back(rng):
     H = rand_hermitian(rng, 4)
     P = matrix_abs(H)

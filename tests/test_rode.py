@@ -247,8 +247,8 @@ def test_write_ensemble_round_trip(tmp_path, rng):
     path = constant_path(rand_hermitian(rng, 2), 1.0)
     noise = NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=1.0 / 16)
     res = ensemble_mean(path, noise, M=5, seed=1)
-    stem = str(tmp_path / "traj")
-    csv_path, json_path = write_ensemble(res, stem)
+    csv_path, json_path = tmp_path / "traj.csv", tmp_path / "traj.json"
+    write_ensemble(res, csv_path, json_path)
 
     rows = open(csv_path, encoding="utf-8").read().strip().split("\n")
     assert rows[0] == "index,distance_to_mean,endpoint_deviation,noise_integral"

@@ -7,7 +7,8 @@ DIR_A and DIR_B hold the reports, sidecars and any other files written by
 the same set of runs in two checkouts (for example a parent commit and a
 change, run on one host).
 
-``base REV`` builds both trees itself. It checks REV out with ``git worktree
+``base REV`` builds both trees itself. It resolves REV to a commit, whose
+full hash its header line quotes, and checks it out with ``git worktree
 add --detach`` into a temporary directory and runs the fixed set in that
 tree and then in the working tree, each in its own subprocess with
 PYTHONPATH set to that tree's ``src``. The fixed set is both benchmark
@@ -31,7 +32,8 @@ that moved:
   tree only.
 
 Relative drift is |a - b| / max(|a|, |b|). The exit code is 0 when every
-file is byte-equal and 1 otherwise.
+file is byte-equal and 1 otherwise; a REV that git cannot resolve exits 2
+with one line on stderr, before any worktree is made.
 """
 from __future__ import annotations
 
@@ -208,12 +210,19 @@ def _run_tree(src: Path, configs: Path, out: Path) -> None:
 
 
 def base(rev: str) -> int:
-    """Run the fixed set at rev and in the working tree, then compare."""
+    """Run the fixed set at rev and in the working tree, then compare; a rev
+    that git cannot resolve to a commit exits 2 before anything is made."""
+    found = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                            f"{rev}^{{commit}}"], capture_output=True, text=True)
+    if found.returncode:
+        print(f"equivalence: unknown revision {rev!r}", file=sys.stderr)
+        return 2
+    commit = found.stdout.strip()
     with tempfile.TemporaryDirectory(prefix="equivalence-") as tmp:
         tmp = Path(tmp)
         tree = tmp / "base"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                        str(tree), rev], check=True)
+                        str(tree), commit], check=True)
         try:
             _write_configs(tmp / "configs")
             _run_tree(tree / "src", tmp / "configs", tmp / "out" / "base")
@@ -221,7 +230,7 @@ def base(rev: str) -> int:
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            check=True)
-        print(f"base {rev} against the working tree")
+        print(f"base {rev} ({commit}) against the working tree")
         return compare(tmp / "out" / "base", tmp / "out" / "work")
 
 
