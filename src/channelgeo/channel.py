@@ -63,7 +63,8 @@ class ChannelSpec:
 
     env_probs are the eigenweights of the initial environment state in
     the env_basis columns; env_basis defaults to the standard basis and
-    env_probs to the uniform distribution.
+    env_probs to the uniform distribution. Only the Kraus and joint routes
+    read them: every complexity reads H_S, H_I and H_E alone.
     """
 
     d_S: int
@@ -164,8 +165,8 @@ def _joint(spec: ChannelSpec, t: float, m: MetricSpec | None = None) -> tuple[di
     H_Se = spec.h_system_embedded()
     resid = sqrt_abs_diff(H_tot, H_Se)
     g_tot = geometric_complexity_const(H_tot, t, m)
-    g_channel = float(g_tot - geometric_complexity_const(resid, t, m))
-    g_free = float(geometric_complexity_const(H_Se, t, m))
+    g_channel = g_tot - geometric_complexity_const(resid, t, m)
+    g_free = geometric_complexity_const(H_Se, t, m)
     split = {"G_hs": g_channel, "G_noiseless": g_free, "N_hs": abs(g_channel - g_free)}
     return split, (H_tot, H_Se, resid, g_tot)
 
@@ -208,7 +209,7 @@ def noise_complexity_bounds(spec: ChannelSpec, t: float) -> dict:
     lower = geometric_complexity_const(resid + matrix_abs(H_Se), t, None) - g_tot
     distance = float(log_distance(matrix_exp_unitary(H_tot, t), matrix_exp_unitary(resid, t)))
     return split | {
-        "lower": float(lower),
+        "lower": lower,
         "upper": split["G_noiseless"] - distance,
         "distance_estimate": distance,
     }
@@ -320,7 +321,6 @@ def perturbative_values(
         H_S=H_S,
         H_I=eps * tensor(A_S, np.diag(E)),
         H_E=np.zeros((d_E, d_E)),
-        env_probs=alpha,
     )
     exact = channel_complexity_const(spec, t)
     d = d_S * d_E

@@ -110,7 +110,8 @@ def main(argv=None) -> int:
         print(f"channelgeo: {cfg.get('kind', args.command)} failed: {why}", file=sys.stderr)
         return 1
     except OSError as exc:  # the report, a sidecar or the sweep directory
-        print(f"channelgeo: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        dest = "stdout" if args.out is None else args.out  # '' names the working directory
+        print(f"channelgeo: cannot write {dest}: {exc}", file=sys.stderr)
         return 2
 
     elapsed = time.perf_counter() - started

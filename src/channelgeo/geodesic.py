@@ -109,14 +109,14 @@ def geometric_complexity_const(H: np.ndarray, t: float, m: MetricSpec | None = N
     if not t >= 0:  # NaN fails too
         raise ValueError(f"Time must be nonnegative, got {t!r}.")
     d = H.shape[0]
-    return t * generator_norm(H, m) / np.sqrt(d**2 - 1)
+    return float(t * generator_norm(H, m) / np.sqrt(d**2 - 1))
 
 
 def path_length(p: PiecewiseConstantPath, m: MetricSpec | None = None) -> float:
     """(1/sqrt(d^2-1)) * sum of duration * generator norm over segments."""
     d = p.dim
     total = sum(ds * generator_norm(H, m) for H, ds in p.segments)
-    return total / np.sqrt(d**2 - 1)
+    return float(total / np.sqrt(d**2 - 1))
 
 
 def path_endpoint(p: PiecewiseConstantPath) -> np.ndarray:

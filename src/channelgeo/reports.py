@@ -269,10 +269,8 @@ _METRIC = (
 )
 _JOINT_SPEC = _Form(
     {"d_S": _integer(2), "d_E": _integer(), "H_S": _matrix(), "H_I": _matrix(),
-     "H_E": _matrix(min_dim=1), "env_probs": _vector, "env_basis": _matrix(min_dim=1),
-     "t": _TIME},
-    {"env_probs": None, "env_basis": None},
-    _channel_spec,
+     "H_E": _matrix(min_dim=1), "t": _TIME},
+    build=_channel_spec,
 )
 _PERTURBATIVE = _Form(
     {"H_S": _matrix(), "A_S": _matrix(), "env_energies": _vector, "weights": _vector,
@@ -494,7 +492,7 @@ def _run_rode(seed: int, path: geodesic.PiecewiseConstantPath, noise: rode.Noise
         "mean_operator_norm": result.mean_operator_norm,
     }
     checks = [
-        make_check("mean_contraction", scalars["mean_operator_norm"], 1.0 + 1e-9)
+        make_check("mean_contraction", scalars["mean_operator_norm"], 1.0 + rode.MEAN_OP_NORM_TOL)
     ]
     fluct = result.fluctuations
     if fluct is not None:
@@ -511,11 +509,9 @@ def _fluctuation_checks(fluct: dict, counts: tuple) -> list:
     ]
 
 
-def _run_decompose(seed: int, U: np.ndarray, normalize_phase: bool):
+def _run_decompose(seed: int, U: np.ndarray):
     N = U.shape[0]
-    if normalize_phase:
-        det = np.linalg.det(U)
-        U = U * det ** (-1.0 / N)
+    U = U * np.linalg.det(U) ** (-1.0 / N)  # onto SU(N), where the synthesis works
     circuit = algebra.decompose_two_level(U)
     err = hs_norm(algebra.reconstruct(circuit, N) - U)
     bound = N * (N - 1) // 2
@@ -653,7 +649,8 @@ def _rode_checks(rng_matched, rng_gauss) -> list:
     gauss = rode.NoiseModel(kind="gaussian_pauli", sigma=0.1, dt_noise=1.0 / 64.0)
     res = rode.ensemble_mean(path, gauss, 30, int(rng_gauss.integers(2**31)))
     checks = _fluctuation_checks(fluct, ("distance_bound", "complexity_gap"))
-    return [*checks, make_check("rode_mean_contraction", res.mean_operator_norm, 1.0 + 1e-9)]
+    return [*checks, make_check("rode_mean_contraction", res.mean_operator_norm,
+                                   1.0 + rode.MEAN_OP_NORM_TOL)]
 
 
 def _synthesis_checks(rng) -> list:
@@ -753,8 +750,7 @@ KINDS = {
     )),
     "rode": (_run_rode, _Form({"path": _PATH, "noise": _NOISE, "M": _integer()}, {"M": 100},
                               _rode)),
-    "decompose": (_run_decompose, _Form({"U": _UNITARY, "normalize_phase": _flag},
-                                        {"normalize_phase": True})),
+    "decompose": (_run_decompose, _Form({"U": _UNITARY})),
     "verify-all": (_run_verify_all, _Form({})),
 }
 
@@ -774,24 +770,24 @@ def run_experiment(cfg: dict) -> dict:
 
 @contextlib.contextmanager
 def staging():
-    """Yield stage(dest), the temporary name beside dest to write it under.
+    """Yield stage(dest), the temporary name beside dest to write it under;
+    a dest that is a directory, `.` and the empty path among them, is refused.
 
-    When the block succeeds and no destination is a directory, every staged
-    file replaces its destination; otherwise none does and the temporaries
-    are removed, so a failed write leaves each destination as it was.
+    When the block succeeds, every staged file replaces its destination;
+    otherwise none does and the temporaries are removed, so a failed write
+    leaves each destination as it was.
     """
     moves = []
 
     def stage(dest: Path) -> Path:
+        if dest.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dest))
         tmp = dest.with_name(".partial-" + dest.name)
         moves.append((tmp, dest))
         return tmp
 
     try:
         yield stage
-        for _, dest in moves:
-            if dest.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dest))
         for tmp, dest in moves:
             os.replace(tmp, dest)
         moves.clear()

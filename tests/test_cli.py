@@ -304,7 +304,7 @@ _ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1
         ("complexity", {"H": [[["INF", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "'H'"),
         ("noise", {"d_E": 2.0}, "'d_E'"),
         ("noise", {"d_S": 0}, "'d_S'"),
-        ("decompose", {"normalize_phase": "no"}, "'normalize_phase'"),
+        ("decompose", {"U": pairs(2 * np.eye(2))}, "'U'"),
         ("rode", {"noise": {**_MATCHED, "dt_noise": 1e-300}}, "'noise.dt_noise'"),
         ("rode", {"noise": {**_MATCHED, "dt_noise": 2**-17}}, "'noise.dt_noise'"),
         ("rode", {"M": rode.MAX_TRAJECTORIES + 1}, "'M'"),
@@ -428,10 +428,8 @@ def _segments(*ds):
          {"H_I": pairs(np.eye(2))}),
         (lambda: channel.ChannelSpec(**{**_SPEC, "H_E": np.eye(3)}), "", "H_E", "channel",
          {**_BASE["noise"], "H_E": pairs(np.eye(3))}),
-        (lambda: channel.ChannelSpec(**_SPEC, env_probs=[1.0]), "", "env_probs", "noise",
-         {"env_probs": [1.0]}),
-        (lambda: channel.ChannelSpec(**_SPEC, env_basis=np.eye(3)), "", "env_basis", "noise",
-         {"env_basis": pairs(np.eye(3))}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "d_E": 3}), "", "H_I", "noise", {"d_E": 3}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "d_S": 3}), "", "H_S", "noise", {"d_S": 3}),
         # channel.check_perturbative, read under `perturbative`
         (lambda: channel.check_perturbative(**{**_PERT, "A_S": np.eye(3)}), "perturbative.",
          "A_S", "channel", {"perturbative": {**_PERTURBATIVE, "A_S": pairs(np.eye(3))}}),
@@ -447,10 +445,10 @@ def _segments(*ds):
         # range and matrix rules, which the readers leave to the domain types
         (lambda: channel.ChannelSpec(**{**_SPEC, "H_S": 1j * _X}), "", "H_S", "noise",
          {"H_S": pairs(1j * _X)}),
-        (lambda: channel.ChannelSpec(**_SPEC, env_basis=2 * np.eye(2)), "", "env_basis", "noise",
-         {"env_basis": pairs(2 * np.eye(2))}),
-        (lambda: channel.ChannelSpec(**_SPEC, env_probs=[-0.5, 1.5]), "", "env_probs", "noise",
-         {"env_probs": [-0.5, 1.5]}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_I": 1j * np.kron(_X, _X)}), "", "H_I",
+         "channel", {**_BASE["noise"], "H_I": pairs(1j * np.kron(_X, _X))}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_E": 1j * _X}), "", "H_E", "noise",
+         {"H_E": pairs(1j * _X)}),
         (lambda: channel.check_perturbative(**{**_PERT, "eps": -0.1}), "perturbative.", "eps",
          "channel", {"perturbative": {**_PERTURBATIVE, "eps": -0.1}}),
         (lambda: channel.check_perturbative(**{**_PERT, "env_energies": np.array([-1.0, 1.0])}),
@@ -514,6 +512,51 @@ def test_domain_rules_refuse_nan(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert getattr(info.value, "name", None) == name
+
+
+# A joint spec in the system-dominated regime, where every noise check holds,
+# with an environment state that is neither uniform nor diagonal.
+_ENV_SPEC = {"d_S": 2, "d_E": 2, "H_S": pairs(12 * _Z), "H_I": pairs(0.2 * np.kron(_X, _Z)),
+             "H_E": pairs(0.5 * _X), "t": 0.3, "env_probs": [0.25, 0.75],
+             "env_basis": pairs(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))}
+
+
+# No complexity reads the environment state, so a joint spec that sets it gets
+# one note per field and the report bytes it had when the fields were read.
+@pytest.mark.parametrize(
+    "kind, sha256",
+    [
+        ("channel", "9c2a7f9ecb0ee9ad2d7e44cd33b853d97ae2fa53a921832b822015f7241e7156"),
+        ("noise", "b687724d6b9d6fcb55214744bfb0e0e52c6f693e6f9bd7a4c60c98d3441622d7"),
+    ],
+    ids=["channel", "noise"],
+)
+def test_env_fields_are_noted_and_leave_the_report_as_it_was(tmp_path, capsys, kind, sha256):
+    cfg = write_cfg(tmp_path, "e.json", {"schema_version": 1, "kind": kind, "seed": 0, **_ENV_SPEC})
+    out = tmp_path / "report.json"
+    assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 0
+    notes = capsys.readouterr().err.splitlines()[:-1]
+    assert notes == [f"channelgeo: config field {f!r} is not read by kind {kind!r}; ignored"
+                     for f in ("env_probs", "env_basis")]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("env_probs", [1.0]), ("env_basis", np.eye(3)), ("env_basis", 2 * np.eye(2)),
+     ("env_probs", [-0.5, 1.5])],
+    ids=["env_probs-length", "env_basis-shape", "env_basis-not-unitary", "env_probs-negative"],
+)
+def test_env_fields_are_checked_by_the_api_only(tmp_path, capsys, field, value):
+    """The Kraus route reads the environment state, so ChannelSpec refuses a
+    bad one by name; the CLI reads none, so a config that sets it runs."""
+    with pytest.raises(ArgumentError) as info:
+        channel.ChannelSpec(**_SPEC, **{field: value})
+    assert info.value.name == field
+    fields = {**_BASE["noise"], field: pairs(value) if field == "env_basis" else value}
+    cfg = write_cfg(tmp_path, "e.json", {"schema_version": 1, "kind": "noise", "seed": 0, **fields})
+    assert cli.main(["noise", "--config", cfg]) == 0
+    assert f"config field {field!r} is not read by kind 'noise'" in capsys.readouterr().err
 
 
 def test_missing_field_exits_two(tmp_path):
@@ -599,9 +642,11 @@ def test_sweep_to_stdout(tmp_path):
         ("sweep", "file"),
         ("sweep", "file/sweep"),
         ("sweep", "swept"),  # its sweep.csv is a directory
+        ("complexity", "."),  # the working directory, which has no file name
+        ("complexity", ""),  # the working directory too
     ],
 )
-def test_unwritable_out_exits_two(tmp_path, capsys, command, out):
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, command, out):
     (tmp_path / "taken").mkdir()
     (tmp_path / "r_trajectories.csv").mkdir()
     (tmp_path / "file").write_text("", encoding="utf-8")
@@ -610,7 +655,8 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command, out):
     (tmp_path / "swept" / "sweep.csv").mkdir(parents=True)
     kind = "complexity" if command == "sweep" else command
     cfg = write_cfg(tmp_path, "c.json", {"schema_version": 1, "kind": kind, "seed": 0, **_BASE[kind]})
-    argv = [command, "--config", cfg, "--out", str(tmp_path / out)]
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", cfg, "--out", out]
     if command == "sweep":
         argv += ["--param", "t", "--values", "0.5", "1.0"]
 
@@ -620,7 +666,7 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command, out):
     before = tree()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"channelgeo: cannot write {tmp_path / out}: ")
+    assert err.startswith(f"channelgeo: cannot write {out}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert tree() == before  # no output is new or changed, no staging is left
@@ -736,20 +782,17 @@ def test_decompose_kind(tmp_path):
     assert rep["scalars"]["reconstruction_error"] <= 1e-9
     assert len(rep["circuit"]) == int(rep["scalars"]["gate_count"])
 
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    reflection = np.eye(4) - 2 * np.outer(v, v.conj())  # det -1
     cfg2 = write_cfg(
         tmp_path,
         "d2.json",
-        {
-            "schema_version": 1,
-            "kind": "decompose",
-            "seed": 0,
-            "U": pairs(np.diag([1j, 1.0])),
-            "normalize_phase": False,
-        },
+        {"schema_version": 1, "kind": "decompose", "seed": 0, "U": pairs(reflection)},
     )
-    code, _, err = run_cli("decompose", "--config", cfg2)
-    assert code == 1
-    assert "failed" in err
+    code, out, err = run_cli("decompose", "--config", cfg2)
+    assert code == 0, err
+    assert json.loads(out)["scalars"]["reconstruction_error"] <= 1e-9
 
 
 def test_cohering_power_kind(tmp_path):
@@ -1019,7 +1062,7 @@ _HADAMARD = pairs(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 _VALID = [
     ("complexity", {"H": SIGMA_Z, "t": 1.0, "metric": {"n": 1, "q": 2.0}}),
     ("channel", {"perturbative": {**_PERTURBATIVE, "t": 0.5}}),
-    ("channel", {**_BASE["noise"], "env_probs": [0.5, 0.5]}),
+    ("channel", _BASE["noise"]),
     ("noise", _BASE["noise"]),
     ("cohering-power", {"U": _HADAMARD, "restarts": 1,
                         "dephasing": [pairs(np.diag([1.0, 0.0])), pairs(np.diag([0.0, 1.0]))]}),
@@ -1027,7 +1070,7 @@ _VALID = [
     ("rode", {"path": {"H": SIGMA_Z, "t": 1.0}, "noise": _MATCHED, "M": 3}),
     ("rode", {"path": {"segments": [{"H": SIGMA_Z, "ds": 0.5}, {"H": SIGMA_Z, "ds": 0.5}]},
               "noise": {"kind": "gaussian_pauli", "sigma": 0.1, "dt_noise": 0.125}, "M": 3}),
-    ("decompose", {"U": _HADAMARD, "normalize_phase": True}),
+    ("decompose", {"U": _HADAMARD}),
     ("verify-all", {}),
 ]
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
@@ -1083,6 +1126,18 @@ def test_report_bytes_match_json(value):
 def test_report_bytes_refuse_non_finite(place, bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         report_bytes(place(bad))
+
+
+def test_complexity_report_never_reaches_the_json_fallback(monkeypatch):
+    """Every scalar of a complexity report is a Python float, so report_bytes
+    encodes it itself and never hands a value to json.dumps."""
+    cfg = {"schema_version": 1, "kind": "complexity", "seed": 0, **_VALID[0][1]}
+    report = run_experiment(validate_config(cfg))
+    assert sorted(report["scalars"]) == ["G_hs", "G_omega"]
+    assert {type(v) for v in report["scalars"].values()} == {float}
+    expected = _json_bytes(report)
+    monkeypatch.setattr(reports.json, "dumps", lambda value, **kw: pytest.fail(repr(value)))
+    assert report_bytes(report) == expected
 
 
 def test_report_bytes_peak_memory():

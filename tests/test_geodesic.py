@@ -30,6 +30,7 @@ def test_sigma_z_closed_form():
     # ||sigma_z||_HS = sqrt(2), d = 2, so the value is sqrt(2/3)
     val = geometric_complexity_const(SIGMA_Z, 1.0)
     assert abs(val - np.sqrt(2.0 / 3.0)) < 1e-14
+    assert type(val) is float  # a report scalar, not a numpy.float64
 
 
 def test_constant_path_matches_closed_form(rng):
@@ -84,6 +85,7 @@ def test_path_length_sums_segments(rng):
     p = PiecewiseConstantPath(segments=((A, 0.3), (B, 0.5)))
     expect = (0.3 * hs_norm(A) + 0.5 * hs_norm(B)) / np.sqrt(3.0)
     assert abs(path_length(p) - expect) < 1e-12
+    assert type(path_length(p)) is float
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
