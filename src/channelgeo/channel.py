@@ -13,11 +13,11 @@ Conventions (also emitted in every CLI report):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodesic import geometric_complexity_const, log_distance, segment_duration
+from .geodesic import check_time, geometric_complexity_const, log_distance, segment_duration
 from .operators import (
     ArgumentError,
     at_least,
@@ -61,27 +61,30 @@ def _check_probabilities(name: str, p, d: int) -> np.ndarray:
 class ChannelSpec:
     """System+environment split defining the reduced dynamics.
 
+    d_S and d_E are the sizes of H_S and H_E; H_I acts on their joint space.
     env_probs are the eigenweights of the initial environment state in
     the env_basis columns; env_basis defaults to the standard basis and
     env_probs to the uniform distribution. Only the Kraus and joint routes
     read them: every complexity reads H_S, H_I and H_E alone.
     """
 
-    d_S: int
-    d_E: int
     H_S: np.ndarray
     H_I: np.ndarray
     H_E: np.ndarray
     env_probs: np.ndarray | None = None
     env_basis: np.ndarray | None = None
+    d_S: int = field(init=False)
+    d_E: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.d_S < 1 or self.d_E < 1:
-            raise ArgumentError("d_S" if self.d_S < 1 else "d_E", "expected a positive dimension")
-        for name, d in (("H_S", self.d_S), ("H_I", self.d_S * self.d_E), ("H_E", self.d_E)):
+        for name in ("H_S", "H_I", "H_E"):
             H = named(name, hermitian, getattr(self, name))
-            _check_shape(name, H, (d, d))
+            if not H.size:
+                raise ArgumentError(name, "expected at least a 1×1 matrix, got 0×0")
             object.__setattr__(self, name, H)
+        object.__setattr__(self, "d_S", len(self.H_S))
+        object.__setattr__(self, "d_E", len(self.H_E))
+        _check_shape("H_I", self.H_I, (self.d_S * self.d_E,) * 2)
         if self.env_probs is None:
             p = np.full(self.d_E, 1.0 / self.d_E)
         else:
@@ -114,6 +117,7 @@ def kraus_operators(spec: ChannelSpec, t: float) -> np.ndarray:
     environment-indexed blocks of the joint propagator in row-major (j, i)
     order.
     """
+    check_time(t)
     U = matrix_exp_unitary(spec.h_total(), t)
     R = U.reshape(spec.d_S, spec.d_E, spec.d_S, spec.d_E)
     B = spec.env_basis
@@ -123,7 +127,7 @@ def kraus_operators(spec: ChannelSpec, t: float) -> np.ndarray:
     M = M.reshape(spec.d_E**2, spec.d_S, spec.d_S)
     total = np.einsum("kba,kbc->ac", M.conj(), M)
     dev = float(np.max(np.abs(total - np.eye(spec.d_S))))
-    if dev > KRAUS_COMPLETENESS_TOL:
+    if not dev <= KRAUS_COMPLETENESS_TOL:  # NaN fails too
         raise ValueError(f"Kraus completeness violated: max |sum M†M - I| = {dev:.3e}.")
     return M
 
@@ -148,6 +152,7 @@ def apply_channel_via_joint(spec: ChannelSpec, t: float, rho_S: np.ndarray) -> n
     """Independent route: evolve the joint product state, trace out the
     environment. Kept separate from the Kraus route on purpose so the
     two stay cross-checkable."""
+    check_time(t)
     rho_S = _system_state(spec, rho_S)
     joint = tensor(rho_S, spec.env_state())
     U = matrix_exp_unitary(spec.h_total(), t)
@@ -315,13 +320,7 @@ def perturbative_values(
     """perturbative_example on the arrays that check_perturbative returned."""
     d_S = H_S.shape[0]
     d_E = E.size
-    spec = ChannelSpec(
-        d_S=d_S,
-        d_E=d_E,
-        H_S=H_S,
-        H_I=eps * tensor(A_S, np.diag(E)),
-        H_E=np.zeros((d_E, d_E)),
-    )
+    spec = ChannelSpec(H_S=H_S, H_I=eps * tensor(A_S, np.diag(E)), H_E=np.zeros((d_E, d_E)))
     exact = channel_complexity_const(spec, t)
     d = d_S * d_E
     h = np.sqrt(d_E) * hs_norm(H_S)

@@ -67,6 +67,8 @@ def _parse_value(text: str):
         return json.loads(text)
     except json.JSONDecodeError:
         return text
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an integer too long
+        raise ConfigError(f"cannot parse --values entry: {exc}") from None
 
 
 def main(argv=None) -> int:

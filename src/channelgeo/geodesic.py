@@ -38,6 +38,12 @@ def segment_duration(k: int, ds: float) -> float:
     return float(ds)
 
 
+def check_time(t: float) -> None:
+    """Refuse a time t, as argument t, unless it is finite and >= 0."""
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise ArgumentError("t", f"expected a finite number >= 0, got {t!r}")
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantPath:
     """Ordered (generator, duration) segments, at least one; durations
@@ -106,8 +112,7 @@ def geometric_complexity_const(H: np.ndarray, t: float, m: MetricSpec | None = N
     coefficients instead.
     """
     H = hermitian(H)
-    if not t >= 0:  # NaN fails too
-        raise ValueError(f"Time must be nonnegative, got {t!r}.")
+    check_time(t)
     d = H.shape[0]
     return float(t * generator_norm(H, m) / np.sqrt(d**2 - 1))
 

@@ -59,8 +59,6 @@ from channelgeo.rode import (
 
 def random_channel_spec(rng, scale_S=1.0, scale_IE=1.0):
     return ChannelSpec(
-        d_S=2,
-        d_E=2,
         H_S=rand_hermitian(rng, 2, scale_S),
         H_I=rand_hermitian(rng, 4, scale_IE),
         H_E=rand_hermitian(rng, 2, scale_IE),
@@ -140,11 +138,11 @@ def test_criterion_05_limit_cases():
     z2 = np.zeros((2, 2))
     z4 = np.zeros((4, 4))
     for _ in range(20):
-        free = ChannelSpec(d_S=2, d_E=2, H_S=rand_hermitian(rng, 2), H_I=z4, H_E=z2)
+        free = ChannelSpec(H_S=rand_hermitian(rng, 2), H_I=z4, H_E=z2)
         t = float(rng.uniform(0.1, 2.0))
         gap = complexity_split(free, t)["N_hs"]
         assert gap <= 1e-10
-        lonely = ChannelSpec(d_S=2, d_E=2, H_S=z2, H_I=rand_hermitian(rng, 4), H_E=z2)
+        lonely = ChannelSpec(H_S=z2, H_I=rand_hermitian(rng, 4), H_E=z2)
         assert abs(channel_complexity_const(lonely, t)) <= 1e-10
 
 
@@ -288,8 +286,6 @@ def test_criterion_13_kraus_completeness_and_oracle():
     for k in range(200):
         d_S, d_E = ((2, 2), (2, 3), (3, 2))[k % 3]
         spec = ChannelSpec(
-            d_S=d_S,
-            d_E=d_E,
             H_S=rand_hermitian(rng, d_S),
             H_I=rand_hermitian(rng, d_S * d_E),
             H_E=rand_hermitian(rng, d_E),

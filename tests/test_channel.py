@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,6 @@ from channelgeo.reports import _rand_spec, verify_all_battery
 
 def make_spec(rng, d_S=2, d_E=2, scale_S=1.0, scale_IE=1.0, uniform_env=True):
     return ChannelSpec(
-        d_S=d_S,
-        d_E=d_E,
         H_S=rand_hermitian(rng, d_S, scale_S),
         H_I=rand_hermitian(rng, d_S * d_E, scale_IE),
         H_E=rand_hermitian(rng, d_E, scale_IE),
@@ -37,20 +37,49 @@ def make_spec(rng, d_S=2, d_E=2, scale_S=1.0, scale_IE=1.0, uniform_env=True):
 def test_spec_validation(rng):
     H2 = rand_hermitian(rng, 2)
     H4 = rand_hermitian(rng, 4)
-    with pytest.raises(ValueError):
-        ChannelSpec(d_S=0, d_E=2, H_S=H2, H_I=H4, H_E=H2)
-    with pytest.raises(ValueError):  # H_S wrong size
-        ChannelSpec(d_S=2, d_E=2, H_S=rand_hermitian(rng, 3), H_I=H4, H_E=H2)
+    with pytest.raises(ValueError):  # an empty system
+        ChannelSpec(H_S=np.zeros((0, 0)), H_I=H4, H_E=H2)
+    with pytest.raises(ValueError):  # H_S wrong size for H_I
+        ChannelSpec(H_S=rand_hermitian(rng, 3), H_I=H4, H_E=H2)
     with pytest.raises(ValueError):  # H_I wrong size
-        ChannelSpec(d_S=2, d_E=2, H_S=H2, H_I=H2, H_E=H2)
+        ChannelSpec(H_S=H2, H_I=H2, H_E=H2)
     with pytest.raises(ValueError):  # probs wrong length
-        ChannelSpec(d_S=2, d_E=2, H_S=H2, H_I=H4, H_E=H2, env_probs=np.ones(3) / 3)
+        ChannelSpec(H_S=H2, H_I=H4, H_E=H2, env_probs=np.ones(3) / 3)
     with pytest.raises(ValueError):  # negative prob
-        ChannelSpec(d_S=2, d_E=2, H_S=H2, H_I=H4, H_E=H2, env_probs=np.array([1.5, -0.5]))
+        ChannelSpec(H_S=H2, H_I=H4, H_E=H2, env_probs=np.array([1.5, -0.5]))
     with pytest.raises(ValueError):  # not normalized
-        ChannelSpec(d_S=2, d_E=2, H_S=H2, H_I=H4, H_E=H2, env_probs=np.array([0.7, 0.7]))
+        ChannelSpec(H_S=H2, H_I=H4, H_E=H2, env_probs=np.array([0.7, 0.7]))
     with pytest.raises(ValueError):  # env_basis not unitary
-        ChannelSpec(d_S=2, d_E=2, H_S=H2, H_I=H4, H_E=H2, env_basis=np.ones((2, 2)))
+        ChannelSpec(H_S=H2, H_I=H4, H_E=H2, env_basis=np.ones((2, 2)))
+
+
+def test_spec_dimensions_are_the_sizes_of_its_matrices(rng):
+    spec = make_spec(rng, d_S=3, d_E=2)
+    assert (spec.d_S, spec.d_E) == (3, 2)
+    assert list(inspect.signature(ChannelSpec).parameters) == [
+        "H_S", "H_I", "H_E", "env_probs", "env_basis"]
+    H4, empty = rand_hermitian(rng, 4), np.zeros((0, 0))
+    for name, fields in (("H_S", dict(H_S=empty, H_E=np.eye(2))),
+                         ("H_E", dict(H_S=np.eye(2), H_E=empty))):
+        with pytest.raises(ArgumentError) as info:
+            ChannelSpec(H_I=H4, **fields)
+        assert info.value.name == name
+    with pytest.raises(ArgumentError) as info:
+        ChannelSpec(H_S=np.eye(2), H_I=H4, H_E=np.eye(3))
+    assert (info.value.name, info.value.message) == ("H_I", "expected shape (6, 6), got (4, 4)")
+
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+def test_every_time_is_finite_and_nonnegative(rng, t):
+    spec, rho = make_spec(rng), rand_density(rng, 2)
+    calls = (lambda: geometric_complexity_const(spec.H_S, t), lambda: complexity_split(spec, t),
+             lambda: noise_complexity_bounds(spec, t), lambda: kraus_operators(spec, t),
+             lambda: apply_channel(spec, t, rho), lambda: apply_channel_via_joint(spec, t, rho))
+    for call in calls:
+        with pytest.raises(ArgumentError) as info:
+            call()
+        assert info.value.name == "t"
 
 
 def test_env_defaults(rng):
@@ -118,7 +147,7 @@ def test_channel_never_exceeds_noiseless(rng):
 
 def test_noise_free_limit(rng):
     z2 = np.zeros((2, 2))
-    spec = ChannelSpec(d_S=2, d_E=2, H_S=rand_hermitian(rng, 2), H_I=np.zeros((4, 4)), H_E=z2)
+    spec = ChannelSpec(H_S=rand_hermitian(rng, 2), H_I=np.zeros((4, 4)), H_E=z2)
     t = 0.9
     split = complexity_split(spec, t)
     assert split["N_hs"] < 1e-10
@@ -127,8 +156,6 @@ def test_noise_free_limit(rng):
 
 def test_system_free_limit(rng):
     spec = ChannelSpec(
-        d_S=2,
-        d_E=2,
         H_S=np.zeros((2, 2)),
         H_I=rand_hermitian(rng, 4),
         H_E=rand_hermitian(rng, 2),
@@ -202,7 +229,7 @@ def test_td_single_segment_matches_const(scale_S):
 def test_td_segment_additivity(rng):
     H_S = np.diag([1.0, 2.0])
     H_I = 0.3 * np.diag([0.0, 1.0, 0.0, 1.0])
-    spec = ChannelSpec(d_S=2, d_E=2, H_S=H_S, H_I=H_I, H_E=np.zeros((2, 2)))
+    spec = ChannelSpec(H_S=H_S, H_I=H_I, H_E=np.zeros((2, 2)))
     one = TimeDependentSpec(segments=((spec, 1.0),))
     two = TimeDependentSpec(segments=((spec, 0.4), (spec, 0.6)))
     assert abs(complexity_split_td(one)["G_td"] - complexity_split_td(two)["G_td"]) < 1e-12
@@ -218,13 +245,13 @@ def test_td_segment_additivity(rng):
 
 
 def test_td_validation():
-    spec = ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
+    spec = ChannelSpec(H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
     with pytest.raises(ValueError):
         TimeDependentSpec(segments=((spec, 0.0),))
     with pytest.raises(ArgumentError) as info:  # the segment's own rule, with its name
-        ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(3), H_E=np.eye(2))
+        ChannelSpec(H_S=np.eye(2), H_I=np.eye(3), H_E=np.eye(2))
     assert info.value.name == "H_I"
-    other = ChannelSpec(d_S=2, d_E=3, H_S=np.eye(2), H_I=np.eye(6), H_E=np.eye(3))
+    other = ChannelSpec(H_S=np.eye(2), H_I=np.eye(6), H_E=np.eye(3))
     with pytest.raises(ArgumentError, match=r"segment 1 has \(d_S, d_E\) \(2, 3\)") as info:
         TimeDependentSpec(segments=((spec, 1.0), (other, 1.0)))
     assert info.value.name == "segments"
@@ -234,7 +261,7 @@ def test_td_validation():
 
 
 def test_td_refuses_a_metric_on_another_dimension():
-    spec = ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
+    spec = ChannelSpec(H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
     with pytest.raises(ArgumentError, match="basis dimension 2, not d_S·d_E = 4") as info:
         TimeDependentSpec(segments=((spec, 1.0),), metric=build_penalty_metric(1, 2.0))
     assert info.value.name == "metric"
@@ -244,7 +271,7 @@ def test_td_refuses_a_metric_on_another_dimension():
 
 @pytest.mark.parametrize("ds", [float("nan"), float("inf"), 0.0, -1.0])
 def test_td_refuses_a_duration_as_a_path_does(ds):
-    spec = ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
+    spec = ChannelSpec(H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2))
     with pytest.raises(ValueError) as td:
         TimeDependentSpec(segments=((spec, ds),))
     with pytest.raises(ValueError) as path:
@@ -259,7 +286,7 @@ _PINNED = dict(H_S=np.diag([1.0, 2.0]), A_S=np.eye(2), env_energies=np.array([0.
 @pytest.mark.parametrize(
     "build, name",
     [
-        (lambda: ChannelSpec(d_S=2, d_E=2, H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2),
+        (lambda: ChannelSpec(H_S=np.eye(2), H_I=np.eye(4), H_E=np.eye(2),
                              env_probs=np.eye(2) / 2), "env_probs"),
         (lambda: check_perturbative(**{**_PINNED, "weights": np.eye(2) / 2}), "weights"),
         (lambda: check_perturbative(**{**_PINNED, "env_energies": np.eye(2)}), "env_energies"),

@@ -264,8 +264,6 @@ _BASE = {
     "complexity": {"H": SIGMA_Z, "t": 1.0},
     "channel": {},
     "noise": {
-        "d_S": 2,
-        "d_E": 2,
         "H_S": SIGMA_Z,
         "H_I": pairs(np.zeros((4, 4))),
         "H_E": pairs(np.zeros((2, 2))),
@@ -276,7 +274,7 @@ _BASE = {
     "decompose": {"U": pairs(np.eye(2))},
 }
 _ONE = [[[1.0, 0.0]]]  # a 1x1 matrix
-_ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1.0}
+_ONE_BY_ONE = {"H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1.0}
 
 
 @pytest.mark.parametrize(
@@ -302,8 +300,8 @@ _ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1
         ("complexity", {"metric": {"n": True, "q": 2.0}}, "'metric.n'"),
         ("channel", {"perturbative": 5}, "'perturbative'"),
         ("complexity", {"H": [[["INF", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "'H'"),
-        ("noise", {"d_E": 2.0}, "'d_E'"),
-        ("noise", {"d_S": 0}, "'d_S'"),
+        ("noise", {"H_E": []}, "'H_E'"),
+        ("noise", {"H_S": []}, "'H_S'"),
         ("decompose", {"U": pairs(2 * np.eye(2))}, "'U'"),
         ("rode", {"noise": {**_MATCHED, "dt_noise": 1e-300}}, "'noise.dt_noise'"),
         ("rode", {"noise": {**_MATCHED, "dt_noise": 2**-17}}, "'noise.dt_noise'"),
@@ -327,8 +325,8 @@ _ONE_BY_ONE = {"d_S": 1, "d_E": 1, "H_S": _ONE, "H_I": _ONE, "H_E": _ONE, "t": 1
                                       "env_energies": [1.0], "weights": [1.0]}},
          "'perturbative.H_S'"),
         ("complexity", {"H": _ONE}, "'H'"),
-        ("channel", _ONE_BY_ONE, "'d_S'"),
-        ("noise", _ONE_BY_ONE, "'d_S'"),
+        ("channel", _ONE_BY_ONE, "'H_S'"),
+        ("noise", _ONE_BY_ONE, "'H_S'"),
         ("rode", {"path": {"H": _ONE, "t": 1.0}}, "'path.H'"),
         ("cohering-power", {"dephasing": 5}, "'dephasing'"),
         ("cohering-power", {"dephasing": [pairs(np.diag(e)) for e in np.eye(3)]}, "'dephasing'"),
@@ -378,7 +376,7 @@ _Z = np.diag([1.0, -1.0]).astype(np.complex128)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _GAUSS = NoiseModel(kind="gaussian_pauli", sigma=0.1)
 _MATCHED_MODEL = NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=0.0625)
-_SPEC = dict(d_S=2, d_E=2, H_S=_Z, H_I=np.zeros((4, 4)), H_E=np.zeros((2, 2)))
+_SPEC = dict(H_S=_Z, H_I=np.zeros((4, 4)), H_E=np.zeros((2, 2)))
 _PERT = dict(H_S=np.diag([1.0, 2.0]), A_S=np.eye(2), env_energies=np.array([0.0, 1.0]),
              weights=np.array([0.5, 0.5]), eps=0.01)
 
@@ -422,14 +420,16 @@ def _segments(*ds):
         (lambda: NoiseModel(kind="bounded_matched"), "noise.", "weights", "rode",
          {"noise": {"kind": "bounded_matched"}}),
         # channel.ChannelSpec, the joint spec of `channel` and `noise`
-        (lambda: channel.ChannelSpec(**{**_SPEC, "H_S": np.eye(3)}), "", "H_S", "noise",
-         {"H_S": pairs(np.eye(3))}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_S": np.zeros((0, 0))}), "", "H_S", "noise",
+         {"H_S": []}),
         (lambda: channel.ChannelSpec(**{**_SPEC, "H_I": np.eye(2)}), "", "H_I", "noise",
          {"H_I": pairs(np.eye(2))}),
-        (lambda: channel.ChannelSpec(**{**_SPEC, "H_E": np.eye(3)}), "", "H_E", "channel",
-         {**_BASE["noise"], "H_E": pairs(np.eye(3))}),
-        (lambda: channel.ChannelSpec(**{**_SPEC, "d_E": 3}), "", "H_I", "noise", {"d_E": 3}),
-        (lambda: channel.ChannelSpec(**{**_SPEC, "d_S": 3}), "", "H_S", "noise", {"d_S": 3}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_E": np.zeros((0, 0))}), "", "H_E", "channel",
+         {**_BASE["noise"], "H_E": []}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_E": np.eye(3)}), "", "H_I", "noise",
+         {"H_E": pairs(np.eye(3))}),  # H_I is blamed: it must be (d_S·d_E)×(d_S·d_E)
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_S": np.ones((2, 3))}), "", "H_S", "noise",
+         {"H_S": pairs(np.ones((2, 3)))}),
         # channel.check_perturbative, read under `perturbative`
         (lambda: channel.check_perturbative(**{**_PERT, "A_S": np.eye(3)}), "perturbative.",
          "A_S", "channel", {"perturbative": {**_PERTURBATIVE, "A_S": pairs(np.eye(3))}}),
@@ -466,7 +466,8 @@ def _segments(*ds):
          "dt_noise", "rode", {"noise": {**_MATCHED, "dt_noise": 0.0}}),
         (lambda: rode.segment_plan(constant_path(_Z, 1.0), _MATCHED_MODEL, 0), "", "M", "rode",
          {"M": 0}),
-        (lambda: channel.ChannelSpec(**{**_SPEC, "d_E": 0}), "", "d_E", "noise", {"d_E": 0}),
+        (lambda: channel.ChannelSpec(**{**_SPEC, "H_S": np.eye(3)}), "", "H_I", "noise",
+         {"H_S": pairs(np.eye(3))}),
         (lambda: build_penalty_metric(1, 0.5), "metric.", "q", "complexity",
          {"metric": {"n": 1, "q": 0.5}}),
         (lambda: build_penalty_metric(6, 2.0), "metric.", "n", "complexity",
@@ -505,7 +506,7 @@ def test_domain_rule_names_the_field_the_cli_blames(tmp_path, capsys, call, at, 
         (lambda: build_penalty_metric(3, np.nan), "q"),
         (lambda: constant_path(_Z, np.nan), None),
         (lambda: constant_path(_Z, np.inf), None),
-        (lambda: geometric_complexity_const(_Z, np.nan), None),
+        (lambda: geometric_complexity_const(_Z, np.nan), "t"),
     ],
 )
 def test_domain_rules_refuse_nan(call, name):
@@ -514,15 +515,30 @@ def test_domain_rules_refuse_nan(call, name):
     assert getattr(info.value, "name", None) == name
 
 
-# A joint spec in the system-dominated regime, where every noise check holds,
-# with an environment state that is neither uniform nor diagonal.
-_ENV_SPEC = {"d_S": 2, "d_E": 2, "H_S": pairs(12 * _Z), "H_I": pairs(0.2 * np.kron(_X, _Z)),
-             "H_E": pairs(0.5 * _X), "t": 0.3, "env_probs": [0.25, 0.75],
+# A joint spec in the system-dominated regime, where every noise check holds.
+_JOINT = {"H_S": pairs(12 * _Z), "H_I": pairs(0.2 * np.kron(_X, _Z)), "H_E": pairs(0.5 * _X),
+          "t": 0.3}
+# The same spec as a config once had to give it, with its dimensions and an
+# environment state that is neither uniform nor diagonal.
+_ENV_SPEC = {"d_S": 2, "d_E": 2, **_JOINT, "env_probs": [0.25, 0.75],
              "env_basis": pairs(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))}
 
 
-# No complexity reads the environment state, so a joint spec that sets it gets
-# one note per field and the report bytes it had when the fields were read.
+def _noted_run(tmp_path, capsys, kind: str, fields: dict) -> tuple[list, str]:
+    """The stderr notes and the report's sha256 of one run that exits 0."""
+    cfg = write_cfg(tmp_path, "e.json", {"schema_version": 1, "kind": kind, "seed": 0, **fields})
+    out = tmp_path / "report.json"
+    assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 0
+    return capsys.readouterr().err.splitlines()[:-1], hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _notes(kind: str, fields) -> list:
+    return [f"channelgeo: config field {f!r} is not read by kind {kind!r}; ignored" for f in fields]
+
+
+# No complexity reads the environment state or the dimensions, so a joint spec
+# that sets them gets one note per field and the report bytes it had when the
+# fields were read.
 @pytest.mark.parametrize(
     "kind, sha256",
     [
@@ -532,13 +548,25 @@ _ENV_SPEC = {"d_S": 2, "d_E": 2, "H_S": pairs(12 * _Z), "H_I": pairs(0.2 * np.kr
     ids=["channel", "noise"],
 )
 def test_env_fields_are_noted_and_leave_the_report_as_it_was(tmp_path, capsys, kind, sha256):
-    cfg = write_cfg(tmp_path, "e.json", {"schema_version": 1, "kind": kind, "seed": 0, **_ENV_SPEC})
-    out = tmp_path / "report.json"
-    assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 0
-    notes = capsys.readouterr().err.splitlines()[:-1]
-    assert notes == [f"channelgeo: config field {f!r} is not read by kind {kind!r}; ignored"
-                     for f in ("env_probs", "env_basis")]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    notes, digest = _noted_run(tmp_path, capsys, kind, _ENV_SPEC)
+    assert notes == _notes(kind, ("d_S", "d_E", "env_probs", "env_basis"))
+    assert digest == sha256
+
+
+# d_S and d_E are the sizes of H_S and H_E, so a config that still sets them
+# gets one note per field and the report bytes it had when they were read.
+@pytest.mark.parametrize(
+    "kind, sha256",
+    [
+        ("channel", "0b26d41734f4895271c92e80f8aadb2b9583819502ecb770145e00fc021cbae1"),
+        ("noise", "b87e94d867adfc1419e3d51e1e92c479e232f6d20c7341967501f88881aeb2b1"),
+    ],
+    ids=["channel", "noise"],
+)
+def test_dimension_fields_are_noted_and_leave_the_report_as_it_was(tmp_path, capsys, kind, sha256):
+    notes, digest = _noted_run(tmp_path, capsys, kind, {"d_S": 2, "d_E": 2, **_JOINT})
+    assert notes == _notes(kind, ("d_S", "d_E"))
+    assert digest == sha256
 
 
 @pytest.mark.parametrize(
@@ -710,6 +738,61 @@ def test_sweep_prints_each_unread_field_note_once(tmp_path, capsys):
     assert cli.main(["sweep", "--config", cfg, "--param", "t", "--values", "0.5", "1.0"]) == 0
     err = capsys.readouterr().err
     assert err.count("config field 'extra' is not read by kind 'complexity'") == 1
+
+
+def _nested(levels: int):
+    """1.0 inside `levels` nested lists."""
+    value = 1.0
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+_COMPLEXITY = json.dumps({"schema_version": 1, "kind": "complexity", "seed": 0,
+                          **_BASE["complexity"]})
+
+
+@pytest.mark.parametrize(
+    "raw, argv, name",
+    [
+        (b"\xff\xfe{}", [], None),
+        (b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", [], None),
+        (_COMPLEXITY.replace('"complexity"', '["x"]').encode(), ["--param", "t", "--values", "1"],
+         "'kind'"),
+        (_COMPLEXITY.encode(), ["--param", "kind", "--values", '["x"]'], "'kind'"),
+        (_COMPLEXITY.replace('"seed": 0', '"seed": ' + "9" * 5000).encode(), [], None),
+        (_COMPLEXITY.encode(), ["--param", "t", "--values", "[" * 100_000 + "]" * 100_000],
+         "--values"),
+        (_COMPLEXITY.encode(), ["--param", "seed", "--values", "9" * 5000], "--values"),
+    ],
+    ids=["not-utf8", "too-deep", "kind-not-a-string", "swept-kind-not-a-string",
+         "int-too-long", "swept-value-too-deep", "swept-int-too-long"],
+)
+def test_config_faults_exit_two_in_one_line(tmp_path, capsys, raw, argv, name):
+    path = tmp_path / "c.json"
+    path.write_bytes(raw)
+    command = "sweep" if argv else "complexity"
+    assert cli.main([command, "--config", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert (str(path) if name is None else name) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "levels, command, code",
+    [(64, "complexity", 0), (65, "complexity", 2), (330, "complexity", 2), (500, "sweep", 2)],
+)
+def test_unread_fields_nest_at_most_64_deep(tmp_path, capsys, levels, command, code):
+    cfg = write_cfg(tmp_path, "d.json", {**json.loads(_COMPLEXITY), "deep": _nested(levels)})
+    sweep = ["--param", "t", "--values", "0.5", "1.0"] if command == "sweep" else []
+    assert cli.main([command, "--config", cfg, *sweep, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err[0] == "channelgeo: config field 'deep' is not read by kind 'complexity'; ignored"
+        assert json.loads((tmp_path / "out").read_text())["inputs"]["deep"] == _nested(levels)
+    else:
+        assert err == [f"channelgeo: config field 'deep{'[0]' * 64}': nested more than 64 levels deep"]
 
 
 def test_rode_trajectory_sidecars(tmp_path):
@@ -1314,7 +1397,7 @@ def test_perfbench_tracer_observers_read_the_result_types():
     U = rand_unitary(np.random.default_rng(3), 2)
     path = constant_path(np.diag([1.0, -1.0]), 1.0)
     matched = NoiseModel(kind="bounded_matched", weights=np.ones(3), dt_noise=0.25)
-    spec = channel.ChannelSpec(d_S=2, d_E=2, H_S=np.diag([1.0, -1.0]),
+    spec = channel.ChannelSpec(H_S=np.diag([1.0, -1.0]),
                                H_I=herm(np.random.default_rng(4), 4), H_E=np.zeros((2, 2)))
     kinked = lambda X: np.sum((X - 0.3) ** 2 + np.abs(X), axis=1)  # noqa: E731
     calls = {

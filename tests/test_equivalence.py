@@ -68,6 +68,24 @@ def test_csv_columns_and_other_differences_are_reported(tmp_path, capsys):
     assert f"extra.json: only in {b}" in out
 
 
+def test_a_moved_text_file_shows_its_added_and_removed_lines(tmp_path, capsys):
+    a = _tree(tmp_path / "a", _REPORT, _CSV)
+    b = _tree(tmp_path / "b", _REPORT, _CSV)
+    kept = [f"ensemble-s0/00{i}-rode: kept" for i in range(3)]
+    (a / "stderr.txt").write_text("\n".join([*kept, "gone"]) + "\n")
+    new = [f"note {i}" for i in range(equivalence.SHOWN_LINES + 2)]
+    (b / "stderr.txt").write_text("\n".join([kept[0], *new[:2], *kept[1:], *new[2:]]) + "\n")
+    assert equivalence.compare(a, b) == 1
+    shown = new[:equivalence.SHOWN_LINES]
+    assert capsys.readouterr().out == "".join([
+        "3 of 4 files byte-equal, 1 moved, 0 in one tree only\n",
+        "other differences:\n",
+        f"  stderr.txt: contents differ, {len(new)} lines added and 1 removed\n",
+        *(f"    + {line}\n" for line in shown),
+        "    - gone\n",
+    ])
+
+
 def test_compare_refuses_a_missing_directory(tmp_path):
     with pytest.raises(SystemExit):
         equivalence.main(["compare", str(tmp_path), str(tmp_path / "missing")])

@@ -27,9 +27,10 @@ that moved:
   with list indices dropped and a list entry that has a ``name`` named by it
   (``checks.reconstruction.lhs``);
 - for CSV files, the same two drifts per kind and column;
+- for any other file, such as ``stderr.txt``, the count of lines added
+  and removed, and the first few of each;
 - every other difference by path: a string, flag, key set or length that
-  changed, a whole file that is not JSON or CSV, or a file that is in one
-  tree only.
+  changed, or a file that is in one tree only.
 
 Relative drift is |a - b| / max(|a|, |b|). The exit code is 0 when every
 file is byte-equal and 1 otherwise; a REV that git cannot resolve exits 2
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import difflib
 import importlib.util
 import io
 import json
@@ -54,6 +56,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SEEDS = (0, 1)
 VERIFY_SEEDS = (*range(11), 48, 77, 265, 305)
 _WALL_TIME = re.compile(r"channelgeo: \S+ finished in [0-9.]+s$")
+#: Added and removed lines shown for a moved file that is neither JSON nor CSV.
+SHOWN_LINES = 5
 
 
 def _leaves(node, path=()):
@@ -127,6 +131,20 @@ def _compare_csv(rel: Path, raw_a: bytes, raw_b: bytes, drift: Drift) -> None:
             drift.add(kind, f"csv:{column}", x, y, str(rel))
 
 
+def _compare_text(rel: Path, raw_a: bytes, raw_b: bytes, drift: Drift) -> None:
+    a = raw_a.decode("utf-8", "replace").splitlines()
+    b = raw_b.decode("utf-8", "replace").splitlines()
+    added, removed = [], []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            removed += a[i1:i2]
+            added += b[j1:j2]
+    drift.other.append(f"{rel}: contents differ, {len(added)} lines added and "
+                       f"{len(removed)} removed")
+    drift.other += [f"  + {line}" for line in added[:SHOWN_LINES]]
+    drift.other += [f"  - {line}" for line in removed[:SHOWN_LINES]]
+
+
 def compare(dir_a: Path, dir_b: Path) -> int:
     files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
@@ -146,7 +164,7 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         elif rel.suffix == ".csv":
             _compare_csv(rel, raw_a, raw_b, drift)
         else:
-            drift.other.append(f"{rel}: contents differ")
+            _compare_text(rel, raw_a, raw_b, drift)
     both = len(files_a & files_b)
     print(f"{equal} of {both} files byte-equal, {moved} moved, "
           f"{len(files_a ^ files_b)} in one tree only")
